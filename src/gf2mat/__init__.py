@@ -6,6 +6,7 @@ blocked, multi-table), and Strassen-Winograd recursion with peeling for
 non-conforming dimensions.
 """
 
+from ._kernel import backend
 from .core import (
     BitMatrix,
     MatrixWindow,
@@ -74,6 +75,7 @@ __all__ = [
     "add",
     "add_into",
     "augment",
+    "backend",
     "build_gray",
     "choose_k",
     "copy_into",

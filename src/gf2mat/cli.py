@@ -5,7 +5,8 @@ check   runs every multiplication variant on seeded random inputs and
         oracle; exits non-zero on the first mismatch.
 bench   times variants over a dimension sweep and writes CSV (one row per
         dims x algorithm; warm-up run excluded; mean and minimum of the
-        repetitions; peak memory from the internal allocation counter).
+        repetitions; peak memory from the internal allocation counter);
+        the kernel backend in use goes to stderr.
 gen/mul generate and multiply matrices in the GF2M file format.
 params  prints the resolved tuning parameters.
 """
@@ -18,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, fields as dc_fields
 
-from . import _reference, core
+from . import _kernel, _reference, core
 from .counters import counters
 from .cubic import mul_cubic
 from .errors import GF2MatError, ParameterError
@@ -218,6 +219,7 @@ def cmd_bench(args, params: MulParams) -> int:
     algos = args.algo or ["m4rm", "m4rm-t8", "strassen"]
     # desk-scale default sweep; larger sizes stay reachable via --dims
     dims_list = args.dims or DEFAULT_BENCH_DIMS
+    print(f"backend: {_kernel.backend()}", file=sys.stderr)
     records = []
     for dims in dims_list:
         m, l, n = dims
@@ -265,8 +267,8 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l1", type=int, help="L1 cache size in bytes")
     p.add_argument("--l2", type=int, help="L2 cache size in bytes")
     p.add_argument("--force-scalar-xor", action="store_true",
-                   help="row additions as plain per-word loops, for "
-                        "wide-vs-scalar comparisons")
+                   help="run on the scalar kernel (plain per-word loops), "
+                        "for wide-vs-scalar comparisons")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,24 +332,23 @@ def _resolve(args) -> MulParams:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    core.set_scalar_xor(bool(getattr(args, "force_scalar_xor", False)))
+    scalar = getattr(args, "force_scalar_xor", False)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        params = _resolve(args)
-        if args.command == "check":
-            return cmd_check(args, params)
-        if args.command == "bench":
-            return cmd_bench(args, params)
-        if args.command == "mul":
-            return cmd_mul(args, params)
-        if args.command == "params":
-            return cmd_params(params)
+        with _kernel.using("scalar" if scalar else None):
+            if args.command == "gen":
+                return cmd_gen(args)
+            params = _resolve(args)
+            if args.command == "check":
+                return cmd_check(args, params)
+            if args.command == "bench":
+                return cmd_bench(args, params)
+            if args.command == "mul":
+                return cmd_mul(args, params)
+            if args.command == "params":
+                return cmd_params(params)
     except GF2MatError as exc:
         print(f"gf2mat: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        core.set_scalar_xor(False)
     return 0
 
 

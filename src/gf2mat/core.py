@@ -17,6 +17,7 @@ import weakref
 
 import numpy as np
 
+from . import _kernel
 from .counters import counters
 from .errors import AlignmentError, DimensionError, FormatError
 
@@ -27,19 +28,15 @@ _FILE_MAGIC = b"GF2M"
 _FILE_VERSION = 1
 _HEADER_BYTES = 4 + 1 + 8 + 8
 
-# When True, row additions run as plain per-word Python loops instead of
-# vectorized word-array XOR. Benchmark switch only; results are identical.
-_scalar_xor = False
-
 
 def set_scalar_xor(enabled: bool) -> None:
-    """Force plain 64-bit word loops for row additions (benchmark switch)."""
-    global _scalar_xor
-    _scalar_xor = bool(enabled)
+    """Run row additions as plain 64-bit word loops in the current context
+    (benchmark switch); False restores the default kernel."""
+    _kernel.select("scalar" if enabled else None)
 
 
 def scalar_xor_enabled() -> bool:
-    return _scalar_xor
+    return _kernel.backend() == "scalar"
 
 
 def words_per_row(ncols: int) -> int:
@@ -262,17 +259,9 @@ def row_add(c: Mat, r1: int, s: Mat, r2: int) -> None:
         raise IndexError(f"row_add rows ({r1},{r2}) out of range")
     if c.width == 0:
         return
-    dst = c.words[r1]
-    src = s.words[r2]
-    tm = tail_mask(c.ncols)
     counters.row_adds += 1
-    if _scalar_xor:
-        for i in range(c.width - 1):
-            dst[i] = dst[i] ^ src[i]
-        dst[-1] = dst[-1] ^ (src[-1] & tm)
-        return
-    dst[:-1] ^= src[:-1]
-    dst[-1] ^= src[-1] & tm
+    row = c.words[r1:r1 + 1]
+    _kernel.active().add(row, row, s.words[r2:r2 + 1], tail_mask(c.ncols))
 
 
 def add_into(out: Mat, a: Mat, b: Mat) -> None:
@@ -283,21 +272,7 @@ def add_into(out: Mat, a: Mat, b: Mat) -> None:
     if out.width == 0 or out.nrows == 0:
         return
     counters.row_adds += out.nrows
-    if _scalar_xor:
-        tm = tail_mask(out.ncols)
-        for r in range(out.nrows):
-            dst, x, y = out.words[r], a.words[r], b.words[r]
-            for i in range(out.width - 1):
-                dst[i] = x[i] ^ y[i]
-            dst[-1] = (dst[-1] & ~tm) | ((x[-1] ^ y[-1]) & tm)
-        return
-    tm = tail_mask(out.ncols)
-    if tm == _FULL_MASK:
-        np.bitwise_xor(a.words, b.words, out=out.words)
-        return
-    np.bitwise_xor(a.words[:, :-1], b.words[:, :-1], out=out.words[:, :-1])
-    last = (a.words[:, -1] ^ b.words[:, -1]) & tm
-    out.words[:, -1] = (out.words[:, -1] & ~tm) | last
+    _kernel.active().add(out.words, a.words, b.words, tail_mask(out.ncols))
 
 
 def add(a: Mat, b: Mat) -> BitMatrix:
@@ -321,6 +296,14 @@ def copy_into(out: Mat, a: Mat) -> None:
         return
     out.words[:, :-1] = a.words[:, :-1]
     out.words[:, -1] = (out.words[:, -1] & ~tm) | (a.words[:, -1] & tm)
+
+
+def clear(out: Mat) -> None:
+    """Zero out, preserving anything beyond its right edge."""
+    if out.width == 0 or out.nrows == 0:
+        return
+    out.words[:, :-1] = 0
+    out.words[:, -1] &= ~tail_mask(out.ncols)
 
 
 def window(a: Mat, row_offset: int, col_offset: int,

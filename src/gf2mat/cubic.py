@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import core
+from . import _kernel, core
 from .errors import DimensionError
 
 _TRANSPOSE_ROUNDS = (
@@ -83,6 +83,10 @@ def mul_cubic(a: core.Mat, b: core.Mat) -> core.BitMatrix:
     if m == 0 or n == 0 or l == 0:
         return c
     bt = core.transpose(b)  # n x l, owned, clean tails
+    kernel = _kernel.active()
+    if kernel.compiled:
+        kernel.cubic(c.words, a.words, bt.words, n)
+        return c
     wl = bt.width
     a_tail = core.tail_mask(l)
     nb, rem = divmod(n, 64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import _kernel, core
 from .counters import counters
 from .errors import DimensionError, ParameterError
 
@@ -135,22 +135,6 @@ def make_table(b: core.Mat, start_row: int, k: int,
     else:
         src = b.words[start_row:start_row + k].copy()
         src[:, -1] &= core.tail_mask(b.ncols)
-    tw[0] = 0
-    if core.scalar_xor_enabled():
-        width = tw.shape[1]
-        prev = 0
-        for slot, row in _table_steps(k):
-            for i in range(width):
-                tw[slot, i] = tw[prev, i] ^ src[row, i]
-            prev = slot
-    else:
-        xor = np.bitwise_xor
-        rows = list(tw[:1 << k])
-        src_rows = list(src)
-        prev_row = rows[0]
-        for slot, srow in _table_steps(k):
-            dst = rows[slot]
-            xor(prev_row, src_rows[srow], out=dst)
-            prev_row = dst
+    _kernel.active().gray_fill(tw[:1 << k], src, _table_steps(k))
     counters.table_adds += (1 << k) - 1
     counters.row_adds += (1 << k) - 1

@@ -11,6 +11,10 @@ of each destination row.
 
 Ragged edges are handled throughout: a final stripe of width l mod k uses
 a smaller table, and trailing stripe groups use fewer than t tables.
+
+On the compiled kernel (see _kernel) the whole engine, table builds and
+index reads included, runs in one native call per product; the Python
+loop below serves the numpy and scalar kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import _kernel, core
 from .counters import counters
 from .errors import DimensionError, ParameterError
 from .graycode import MAX_K, CombinationTable, make_table
@@ -74,51 +78,47 @@ def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
     return StripeSpec(k, t, b_s)
 
 
-def _mul_into(c: core.BitMatrix, a: core.Mat, b: core.Mat, k: int,
-              b_s: int, t: int) -> None:
-    """c += a @ b. c must be an owned matrix (rows contiguous, tails clean)."""
-    assert isinstance(c, core.BitMatrix), "M4RM writes into owned C only"
+def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
+              t: int) -> None:
+    """c += a @ b. c may be a window: bits beyond its right edge are kept,
+    because table rows are masked to B's width."""
     m, l, n = a.nrows, a.ncols, b.ncols
     if c.nrows != m or c.ncols != n:
         raise DimensionError(
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m == 0 or n == 0 or l == 0:
         return
-    stripes = _stripes(l, min(k, l))
-    tables = [CombinationTable(min(k, l), n)
-              for _ in range(min(t, len(stripes)))]
+    k = min(k, l)
+    nstripes = -(-l // k)
+    ntables = min(t, nstripes)
+    kernel = _kernel.active()
+    if kernel.compiled:
+        tables = core.create(ntables << k, n)
+        kernel.m4rm(c.words, a.words, b.words, l, n, k, b_s, t,
+                    core.tail_mask(n), tables.words)
+        # The deltas the table builds and row updates below record; a
+        # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
+        built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
+        counters.table_adds += built
+        counters.row_adds += built + m * nstripes
+        counters.c_writes += m * -(-nstripes // t)
+        return
+    stripes = _stripes(l, k)
+    tables = [CombinationTable(k, n) for _ in range(ntables)]
     table_words = [tbl.words for tbl in tables]
-    scalar = core.scalar_xor_enabled()
-    width = c.width
-    bm = min(b_s, m)
-    acc = np.empty((bm, width), dtype=np.uint64)
+    acc = np.empty((min(b_s, m), c.width), dtype=np.uint64)
     for r0 in range(0, m, b_s):
         r1 = min(r0 + b_s, m)
-        cnt = r1 - r0
         for g0 in range(0, len(stripes), t):
             group = stripes[g0:g0 + t]
             for gi, (sc, kw) in enumerate(group):
                 make_table(b, sc, kw, tables[gi])
             # All indices are read from A before any table lookups.
             ids = [_read_bits_rows(a, r0, r1, sc, kw) for sc, kw in group]
-            if scalar:
-                for ri in range(cnt):
-                    row = table_words[0][ids[0][ri]].copy()
-                    for gi in range(1, len(group)):
-                        row ^= table_words[gi][ids[gi][ri]]
-                    dst = c.words[r0 + ri]
-                    for wi in range(width):
-                        dst[wi] = dst[wi] ^ row[wi]
-            elif len(group) == 1:
-                c.words[r0:r1] ^= table_words[0][ids[0]]
-            else:
-                a0 = acc[:cnt]
-                np.take(table_words[0], ids[0], axis=0, out=a0)
-                for gi in range(1, len(group)):
-                    a0 ^= table_words[gi][ids[gi]]
-                c.words[r0:r1] ^= a0
-            counters.c_writes += cnt
-            counters.row_adds += cnt * len(group)
+            kernel.combine(c.words[r0:r1], table_words[:len(group)], ids,
+                           acc)
+            counters.c_writes += r1 - r0
+            counters.row_adds += (r1 - r0) * len(group)
 
 
 def mul_m4rm(a: core.Mat, b: core.Mat, k: int) -> core.BitMatrix:
@@ -147,9 +147,12 @@ def mul_m4rm_multitable(a: core.Mat, b: core.Mat, k: int, t: int,
     return c
 
 
-def mul_m4rm_into(c: core.BitMatrix, a: core.Mat, b: core.Mat, k: int,
+def mul_m4rm_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int,
                   b_s: int | None = None, t: int = 1) -> None:
-    """Accumulating variant, c += a @ b; pass a zeroed c for the product."""
+    """Accumulating variant, c += a @ b; pass a zeroed c for the product.
+
+    c may be a window; bits beyond its right edge are left as they are.
+    """
     b_s = max(a.nrows, 1) if b_s is None else b_s
     _validate(a, b, k, t, b_s)
     _mul_into(c, a, b, k, b_s, t)

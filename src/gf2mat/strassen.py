@@ -12,48 +12,16 @@ additions and touches two scratch quadrant buffers beyond the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import core
+from . import core, tuning
 from .counters import counters
 from .cubic import mul_cubic
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 from .m4rm import _mul_into
+from .tuning import MulParams
 
 _WORD = core.WORD_BITS
-
-
-@dataclass
-class MulParams:
-    """Tuning bundle for the full dispatch stack.
-
-    cutoff: dimension at or below which recursion hands over to M4RM.
-    b_s: row block size inside M4RM (defaults to cutoff / 2).
-    k: Gray-table width, 0 selects the tuning rule per multiplication.
-    t: number of simultaneous Gray tables.
-    l1_bytes / l2_bytes: cache capacities feeding the tuning rules.
-    """
-
-    cutoff: int = 2048
-    b_s: int | None = None
-    k: int = 0
-    t: int = 8
-    l1_bytes: int = 32768
-    l2_bytes: int = 1 << 20
-
-    def __post_init__(self):
-        if self.b_s is None:
-            self.b_s = max(self.cutoff // 2, 1)
-        if self.cutoff < 64:
-            raise ParameterError(f"cutoff {self.cutoff} < 64")
-        if not 1 <= self.t <= 8:
-            raise ParameterError(f"t={self.t} outside 1..8")
-        if not 0 <= self.k <= 16:
-            raise ParameterError(f"k={self.k} outside 0..16")
-        if not 1 <= self.b_s <= self.cutoff:
-            raise ParameterError(
-                f"block size {self.b_s} outside 1..cutoff={self.cutoff}")
 
 
 class PeelSplit(NamedTuple):
@@ -87,8 +55,8 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
 def _effective_k(params: MulParams, ncols: int) -> int:
     if params.k:
         return params.k
-    from .tuning import choose_k
-    return choose_k(max(params.b_s, 2), params.l1_bytes, params.t, ncols)
+    return tuning.choose_k(max(params.b_s, 2), params.l1_bytes, params.t,
+                           ncols)
 
 
 def _m4rm_whole(a: core.Mat, b: core.Mat, params: MulParams) -> core.BitMatrix:
@@ -103,8 +71,8 @@ def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
                    params: MulParams, accumulate: bool) -> None:
     """Base-case product into a window: M4RM, or cubic for narrow B.
 
-    The product is computed in freshly-owned contiguous storage and then
-    copied (or XORed) into the destination window.
+    M4RM writes straight into the window; cubic's product is computed in
+    owned storage and then copied (or XORed) into it.
     """
     m, l, n = a.nrows, a.ncols, b.ncols
     if dst.nrows != m or dst.ncols != n:
@@ -114,13 +82,14 @@ def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
         return
     if l == 0 or n < _WORD:
         owned = mul_cubic(a, b)
-    else:
-        owned = core.create(m, n)
-        _mul_into(owned, a, b, _effective_k(params, n), params.b_s, params.t)
-    if accumulate:
-        core.add_into(dst, dst, owned)
-    else:
-        core.copy_into(dst, owned)
+        if accumulate:
+            core.add_into(dst, dst, owned)
+        else:
+            core.copy_into(dst, owned)
+        return
+    if not accumulate:
+        core.clear(dst)
+    _mul_into(dst, a, b, _effective_k(params, n), params.b_s, params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -225,7 +194,7 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
     block, then the remaining rows of C, then the remaining columns.
     """
     if params is None:
-        params = default_params_lazy()
+        params = tuning.default_params()
     m, l, n = a.nrows, a.ncols, b.ncols
     if c.nrows != m or c.ncols != n:
         raise DimensionError(f"target {c.shape} != product {m}x{n}")
@@ -249,11 +218,6 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
                        params, accumulate=False)
 
 
-def default_params_lazy() -> MulParams:
-    from .tuning import default_params
-    return default_params()
-
-
 def mul_strassen(a: core.Mat, b: core.Mat,
                  params: MulParams | None = None) -> core.BitMatrix:
     """Full dispatch stack: recursion, then M4RM, then cubic for narrow B."""
@@ -261,7 +225,7 @@ def mul_strassen(a: core.Mat, b: core.Mat,
         raise DimensionError(
             f"inner dimensions {a.ncols} and {b.nrows} differ")
     if params is None:
-        params = default_params_lazy()
+        params = tuning.default_params()
     m, l, n = a.nrows, a.ncols, b.ncols
     if m == 0 or n == 0 or l == 0:
         return core.create(m, n)

@@ -1,4 +1,5 @@
-"""Default multiplication parameters derived from cache geometry.
+"""Multiplication parameters (MulParams) and their defaults from cache
+geometry.
 
 The crossover is sized so two square operands fit in L2 (2 * cutoff^2 / 8
 bytes), the M4RM block size is half of that, and the Gray-table width is
@@ -15,15 +16,47 @@ arguments, a key=value config file, or conservative defaults (32 KiB L1,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .core import words_per_row
 from .errors import ParameterError
-from .strassen import MulParams
 
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_L2_BYTES = 1 << 20
 
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
+
+
+@dataclass
+class MulParams:
+    """Tuning bundle for the full dispatch stack.
+
+    cutoff: dimension at or below which recursion hands over to M4RM.
+    b_s: row block size inside M4RM (defaults to cutoff / 2).
+    k: Gray-table width, 0 selects the tuning rule per multiplication.
+    t: number of simultaneous Gray tables.
+    l1_bytes / l2_bytes: cache capacities feeding the tuning rules.
+    """
+
+    cutoff: int = 2048
+    b_s: int | None = None
+    k: int = 0
+    t: int = 8
+    l1_bytes: int = 32768
+    l2_bytes: int = 1 << 20
+
+    def __post_init__(self):
+        if self.b_s is None:
+            self.b_s = max(self.cutoff // 2, 1)
+        if self.cutoff < 64:
+            raise ParameterError(f"cutoff {self.cutoff} < 64")
+        if not 1 <= self.t <= 8:
+            raise ParameterError(f"t={self.t} outside 1..8")
+        if not 0 <= self.k <= 16:
+            raise ParameterError(f"k={self.k} outside 0..16")
+        if not 1 <= self.b_s <= self.cutoff:
+            raise ParameterError(
+                f"block size {self.b_s} outside 1..cutoff={self.cutoff}")
 
 
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,

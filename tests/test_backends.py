@@ -1,0 +1,282 @@
+"""Every kernel backend against the naive oracle, plus the compiled
+kernel's build cache, its fallback and concurrent use."""
+
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gf2mat
+from gf2mat import _kernel, core
+from gf2mat import _reference as ref
+from gf2mat.counters import counters
+from gf2mat.cubic import mul_cubic
+from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
+from gf2mat.strassen import MulParams, _base_mul_into, mul_strassen
+
+BACKENDS = _kernel.available()
+SRC = Path(gf2mat.__file__).resolve().parent.parent
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    with _kernel.using(request.param):
+        yield request.param
+
+
+def dirty_window(nrows, ncols, seed):
+    """Window at (2, 64) of a random parent whose bits around the window,
+    beyond its right edge included, are live."""
+    parent = core.random(nrows + 4, 64 + ncols + 70, seed)
+    return core.window(parent, 2, 64, nrows, ncols)
+
+
+def expect_added(c, before, product):
+    """c's parent equals `before` with `product` XORed into c's region."""
+    expected = before.copy()
+    expected[c.row_offset:c.row_offset + c.nrows,
+             c.col_offset:c.col_offset + c.ncols] ^= product
+    assert np.array_equal(core.to_dense(c.parent), expected)
+
+
+# (m, l, n, k, t, b_s): k = 1..16 with t = 1..8, l not a multiple of k and
+# b_s not dividing m; k >= 12 on narrow n; then l < k, aligned widths and
+# zero dimensions.
+M4RM_CASES = [
+    *[(45, 3 * k + 2, 130 if k < 12 else 40, k, (k - 1) % 8 + 1, 7 + k)
+      for k in range(1, 17)],
+    (30, 5, 70, 8, 2, 30),
+    (30, 10, 70, 16, 8, 4),
+    (64, 200, 128, 6, 8, 64),
+    (0, 20, 70, 4, 2, 8),
+    (20, 0, 70, 4, 2, 8),
+    (20, 20, 0, 4, 2, 8),
+]
+
+
+@pytest.mark.parametrize("m,l,n,k,t,b_s", M4RM_CASES)
+def test_m4rm_windows(backend, m, l, n, k, t, b_s):
+    a = dirty_window(m, l, seed=1)
+    b = dirty_window(l, n, seed=2)
+    c = dirty_window(m, n, seed=3)
+    before = core.to_dense(c.parent)
+    mul_m4rm_into(c, a, b, k, b_s, t)
+    expect_added(c, before, ref.naive_product(a, b))
+
+
+@pytest.mark.parametrize("m,l,n", [
+    (37, 130, 20), (37, 130, 64), (37, 130, 150), (1, 1, 1), (64, 64, 128),
+    (0, 5, 5), (5, 0, 5), (5, 5, 0),
+])
+def test_cubic_windows(backend, m, l, n):
+    a = dirty_window(m, l, seed=4)
+    b = dirty_window(l, n, seed=5)
+    c = mul_cubic(a, b)
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+    assert core.trailing_bits_clean(c)
+
+
+@pytest.mark.parametrize("m,l,n", [
+    (130, 260, 200), (256, 256, 256), (129, 200, 70), (200, 150, 60),
+    (0, 10, 10),
+])
+def test_strassen_windows(backend, m, l, n):
+    a = dirty_window(m, l, seed=6)
+    b = dirty_window(l, n, seed=7)
+    c = mul_strassen(a, b, MulParams(cutoff=64))
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+    assert core.trailing_bits_clean(c)
+
+
+@pytest.mark.parametrize("accumulate", [False, True])
+@pytest.mark.parametrize("n", [130, 30])
+def test_base_case_writes_into_window(backend, n, accumulate):
+    a = dirty_window(40, 100, seed=8)
+    b = dirty_window(100, n, seed=9)
+    c = dirty_window(40, n, seed=10)
+    before = core.to_dense(c.parent)
+    _base_mul_into(c, a, b, MulParams(cutoff=64, k=5), accumulate)
+    if not accumulate:
+        before[2:42, 64:64 + n] = 0
+    expect_added(c, before, ref.naive_product(a, b))
+
+
+@pytest.mark.parametrize("run", [
+    lambda a, b: mul_m4rm(a, b, 7),
+    lambda a, b: mul_m4rm_multitable(a, b, 5, 3, 17),
+    lambda a, b: mul_strassen(a, b, MulParams(cutoff=64)),
+    mul_cubic,
+], ids=["m4rm", "m4rm-t3", "strassen", "cubic"])
+def test_counter_deltas_identical_across_backends(run):
+    a = core.random(150, 200, seed=11)
+    b = core.random(200, 170, seed=12)
+    names = [f.name for f in fields(counters)
+             if f.name not in ("live_words", "peak_live_words")]
+    deltas = {}
+    for name in BACKENDS:
+        before = {f: getattr(counters, f) for f in names}
+        with _kernel.using(name):
+            run(a, b)
+        deltas[name] = {f: getattr(counters, f) - before[f] for f in names}
+    assert all(d == deltas["numpy"] for d in deltas.values()), deltas
+
+
+def test_backend_reports_selection():
+    for name in BACKENDS:
+        with _kernel.using(name):
+            assert gf2mat.backend() == name
+    assert gf2mat.backend() == BACKENDS[0]
+    try:
+        gf2mat.set_scalar_xor(True)
+        assert gf2mat.backend() == "scalar"
+    finally:
+        gf2mat.set_scalar_xor(False)
+    assert gf2mat.backend() == BACKENDS[0]
+
+
+def start_python(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+
+
+def finish(proc):
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    return out
+
+
+def run_python(script, *args):
+    return finish(start_python(script, *args))
+
+
+def test_no_compiler_falls_back_to_numpy():
+    out = run_python("""
+from gf2mat import _kernel
+_kernel._compiler = lambda: None
+import gf2mat
+from gf2mat import _reference as ref
+assert _kernel.available() == ("numpy", "scalar")
+for m, l, n in [(70, 130, 90), (300, 300, 300), (50, 40, 20)]:
+    a = gf2mat.random(m, l, seed=1)
+    b = gf2mat.random(l, n, seed=2)
+    c = gf2mat.mul_strassen(a, b, gf2mat.MulParams(cutoff=64))
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+print(gf2mat.backend())
+""")
+    assert out.strip() == "numpy"
+
+
+def test_unwritable_cache_gives_no_library(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    assert _kernel.load_library(blocker / "cache") is None
+
+
+# Loads the kernel from the cache directory argv[1] (a source file in
+# argv[2] replaces _kernel.c) and checks one product with it unless the
+# source was replaced.
+LOAD_FROM_CACHE = """
+import sys
+from pathlib import Path
+from gf2mat import _kernel, core
+from gf2mat import _reference as ref
+if len(sys.argv) > 2:
+    _kernel._SOURCE = Path(sys.argv[2])
+lib = _kernel.load_library(Path(sys.argv[1]))
+assert lib is not None
+a = core.random(40, 100, seed=1)
+b = core.random(100, 70, seed=2)
+c = core.create(40, 70)
+tables = core.create(2 << 4, 70)
+_kernel.CKernel(lib).m4rm(c.words, a.words, b.words, 100, 70, 4, 16, 2,
+                          core.tail_mask(70), tables.words)
+if len(sys.argv) == 2:
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+"""
+
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler")
+
+
+def intact(path):
+    return path.stem.rsplit("-", 1)[1] == _kernel._digest(path.read_bytes())
+
+
+@needs_c
+def test_truncated_cache_is_rebuilt(tmp_path):
+    run_python(LOAD_FROM_CACHE, tmp_path)
+    [built] = tmp_path.glob("*.so")
+    size = built.stat().st_size
+    built.write_bytes(built.read_bytes()[:size // 2])
+    run_python(LOAD_FROM_CACHE, tmp_path)
+    [rebuilt] = tmp_path.glob("*.so")
+    assert intact(rebuilt) and rebuilt.stat().st_size == size
+
+
+@needs_c
+def test_stale_cache_is_not_loaded(tmp_path):
+    cache = tmp_path / "cache"
+    old = tmp_path / "old.c"
+    # An older kernel that ORs where it must XOR.
+    old.write_text(_kernel._SOURCE.read_text().replace("c[w] ^= expr",
+                                                       "c[w] |= expr"))
+    run_python(LOAD_FROM_CACHE, cache, old)
+    [stale] = cache.glob("*.so")
+    run_python(LOAD_FROM_CACHE, cache)
+    current = set(cache.glob("*.so")) - {stale}
+    assert len(current) == 1 and intact(current.pop())
+
+
+@needs_c
+def test_concurrent_first_builds(tmp_path):
+    procs = [start_python(LOAD_FROM_CACHE, tmp_path) for _ in range(3)]
+    for proc in procs:
+        finish(proc)
+    built = list(tmp_path.glob("*.so"))
+    assert built and all(intact(path) for path in built)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@needs_c
+def test_concurrent_products_on_c_backend():
+    jobs = []
+    for i in range(12):
+        m, l, n = 150 + 17 * i, 200 + 9 * i, (130 + 11 * i) if i % 3 else 40
+        a = core.random(m, l, seed=100 + i)
+        b = core.random(l, n, seed=200 + i)
+        jobs.append((a, b, ref.naive_product(a, b)))
+    results = [None] * len(jobs)
+
+    def work(i):
+        a, b, _ = jobs[i]
+        with _kernel.using("c"):
+            for _ in range(3):
+                results[i] = mul_strassen(a, b, MulParams(cutoff=64))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for (a, b, expected), got in zip(jobs, results):
+        assert got is not None
+        assert ref.first_mismatch(got, expected) is None

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import gf2mat
 from gf2mat import _reference as ref
 from gf2mat import cli, core
 from gf2mat.cubic import mul_cubic
@@ -62,6 +63,13 @@ class TestBench:
         assert len(records) == 1
         assert records[0].mean_s == records[0].min_s
         assert records[0].reps == 1
+
+    def test_bench_reports_backend(self, capsys):
+        argv = ["bench", "--dims", "64x64x64", "--reps", "1", "--algo", "m4rm"]
+        assert cli.main(argv) == 0
+        assert f"backend: {gf2mat.backend()}" in capsys.readouterr().err
+        assert cli.main(argv + ["--force-scalar-xor"]) == 0
+        assert "backend: scalar" in capsys.readouterr().err
 
     def test_csv_round_trip(self):
         records = [

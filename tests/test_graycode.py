@@ -38,6 +38,14 @@ class TestBuildGray:
             assert bin(step).count("1") == 1
             assert g.changed_bit[j] == step.bit_length() - 1
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_reflected_binary_code(self, k):
+        # The compiled table build walks j ^ (j >> 1) flipping bit ctz(j).
+        g = build_gray(k)
+        for j in range(1, 1 << k):
+            assert g.code[j] == j ^ (j >> 1)
+            assert g.changed_bit[j] == (j & -j).bit_length() - 1
+
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             build_gray(0)

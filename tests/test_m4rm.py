@@ -199,11 +199,14 @@ class TestAccumulateVariant:
         mul_m4rm_into(c, a, b, 5)
         assert core.equal(c, core.add(seed_c, mul_m4rm(a, b, 5)))
 
-    def test_window_target_rejected(self):
+    def test_window_target_keeps_outside_bits(self):
         a = core.random(8, 8, seed=73)
-        parent = core.create(8, 64)
-        with pytest.raises(AssertionError):
-            mul_m4rm_into(core.window(parent, 0, 0, 8, 8), a, a, 2)
+        parent = core.random(10, 64, seed=76)
+        before = core.copy_out(parent)
+        mul_m4rm_into(core.window(parent, 1, 0, 8, 8), a, a, 2)
+        expected = core.to_dense(before)
+        expected[1:9, :8] ^= ref.naive_product(a, a)
+        assert np.array_equal(core.to_dense(parent), expected)
 
     def test_window_operands_supported(self):
         pa = core.random(50, 256, seed=74)
