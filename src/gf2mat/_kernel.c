@@ -1,4 +1,4 @@
-/* Compiled kernels of gf2mat: the whole M4RM engine and cubic's row loop.
+/* Compiled kernels of gf2mat: the whole M4RM engine and cubic.
  *
  * Matrices are bit-packed row-major words: column c of a row lives in word
  * c / 64 at bit 63 - c % 64. Every matrix argument is the address of its
@@ -9,6 +9,8 @@
  *
  * Built by _kernel.py with the system C compiler and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture.
+ * On x86-64 the M4RM engine is also compiled for AVX2 and AVX-512, and
+ * each product runs on the widest one the CPU supports.
  */
 
 #include <stdint.h>
@@ -18,9 +20,56 @@ typedef uint64_t word;
 
 #define MAX_TABLES 8
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define GF2MAT_DISPATCH
+#endif
+
+/* The engine and its helpers are inlined into each instruction set's
+ * copy of it, so every copy is compiled for its own instruction set. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* 8, 4 and 2 words XORed as one value: one 64-, 32- or 16-byte register.
+ * Alignment 8: rows start on any word. */
+typedef word v8 __attribute__((vector_size(64), aligned(8), may_alias));
+typedef word v4 __attribute__((vector_size(32), aligned(8), may_alias));
+typedef word v2 __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* BODY on one chunk of NV registers of type V. */
+#define CHUNK(T, nv, BODY) { typedef T V; enum { NV = nv }; BODY }
+
+/* Run BODY over words [0, n) of a row, with w the first word of each
+ * chunk: 8-word chunks (one cache line), then at most one chunk each of
+ * 4, 2 and 1 words, so short rows never take a word-by-word loop. Chunks
+ * are made of registers of vw words (8, 4 or 2), the widest the copy of
+ * the engine's instruction set has; a vector wider than that would be
+ * split through memory, so each copy passes vw as a constant. */
+#define CHUNKED(vw, n, BODY)                                              \
+    do {                                                                  \
+        int64_t w = 0;                                                    \
+        for (; w + 8 <= (n); w += 8) {                                    \
+            if ((vw) == 8) CHUNK(v8, 1, BODY)                             \
+            else if ((vw) == 4) CHUNK(v4, 2, BODY)                        \
+            else CHUNK(v2, 4, BODY)                                       \
+        }                                                                 \
+        if (w + 4 <= (n)) {                                               \
+            if ((vw) >= 4) CHUNK(v4, 1, BODY)                             \
+            else CHUNK(v2, 2, BODY)                                       \
+            w += 4;                                                       \
+        }                                                                 \
+        if (w + 2 <= (n)) {                                               \
+            CHUNK(v2, 1, BODY)                                            \
+            w += 2;                                                       \
+        }                                                                 \
+        if (w < (n)) CHUNK(word, 1, BODY)                                 \
+    } while (0)
+
+/* Inside BODY: register i of the chunk of row p. */
+#define EACH for (int i = 0; i < NV; i++)
+#define AT(p) (*(V *)((p) + w + i * (int)(sizeof(V) / sizeof(word))))
+
 /* k <= 16 consecutive entries of `row` from column sc, the first one most
  * significant: the index of a stripe into its combination table. */
-static inline int64_t read_bits(const word *row, int64_t sc, int k)
+INLINE int64_t read_bits(const word *row, int64_t sc, int k)
 {
     int64_t wi = sc >> 6;
     int off = (int)(sc & 63);
@@ -36,7 +85,7 @@ static inline int64_t read_bits(const word *row, int64_t sc, int k)
  * reflected Gray code: step j writes slot j ^ (j >> 1) as the previous
  * slot plus source row k-1-ctz(j), so the table costs 2^k - 1 row
  * additions. Source rows are masked with `tail` so table rows stay clean. */
-static void gray_table(word *restrict table, const word *src,
+INLINE void gray_table(int vw, word *restrict table, const word *src,
                        int64_t src_stride, int k, int64_t width, word tail)
 {
     memset(table, 0, (size_t)width * sizeof(word));
@@ -44,52 +93,52 @@ static void gray_table(word *restrict table, const word *src,
     for (int64_t j = 1; j < ((int64_t)1 << k); j++) {
         word *dst = table + (j ^ (j >> 1)) * width;
         const word *s = src + (k - 1 - __builtin_ctzll((word)j)) * src_stride;
-        for (int64_t w = 0; w < width - 1; w++)
-            dst[w] = prev[w] ^ s[w];
+        CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
         dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
         prev = dst;
     }
 }
 
-#define FUSE(expr)                                  \
-    for (int64_t w = 0; w < width; w++)             \
-        c[w] ^= expr;                               \
-    break
-
 /* c ^= r[0] ^ ... ^ r[t-1]: t table lookups fused into one pass over c. */
-static void combine(word *restrict c, const word *const *r, int t,
-                    int64_t width)
+INLINE void combine_t(int vw, word *restrict c, const word *const *r, int t,
+                      int64_t width)
 {
-    const word *r0 = r[0], *r1 = r[1], *r2 = r[2], *r3 = r[3];
-    const word *r4 = r[4], *r5 = r[5], *r6 = r[6], *r7 = r[7];
-    switch (t) {
-    case 1: FUSE(r0[w]);
-    case 2: FUSE(r0[w] ^ r1[w]);
-    case 3: FUSE(r0[w] ^ r1[w] ^ r2[w]);
-    case 4: FUSE(r0[w] ^ r1[w] ^ r2[w] ^ r3[w]);
-    case 5: FUSE(r0[w] ^ r1[w] ^ r2[w] ^ r3[w] ^ r4[w]);
-    case 6: FUSE(r0[w] ^ r1[w] ^ r2[w] ^ r3[w] ^ r4[w] ^ r5[w]);
-    case 7: FUSE(r0[w] ^ r1[w] ^ r2[w] ^ r3[w] ^ r4[w] ^ r5[w] ^ r6[w]);
-    default: FUSE(r0[w] ^ r1[w] ^ r2[w] ^ r3[w] ^ r4[w] ^ r5[w] ^ r6[w]
-                  ^ r7[w]);
-    }
+    CHUNKED(vw, width, {
+        V x[NV];
+        EACH x[i] = AT(r[0]);
+        for (int g = 1; g < t; g++)
+            EACH x[i] ^= AT(r[g]);
+        EACH AT(c) ^= x[i];
+    });
 }
 
-/* c += a @ b by M4RM: a is m x l, b is l x n, c is m x n.
+/* combine_t, with the loop over the lookups unrolled for the full group
+ * of MAX_TABLES tables (the default t); 16-byte registers need it most. */
+INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
+                    int64_t width)
+{
+    if (t == MAX_TABLES)
+        combine_t(vw, c, r, MAX_TABLES, width);
+    else
+        combine_t(vw, c, r, t, width);
+}
+
+/* c += a @ b by M4RM: a is m x l, b is l x n, c is m x n, with row chunks
+ * of vw words.
  *
  * Row blocks of b_s rows outer; inside a block, groups of t stripes of k
  * columns of a (the last stripe may be narrower). Each group builds its t
  * Gray tables from the matching rows of b into `tables` (t tables of 2^k
  * rows of ceil(n/64) words, consecutive), then updates every row of the
  * block once. `tail` masks the used bits of a row's last word of b. */
-void gf2mat_m4rm(word *c, int64_t c_stride, const word *a, int64_t a_stride,
-                 const word *b, int64_t b_stride, int64_t m, int64_t l,
-                 int64_t n, int k, int64_t b_s, int t, word tail,
-                 word *tables)
+INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
+                 int64_t a_stride, const word *b, int64_t b_stride,
+                 int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
+                 word tail, word *tables)
 {
     int64_t width = (n + 63) / 64;
     int64_t table_words = width << k;
-    const word *rows[MAX_TABLES] = {0};
+    const word *rows[MAX_TABLES];
     int64_t sc[MAX_TABLES];
     int kw[MAX_TABLES];
 
@@ -100,19 +149,84 @@ void gf2mat_m4rm(word *c, int64_t c_stride, const word *a, int64_t a_stride,
             for (; ng < t && g0 + (int64_t)ng * k < l; ng++) {
                 sc[ng] = g0 + (int64_t)ng * k;
                 kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
-                gray_table(tables + ng * table_words, b + sc[ng] * b_stride,
-                           b_stride, kw[ng], width, tail);
+                gray_table(vw, tables + ng * table_words,
+                           b + sc[ng] * b_stride, b_stride, kw[ng], width,
+                           tail);
             }
             for (int64_t r = r0; r < r1; r++) {
                 const word *arow = a + r * a_stride;
                 for (int g = 0; g < ng; g++)
                     rows[g] = tables + g * table_words
                               + read_bits(arow, sc[g], kw[g]) * width;
-                combine(c + r * c_stride, rows, ng, width);
+                combine(vw, c + r * c_stride, rows, ng, width);
             }
         }
     }
 }
+
+#define M4RM_PARAMS                                                       \
+    word *c, int64_t c_stride, const word *a, int64_t a_stride,           \
+    const word *b, int64_t b_stride, int64_t m, int64_t l, int64_t n,     \
+    int k, int64_t b_s, int t, word tail, word *tables
+#define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, \
+    t, tail, tables
+
+/* One copy of the engine per instruction set. */
+static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }
+#ifdef GF2MAT_DISPATCH
+__attribute__((target("avx2")))
+static void m4rm_avx2(M4RM_PARAMS) { m4rm(4, M4RM_ARGS); }
+__attribute__((target("avx512f")))
+static void m4rm_avx512f(M4RM_PARAMS) { m4rm(8, M4RM_ARGS); }
+#endif
+
+enum isa { ISA_DEFAULT, ISA_AVX2, ISA_AVX512F };
+
+/* The widest instruction set with a copy of the engine that this CPU
+ * runs. The CPU's features are read once, at load; each query is a load
+ * and a bit test. */
+static enum isa host_isa(void)
+{
+#ifdef GF2MAT_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return ISA_AVX512F;
+    if (__builtin_cpu_supports("avx2"))
+        return ISA_AVX2;
+#endif
+    return ISA_DEFAULT;
+}
+
+/* Name of the instruction set gf2mat_m4rm runs on this CPU. */
+const char *gf2mat_isa(void)
+{
+    static const char *const names[] = {"default", "avx2", "avx512f"};
+    return names[host_isa()];
+}
+
+/* c += a @ b by M4RM on the widest copy of the engine this CPU runs. */
+void gf2mat_m4rm(M4RM_PARAMS)
+{
+    switch (host_isa()) {
+#ifdef GF2MAT_DISPATCH
+    case ISA_AVX512F:
+        m4rm_avx512f(M4RM_ARGS);
+        return;
+    case ISA_AVX2:
+        m4rm_avx2(M4RM_ARGS);
+        return;
+#endif
+    default:
+        m4rm_default(M4RM_ARGS);
+    }
+}
+
+/* Low-half masks of the 64x64 bit transpose's six rounds, for swaps of
+ * 32, 16, 8, 4, 2 and 1 bits. */
+static const word lo[6] = {
+    0x00000000FFFFFFFFull, 0x0000FFFF0000FFFFull, 0x00FF00FF00FF00FFull,
+    0x0F0F0F0F0F0F0F0Full, 0x3333333333333333ull, 0x5555555555555555ull,
+};
 
 /* Parities of 64 words packed into one, parity(s[i]) at bit 63 - i.
  *
@@ -123,10 +237,6 @@ void gf2mat_m4rm(word *c, int64_t c_stride, const word *a, int64_t a_stride,
  * rounds one word remains whose bit 63 - i holds the fold of s[i]. */
 static word parity64(const word *s)
 {
-    static const word lo[6] = {
-        0x00000000FFFFFFFFull, 0x0000FFFF0000FFFFull, 0x00FF00FF00FF00FFull,
-        0x0F0F0F0F0F0F0F0Full, 0x3333333333333333ull, 0x5555555555555555ull,
-    };
     word v[64];
     memcpy(v, s, sizeof v);
     int half = 64;
@@ -141,24 +251,61 @@ static word parity64(const word *s)
     return v[0];
 }
 
-/* c = a @ b by AND, XOR-accumulate and parity, with b given transposed.
- *
- * a is m x l (wl = ceil(l/64) words per row), bt is n x l with bits beyond
- * column l clear, so the AND drops whatever a keeps beyond its edge. c is
- * m x n and owned: every word of its rows is written. Full blocks of 64
- * output columns take the transpose fold, the remainder popcount parity. */
-void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
-                  const word *bt, int64_t bt_stride, int64_t m, int64_t wl,
-                  int64_t n)
+/* Transpose v as a 64x64 bit matrix in place: each round swaps the
+ * off-diagonal blocks of every 2sh x 2sh diagonal block. */
+static void transpose64(word *v)
 {
+    for (int round = 0, sh = 32; sh; round++, sh >>= 1)
+        for (int i0 = 0; i0 < 64; i0 += 2 * sh)
+            for (int i = i0; i < i0 + sh; i++) {
+                word x = (v[i] ^ (v[i + sh] >> sh)) & lo[round];
+                v[i] ^= x;
+                v[i + sh] ^= x << sh;
+            }
+}
+
+/* bt = b transposed: b is l x n, bt is n rows of wl = ceil(l/64) words
+ * (stride wl). Rows past l read as zero, so bt's bits beyond column l are
+ * clear; b's bits beyond column n land in rows past n, which are dropped. */
+static void transpose(word *bt, const word *b, int64_t b_stride, int64_t l,
+                      int64_t n)
+{
+    int64_t wl = (l + 63) / 64;
+    word v[64];
+    for (int64_t i0 = 0; i0 < l; i0 += 64) {
+        int rows = l - i0 < 64 ? (int)(l - i0) : 64;
+        for (int64_t j0 = 0; j0 < n; j0 += 64) {
+            int cols = n - j0 < 64 ? (int)(n - j0) : 64;
+            for (int r = 0; r < 64; r++)
+                v[r] = r < rows ? b[(i0 + r) * b_stride + (j0 >> 6)] : 0;
+            transpose64(v);
+            for (int r = 0; r < cols; r++)
+                bt[(j0 + r) * wl + (i0 >> 6)] = v[r];
+        }
+    }
+}
+
+/* c = a @ b by AND, XOR-accumulate and parity over b transposed.
+ *
+ * a is m x l, b is l x n, c is m x n and owned: every word of its rows is
+ * written. `bt` is scratch for n rows of ceil(l/64) words; b is transposed
+ * into it first, with bits beyond column l clear, so the AND drops
+ * whatever a keeps beyond its edge. Full blocks of 64 output columns take
+ * the transpose fold, the remainder popcount parity. */
+void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
+                  const word *b, int64_t b_stride, int64_t m, int64_t l,
+                  int64_t n, word *bt)
+{
+    int64_t wl = (l + 63) / 64;
     word sums[64];
+    transpose(bt, b, b_stride, l, n);
     for (int64_t i = 0; i < m; i++) {
         const word *arow = a + i * a_stride;
         word *crow = c + i * c_stride;
         for (int64_t j0 = 0; j0 < n; j0 += 64) {
             int cnt = n - j0 < 64 ? (int)(n - j0) : 64;
             for (int jj = 0; jj < cnt; jj++) {
-                const word *brow = bt + (j0 + jj) * bt_stride;
+                const word *brow = bt + (j0 + jj) * wl;
                 word s = 0;
                 for (int64_t w = 0; w < wl; w++)
                     s ^= arow[w] & brow[w];

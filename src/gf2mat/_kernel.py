@@ -7,8 +7,8 @@ current context: matrix and row additions (`add`), Gray table fills
 operation counts:
 
 c       the whole M4RM engine (table builds, stripe index reads, fused
-        combine) and cubic's row loop run in `_kernel.c`, one call per
-        product; additions use the numpy code.
+        combine) and cubic (transpose of B, row loop) run in `_kernel.c`,
+        one call per product; additions use the numpy code.
 numpy   vectorised word-array XOR.
 scalar  plain per-word Python loops, for wide-vs-scalar comparisons.
 
@@ -16,6 +16,8 @@ scalar  plain per-word Python loops, for wide-vs-scalar comparisons.
 needs it and cached in this package's `__pycache__/`, under a name keyed
 by the source, the flags and `cc --version` and suffixed with a digest of
 the binary, so a stale or damaged file is rebuilt instead of loaded.
+On x86-64 the binary holds the M4RM engine once per instruction set and
+each product runs on the widest one the CPU has (`isa()` names it).
 Without a compiler or a writable cache the default kernel is `numpy`.
 """
 
@@ -38,7 +40,9 @@ from .errors import DimensionError, ParameterError
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
-# Plain -O3: no -march, so a cached binary never meets an unknown opcode.
+# Plain -O3: no -march, so a cached binary never meets an unknown opcode;
+# wider instruction sets are reached through per-function target
+# attributes in the source, chosen at run time.
 _CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
 _MAX_TABLES = 8
@@ -141,6 +145,7 @@ class CKernel(NumpyKernel):
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        self.isa = lib.gf2mat_isa().decode()
 
     def m4rm(self, c: np.ndarray, a: np.ndarray, b: np.ndarray, l: int,
              n: int, k: int, b_s: int, t: int, tail: np.uint64,
@@ -159,14 +164,14 @@ class CKernel(NumpyKernel):
             *_view(b, l, width), m, l, n, k, b_s, t, int(tail),
             _view(tables, ntables << k, width)[0])
 
-    def cubic(self, c: np.ndarray, a: np.ndarray, bt: np.ndarray,
-              n: int) -> None:
-        """c = a @ b with bt = b transposed (clean trailing bits) and c
-        owned; l is bt's width in words."""
-        m, wl = c.shape[0], bt.shape[1]
-        self._lib.gf2mat_cubic(*_view(c, m, (n + 63) // 64),
-                               *_view(a, m, wl), *_view(bt, n, wl),
-                               m, wl, n)
+    def cubic(self, c: np.ndarray, a: np.ndarray, b: np.ndarray, l: int,
+              n: int, bt: np.ndarray) -> None:
+        """c = a @ b (a: m x l, b: l x n entries) with c owned; `bt` is
+        scratch for b transposed, n rows of ceil(l / 64) words."""
+        m, wl, wn = c.shape[0], (l + 63) // 64, (n + 63) // 64
+        self._lib.gf2mat_cubic(*_view(c, m, wn), *_view(a, m, wl),
+                               *_view(b, l, wn), m, l, n,
+                               _view(bt, n, wl)[0])
 
 
 def _compiler() -> str | None:
@@ -185,8 +190,10 @@ def _bind(path: Path) -> ctypes.CDLL:
                                 ctypes.c_int, i64, ctypes.c_int, u64, ptr)
     lib.gf2mat_m4rm.restype = None
     lib.gf2mat_cubic.argtypes = (ptr, i64, ptr, i64, ptr, i64, i64, i64,
-                                 i64)
+                                 i64, ptr)
     lib.gf2mat_cubic.restype = None
+    lib.gf2mat_isa.argtypes = ()
+    lib.gf2mat_isa.restype = ctypes.c_char_p
     return lib
 
 
@@ -300,3 +307,10 @@ def using(name: str | None):
 def backend() -> str:
     """Name of the kernel products use here: "c", "numpy" or "scalar"."""
     return active().name
+
+
+def isa() -> str | None:
+    """Instruction set of the compiled M4RM engine on this CPU: "avx512f",
+    "avx2" or "default"; None without the C kernel."""
+    kernel = _compiled()
+    return kernel.isa if kernel else None

@@ -6,7 +6,8 @@ check   runs every multiplication variant on seeded random inputs and
 bench   times variants over a dimension sweep and writes CSV (one row per
         dims x algorithm; warm-up run excluded; mean and minimum of the
         repetitions; peak memory from the internal allocation counter);
-        the kernel backend in use goes to stderr.
+        the kernel backend in use (with the C kernel's instruction
+        set) goes to stderr.
 gen/mul generate and multiply matrices in the GF2M file format.
 params  prints the resolved tuning parameters.
 """
@@ -219,7 +220,10 @@ def cmd_bench(args, params: MulParams) -> int:
     algos = args.algo or ["m4rm", "m4rm-t8", "strassen"]
     # desk-scale default sweep; larger sizes stay reachable via --dims
     dims_list = args.dims or DEFAULT_BENCH_DIMS
-    print(f"backend: {_kernel.backend()}", file=sys.stderr)
+    backend = _kernel.backend()
+    if backend == "c":
+        backend += f" ({_kernel.isa()})"
+    print(f"backend: {backend}", file=sys.stderr)
     records = []
     for dims in dims_list:
         m, l, n = dims

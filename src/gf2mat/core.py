@@ -22,6 +22,7 @@ from .counters import counters
 from .errors import AlignmentError, DimensionError, FormatError
 
 WORD_BITS = 64
+_LINE_WORDS = 8  # words in a 64-byte cache line
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _FILE_MAGIC = b"GF2M"
@@ -57,7 +58,8 @@ class BitMatrix:
     Attributes:
         nrows, ncols: dimensions (>= 0).
         width: words per row, ceil(ncols / 64).
-        data: contiguous uint64 buffer of nrows * width words.
+        data: contiguous uint64 buffer of nrows * width words, starting
+            on a 64-byte boundary when rows are 8 words or wider.
         row_index: word offset of each row's first word inside `data`.
         words: the buffer viewed as an (nrows, width) array.
     """
@@ -72,7 +74,16 @@ class BitMatrix:
         self.ncols = ncols
         self.width = words_per_row(ncols)
         nwords = nrows * self.width
-        self.data = np.zeros(nwords, dtype=np.uint64)
+        if self.width >= _LINE_WORDS:
+            # Rows of a cache line or more start on a line, so the C
+            # kernel's vector loads of a row do not split lines. Narrower
+            # matrices skip the address lookup (about 3 us each). Strides
+            # are not padded, so memory stays as it is.
+            raw = np.zeros(nwords + _LINE_WORDS - 1, dtype=np.uint64)
+            start = -raw.ctypes.data // 8 % _LINE_WORDS
+            self.data = raw[start:start + nwords]
+        else:
+            self.data = np.zeros(nwords, dtype=np.uint64)
         self.row_index = np.arange(nrows, dtype=np.int64) * self.width
         self.words = self.data.reshape(nrows, self.width)
         counters.note_alloc(nwords)

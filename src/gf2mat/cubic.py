@@ -82,11 +82,12 @@ def mul_cubic(a: core.Mat, b: core.Mat) -> core.BitMatrix:
     c = core.create(m, n)
     if m == 0 or n == 0 or l == 0:
         return c
-    bt = core.transpose(b)  # n x l, owned, clean tails
     kernel = _kernel.active()
     if kernel.compiled:
-        kernel.cubic(c.words, a.words, bt.words, n)
+        bt = core.create(n, l)  # scratch for B transposed
+        kernel.cubic(c.words, a.words, b.words, l, n, bt.words)
         return c
+    bt = core.transpose(b)  # n x l, owned, clean tails
     wl = bt.width
     a_tail = core.tail_mask(l)
     nb, rem = divmod(n, 64)

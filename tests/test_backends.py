@@ -230,8 +230,10 @@ def test_stale_cache_is_not_loaded(tmp_path):
     cache = tmp_path / "cache"
     old = tmp_path / "old.c"
     # An older kernel that ORs where it must XOR.
-    old.write_text(_kernel._SOURCE.read_text().replace("c[w] ^= expr",
-                                                       "c[w] |= expr"))
+    source = _kernel._SOURCE.read_text()
+    or_source = source.replace("AT(c) ^= x[i];", "AT(c) |= x[i];")
+    assert or_source != source
+    old.write_text(or_source)
     run_python(LOAD_FROM_CACHE, cache, old)
     [stale] = cache.glob("*.so")
     run_python(LOAD_FROM_CACHE, cache)
@@ -280,3 +282,60 @@ def test_concurrent_products_on_c_backend():
     for (a, b, expected), got in zip(jobs, results):
         assert got is not None
         assert ref.first_mismatch(got, expected) is None
+
+
+# Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
+# AVX-512 never chosen, and the copies beyond the portable one compiled out.
+ISA_EDITS = {
+    "no-avx512": ('__builtin_cpu_supports("avx512f")', "0"),
+    "portable": ("#if defined(__x86_64__) && defined(__GNUC__)", "#if 0"),
+}
+
+
+@pytest.fixture(scope="module")
+def isa_kernels(tmp_path_factory):
+    """The shipped C kernel and one build of each ISA_EDITS copy."""
+    source = _kernel._SOURCE.read_text()
+    kernels = {"shipped": _kernel.get("c")}
+    for name, (old, new) in ISA_EDITS.items():
+        edited = source.replace(old, new)
+        assert edited != source, name
+        path = _kernel._build(_kernel._compiler(), edited.encode(),
+                              tmp_path_factory.mktemp(name), name)
+        kernels[name] = _kernel.CKernel(_kernel._bind(path))
+    return kernels
+
+
+@needs_c
+def test_isa_names_the_engine_copy_in_use(isa_kernels):
+    assert _kernel.isa() == isa_kernels["shipped"].isa
+    assert _kernel.isa() in ("avx512f", "avx2", "default")
+    assert isa_kernels["no-avx512"].isa in ("avx2", "default")
+    assert isa_kernels["portable"].isa == "default"
+
+
+# Row widths of 1..40 words, so every remainder of the 8-, 4-, 2- and
+# 1-word chunks, ragged unless w % 3 == 0; k cycles 1..16 and t 1..8; l
+# spans two groups of t stripes and ends in a narrower stripe.
+ISA_CASES = [(37, 2 * ((w * 3) % 8 + 1) * ((w - 1) % 16 + 1) + 3,
+              64 * w - (w % 3) * 21, (w - 1) % 16 + 1, (w * 3) % 8 + 1, 16)
+             for w in range(1, 41)]
+
+
+@needs_c
+@pytest.mark.parametrize("m,l,n,k,t,b_s", ISA_CASES)
+def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
+    a = dirty_window(m, l, seed=21)
+    b = dirty_window(l, n, seed=22)
+    expected = ref.naive_product(a, b)
+    parents = {}
+    for name, kernel in isa_kernels.items():
+        c = dirty_window(m, n, seed=23)
+        before = core.to_dense(c.parent)
+        tables = core.create(min(t, -(-l // k)) << k, n)
+        kernel.m4rm(c.words, a.words, b.words, l, n, k, b_s, t,
+                    core.tail_mask(n), tables.words)
+        expect_added(c, before, expected)
+        parents[name] = c.parent.words
+    for words in parents.values():
+        assert np.array_equal(words, parents["shipped"])

@@ -4,7 +4,7 @@ import pytest
 
 import gf2mat
 from gf2mat import _reference as ref
-from gf2mat import cli, core
+from gf2mat import _kernel, cli, core
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
 from gf2mat.strassen import MulParams
@@ -67,7 +67,12 @@ class TestBench:
     def test_bench_reports_backend(self, capsys):
         argv = ["bench", "--dims", "64x64x64", "--reps", "1", "--algo", "m4rm"]
         assert cli.main(argv) == 0
-        assert f"backend: {gf2mat.backend()}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if gf2mat.backend() == "c":
+            assert _kernel.isa() in ("avx512f", "avx2", "default")
+            assert f"backend: c ({_kernel.isa()})" in err
+        else:
+            assert f"backend: {gf2mat.backend()}" in err
         assert cli.main(argv + ["--force-scalar-xor"]) == 0
         assert "backend: scalar" in capsys.readouterr().err
 

@@ -33,6 +33,14 @@ class TestCreate:
         assert list(m.row_index) == [i * m.width for i in range(5)]
         assert len(set(m.row_index.tolist())) == 5
 
+    @pytest.mark.parametrize("ncols", [449, 512, 4133])
+    def test_rows_of_eight_words_start_on_a_cache_line(self, ncols):
+        for nrows in (1, 3, 100):
+            m = core.create(nrows, ncols)
+            assert m.data.ctypes.data % 64 == 0
+            assert m.data.size == nrows * m.width
+        assert core.random(5, ncols, seed=1).data.ctypes.data % 64 == 0
+
     def test_empty_dims_legal(self):
         for shape in [(0, 0), (0, 5), (5, 0)]:
             m = core.create(*shape)
