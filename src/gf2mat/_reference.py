@@ -22,10 +22,9 @@ def unpack_entries(a) -> np.ndarray:
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.uint8)
     cols = np.arange(n)
-    word_idx = np.asarray(a.row_index).reshape(m, 1) + (cols >> 6)
     shifts = (63 - (cols & 63)).astype(np.uint64)
-    buf = np.asarray(a.buf, dtype=np.uint64)
-    return ((buf[word_idx] >> shifts) & np.uint64(1)).astype(np.uint8)
+    words = np.asarray(a.words, dtype=np.uint64)
+    return ((words[:, cols >> 6] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def naive_product(a, b) -> np.ndarray:

@@ -26,7 +26,7 @@ from .cubic import mul_cubic
 from .errors import GF2MatError, ParameterError
 from .m4rm import mul_m4rm, mul_m4rm_blocked, mul_m4rm_multitable
 from .strassen import MulParams, mul_strassen
-from .tuning import choose_k, load_config, resolve_params
+from .tuning import MAX_T, load_config, resolve_params
 
 CONFIG_ENV = "GF2MAT_CONFIG"
 
@@ -58,23 +58,17 @@ def _parse_dims2(text: str) -> tuple[int, int]:
     return m, n
 
 
-def _effective_k(params: MulParams, t: int, ncols: int) -> int:
-    if params.k:
-        return params.k
-    return choose_k(max(params.b_s, 2), params.l1_bytes, t, ncols)
-
-
 def _algorithm(name: str, params: MulParams):
     """Multiplication callable plus the parameter tuple recorded in CSV."""
     if name == "cubic":
         return mul_cubic, (0, 0, 0, 0)
     if name == "m4rm":
         def run(a, b):
-            return mul_m4rm(a, b, _effective_k(params, 1, b.ncols))
+            return mul_m4rm(a, b, params.effective_k(b.ncols, 1))
         return run, (params.k, 1, 0, 0)
     if name == "m4rm-blocked":
         def run(a, b):
-            return mul_m4rm_blocked(a, b, _effective_k(params, 1, b.ncols),
+            return mul_m4rm_blocked(a, b, params.effective_k(b.ncols, 1),
                                     params.b_s)
         return run, (params.k, 1, params.b_s, 0)
     if name.startswith("m4rm-t"):
@@ -82,11 +76,12 @@ def _algorithm(name: str, params: MulParams):
             t = int(name[6:])
         except ValueError:
             raise ParameterError(f"unknown algorithm {name!r}") from None
-        if not 1 <= t <= 8:
-            raise ParameterError(f"table count in {name!r} outside 1..8")
+        if not 1 <= t <= MAX_T:
+            raise ParameterError(
+                f"table count in {name!r} outside 1..{MAX_T}")
 
         def run(a, b):
-            return mul_m4rm_multitable(a, b, _effective_k(params, t, b.ncols),
+            return mul_m4rm_multitable(a, b, params.effective_k(b.ncols, t),
                                        t, params.b_s)
         return run, (params.k, t, params.b_s, 0)
     if name in ("strassen", "auto"):

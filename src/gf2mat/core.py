@@ -3,12 +3,13 @@
 Storage is flat row-major: 64 consecutive row entries share one machine
 word. Column c of a row lives in word c // 64 at bit position 63 - (c % 64)
 (most significant bit first), so reading k consecutive columns is a shift
-and mask. A `row_index` array holds the word offset of the first word of
-every row inside the owning buffer; in-place submatrices ("matrix windows")
-reuse the parent buffer through adjusted offsets and must start on a word
-boundary. Bits in a row's last word beyond `ncols` ("trailing bits") are
-kept zero in owned matrices, and every write through a window preserves
-whatever lies beyond the window's right edge.
+and mask. Rows are addressed only through `words`, a 2-D view with a base
+address and a row stride: row r is `words[r]`. In-place submatrices
+("matrix windows") are slices of the parent's view, so they share its row
+stride, and must start on a word boundary. Bits in a row's last word
+beyond `ncols` ("trailing bits") are kept zero in owned matrices, and
+every write through a window preserves whatever lies beyond the window's
+right edge.
 """
 
 from __future__ import annotations
@@ -52,7 +53,39 @@ def tail_mask(ncols: int) -> np.uint64:
     return np.uint64(_FULL_MASK) << np.uint64(WORD_BITS - rem)
 
 
-class BitMatrix:
+class _Matrix:
+    """Shape, equality, hashing, bit indexing and repr, shared by owned
+    matrices and windows; row r of either is `words[r]`."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, self.ncols)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return equal(self, other)
+
+    def __hash__(self):
+        return id(self)
+
+    def __getitem__(self, rc) -> int:
+        return get_bit(self, rc[0], rc[1])
+
+    def __setitem__(self, rc, v: int) -> None:
+        set_bit(self, rc[0], rc[1], v)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.nrows}x{self.ncols}"
+                f"{self._origin()})")
+
+    def _origin(self) -> str:
+        return ""
+
+
+class BitMatrix(_Matrix):
     """Owned bit-packed matrix.
 
     Attributes:
@@ -60,12 +93,10 @@ class BitMatrix:
         width: words per row, ceil(ncols / 64).
         data: contiguous uint64 buffer of nrows * width words, starting
             on a 64-byte boundary when rows are 8 words or wider.
-        row_index: word offset of each row's first word inside `data`.
         words: the buffer viewed as an (nrows, width) array.
     """
 
-    __slots__ = ("nrows", "ncols", "width", "data", "row_index", "words",
-                 "__weakref__")
+    __slots__ = ("nrows", "ncols", "width", "data", "words", "__weakref__")
 
     def __init__(self, nrows: int, ncols: int):
         if nrows < 0 or ncols < 0:
@@ -84,38 +115,29 @@ class BitMatrix:
             self.data = raw[start:start + nwords]
         else:
             self.data = np.zeros(nwords, dtype=np.uint64)
-        self.row_index = np.arange(nrows, dtype=np.int64) * self.width
         self.words = self.data.reshape(nrows, self.width)
         counters.note_alloc(nwords)
         weakref.finalize(self, counters.note_free, nwords)
 
-    @property
-    def buf(self) -> np.ndarray:
-        return self.data
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (BitMatrix, MatrixWindow)):
-            return NotImplemented
-        return equal(self, other)
-
-    def __hash__(self):
-        return id(self)
-
-    def __getitem__(self, rc) -> int:
-        return get_bit(self, rc[0], rc[1])
-
-    def __setitem__(self, rc, v: int) -> None:
-        set_bit(self, rc[0], rc[1], v)
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.nrows}x{self.ncols})"
+def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
+                  ncols: int) -> None:
+    """Raise unless the nrows x ncols region at the offsets lies inside a
+    and starts on a word boundary."""
+    if col_offset % WORD_BITS != 0:
+        raise AlignmentError(
+            f"window column offset {col_offset} is not a multiple of 64")
+    if nrows < 0 or ncols < 0:
+        raise DimensionError(f"negative window {nrows}x{ncols}")
+    if row_offset < 0 or col_offset < 0 \
+            or row_offset + nrows > a.nrows \
+            or col_offset + ncols > a.ncols:
+        raise DimensionError(
+            f"window {nrows}x{ncols}@({row_offset},{col_offset}) exceeds "
+            f"{a.nrows}x{a.ncols}")
 
 
-class MatrixWindow:
+class MatrixWindow(_Matrix):
     """Non-owning view of a rectangular region of a BitMatrix.
 
     The starting column must be word-aligned; the width may be ragged
@@ -124,21 +146,11 @@ class MatrixWindow:
     """
 
     __slots__ = ("parent", "row_offset", "col_offset", "nrows", "ncols",
-                 "width", "row_index", "words")
+                 "width", "words")
 
     def __init__(self, parent: BitMatrix, row_offset: int, col_offset: int,
                  nrows: int, ncols: int):
-        if col_offset % WORD_BITS != 0:
-            raise AlignmentError(
-                f"window column offset {col_offset} is not a multiple of 64")
-        if nrows < 0 or ncols < 0:
-            raise DimensionError(f"negative window {nrows}x{ncols}")
-        if row_offset < 0 or col_offset < 0 \
-                or row_offset + nrows > parent.nrows \
-                or col_offset + ncols > parent.ncols:
-            raise DimensionError(
-                f"window {nrows}x{ncols}@({row_offset},{col_offset}) exceeds "
-                f"parent {parent.nrows}x{parent.ncols}")
+        _check_region(parent, row_offset, col_offset, nrows, ncols)
         self.parent = parent
         self.row_offset = row_offset
         self.col_offset = col_offset
@@ -146,36 +158,11 @@ class MatrixWindow:
         self.ncols = ncols
         self.width = words_per_row(ncols)
         word_off = col_offset // WORD_BITS
-        self.row_index = parent.row_index[row_offset:row_offset + nrows] \
-            + word_off
         self.words = parent.words[row_offset:row_offset + nrows,
                                   word_off:word_off + self.width]
 
-    @property
-    def buf(self) -> np.ndarray:
-        return self.parent.data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (BitMatrix, MatrixWindow)):
-            return NotImplemented
-        return equal(self, other)
-
-    def __hash__(self):
-        return id(self)
-
-    def __getitem__(self, rc) -> int:
-        return get_bit(self, rc[0], rc[1])
-
-    def __setitem__(self, rc, v: int) -> None:
-        set_bit(self, rc[0], rc[1], v)
-
-    def __repr__(self) -> str:
-        return (f"MatrixWindow({self.nrows}x{self.ncols}@"
-                f"({self.row_offset},{self.col_offset}))")
+    def _origin(self) -> str:
+        return f"@({self.row_offset},{self.col_offset})"
 
 
 Mat = BitMatrix | MatrixWindow
@@ -190,9 +177,7 @@ def identity(n: int) -> BitMatrix:
     m = BitMatrix(n, n)
     if n:
         i = np.arange(n, dtype=np.int64)
-        idx = m.row_index[i] + (i >> 6)
-        bits = np.uint64(1) << (63 - (i & 63)).astype(np.uint64)
-        m.data[idx] = bits
+        m.words[i, i >> 6] = np.uint64(1) << (63 - (i & 63)).astype(np.uint64)
     return m
 
 
@@ -219,19 +204,18 @@ def random(nrows: int, ncols: int, seed: int) -> BitMatrix:
 def get_bit(a: Mat, r: int, c: int) -> int:
     if not (0 <= r < a.nrows and 0 <= c < a.ncols):
         raise IndexError(f"({r},{c}) out of range for {a.nrows}x{a.ncols}")
-    w = a.buf[a.row_index[r] + (c >> 6)]
+    w = a.words[r, c >> 6]
     return int((w >> np.uint64(63 - (c & 63))) & np.uint64(1))
 
 
 def set_bit(a: Mat, r: int, c: int, v: int) -> None:
     if not (0 <= r < a.nrows and 0 <= c < a.ncols):
         raise IndexError(f"({r},{c}) out of range for {a.nrows}x{a.ncols}")
-    idx = a.row_index[r] + (c >> 6)
     bit = np.uint64(1) << np.uint64(63 - (c & 63))
     if v & 1:
-        a.buf[idx] |= bit
+        a.words[r, c >> 6] |= bit
     else:
-        a.buf[idx] &= ~bit
+        a.words[r, c >> 6] &= ~bit
 
 
 def read_bits(a: Mat, r: int, sc: int, k: int) -> int:
@@ -245,13 +229,13 @@ def read_bits(a: Mat, r: int, sc: int, k: int) -> int:
     if not (0 <= r < a.nrows and 0 <= sc and sc + k <= a.ncols):
         raise IndexError(
             f"read_bits row {r} cols [{sc},{sc + k}) out of range")
-    base = int(a.row_index[r])
+    row = a.words[r]
     wi, off = divmod(sc, WORD_BITS)
-    hi = int(a.buf[base + wi])
+    hi = int(row[wi])
     if off + k <= WORD_BITS:
         return (hi >> (WORD_BITS - off - k)) & ((1 << k) - 1)
     nlo = off + k - WORD_BITS
-    lo = int(a.buf[base + wi + 1])
+    lo = int(row[wi + 1])
     return ((hi & ((1 << (WORD_BITS - off)) - 1)) << nlo) \
         | (lo >> (WORD_BITS - nlo))
 
@@ -319,8 +303,10 @@ def clear(out: Mat) -> None:
 
 def window(a: Mat, row_offset: int, col_offset: int,
            nrows: int, ncols: int) -> MatrixWindow:
-    """Non-owning view; a window of a window flattens onto the root matrix."""
+    """Non-owning view; a window of a window must lie inside it and
+    flattens onto the root matrix."""
     if isinstance(a, MatrixWindow):
+        _check_region(a, row_offset, col_offset, nrows, ncols)
         return MatrixWindow(a.parent, a.row_offset + row_offset,
                             a.col_offset + col_offset, nrows, ncols)
     return MatrixWindow(a, row_offset, col_offset, nrows, ncols)

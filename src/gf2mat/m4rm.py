@@ -27,6 +27,7 @@ from . import _kernel, core
 from .counters import counters
 from .errors import DimensionError, ParameterError
 from .graycode import MAX_K, CombinationTable, make_table
+from .tuning import MAX_T
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class StripeSpec:
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
             raise ParameterError(f"k={self.k} outside 1..{MAX_K}")
-        if not 1 <= self.t <= 8:
-            raise ParameterError(f"t={self.t} outside 1..8")
+        if not 1 <= self.t <= MAX_T:
+            raise ParameterError(f"t={self.t} outside 1..{MAX_T}")
         if self.b_s < 1:
             raise ParameterError(f"block size {self.b_s} < 1")
 
@@ -121,30 +122,30 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
             counters.row_adds += (r1 - r0) * len(group)
 
 
+def _product(a: core.Mat, b: core.Mat, k: int, b_s: int,
+             t: int) -> core.BitMatrix:
+    """a @ b in fresh storage; every public M4RM product comes here."""
+    _validate(a, b, k, t, b_s)
+    c = core.create(a.nrows, b.ncols)
+    _mul_into(c, a, b, k, b_s, t)
+    return c
+
+
 def mul_m4rm(a: core.Mat, b: core.Mat, k: int) -> core.BitMatrix:
     """Basic Four-Russians product: one table per stripe, all rows inner."""
-    _validate(a, b, k, 1, 1)
-    c = core.create(a.nrows, b.ncols)
-    _mul_into(c, a, b, k, max(a.nrows, 1), 1)
-    return c
+    return _product(a, b, k, max(a.nrows, 1), 1)
 
 
 def mul_m4rm_blocked(a: core.Mat, b: core.Mat, k: int,
                      b_s: int) -> core.BitMatrix:
     """Cache-friendly variant: row blocks outer, tables rebuilt per block."""
-    _validate(a, b, k, 1, b_s)
-    c = core.create(a.nrows, b.ncols)
-    _mul_into(c, a, b, k, b_s, 1)
-    return c
+    return _product(a, b, k, b_s, 1)
 
 
 def mul_m4rm_multitable(a: core.Mat, b: core.Mat, k: int, t: int,
                         b_s: int) -> core.BitMatrix:
     """t tables over t*k consecutive rows of B, fused into one update."""
-    _validate(a, b, k, t, b_s)
-    c = core.create(a.nrows, b.ncols)
-    _mul_into(c, a, b, k, b_s, t)
-    return c
+    return _product(a, b, k, b_s, t)
 
 
 def mul_m4rm_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int,

@@ -31,40 +31,26 @@ class PeelSplit(NamedTuple):
     depth: int
 
 
+_NO_SPLIT = PeelSplit(0, 0, 0, 0)
+
+
 def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
     """Largest dimensions <= inputs divisible by 2^d * 64, and the depth d.
 
     d is the deepest recursion for which every halved dimension stays a
     multiple of 64 and at least `cutoff`. All-zero dimensions signal that
-    no level is worthwhile and the caller should fall back whole.
+    no level is worthwhile and the caller should fall back whole. The
+    smallest dimension decides d, since x // unit grows with x.
     """
-    def ok(d: int) -> bool:
-        unit = _WORD << d
-        return all((x // unit) * _WORD >= cutoff for x in (m, l, n))
-
-    if m < 1 or l < 1 or n < 1 or not ok(1):
-        return PeelSplit(0, 0, 0, 0)
-    depth = 1
-    while ok(depth + 1):
+    least = min(m, l, n)
+    depth = 0
+    while least >= 1 and (least // (_WORD << (depth + 1))) * _WORD >= cutoff:
         depth += 1
+    if depth == 0:
+        return _NO_SPLIT
     unit = _WORD << depth
     return PeelSplit((m // unit) * unit, (l // unit) * unit,
                      (n // unit) * unit, depth)
-
-
-def _effective_k(params: MulParams, ncols: int) -> int:
-    if params.k:
-        return params.k
-    return tuning.choose_k(max(params.b_s, 2), params.l1_bytes, params.t,
-                           ncols)
-
-
-def _m4rm_whole(a: core.Mat, b: core.Mat, params: MulParams) -> core.BitMatrix:
-    c = core.create(a.nrows, b.ncols)
-    if a.ncols:
-        _mul_into(c, a, b, _effective_k(params, b.ncols), params.b_s,
-                  params.t)
-    return c
 
 
 def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
@@ -89,7 +75,7 @@ def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
         return
     if not accumulate:
         core.clear(dst)
-    _mul_into(dst, a, b, _effective_k(params, n), params.b_s, params.t)
+    _mul_into(dst, a, b, params.effective_k(n), params.b_s, params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -231,12 +217,15 @@ def mul_strassen(a: core.Mat, b: core.Mat,
         return core.create(m, n)
     if n < _WORD:
         return mul_cubic(a, b)
-    if min(m, l, n) <= params.cutoff:
-        return _m4rm_whole(a, b, params)
-    ps = peel_split(m, l, n, params.cutoff)
-    if ps.depth == 0:
-        return _m4rm_whole(a, b, params)
     c = core.create(m, n)
+    ps = _NO_SPLIT
+    if min(m, l, n) > params.cutoff:  # else peel_split finds no level
+        ps = peel_split(m, l, n, params.cutoff)
+    if ps.depth == 0:
+        # Whole M4RM into the fresh zero C; the checks above leave
+        # nothing for _base_mul_into to decide.
+        _mul_into(c, a, b, params.effective_k(n), params.b_s, params.t)
+        return c
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),
              core.window(a, 0, 0, ps.m, ps.l),

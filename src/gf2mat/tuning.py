@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 from .core import words_per_row
 from .errors import ParameterError
+from .graycode import MAX_K
 
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_L2_BYTES = 1 << 20
+MAX_T = 8  # simultaneous Gray tables
 
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
 
@@ -42,21 +44,34 @@ class MulParams:
     b_s: int | None = None
     k: int = 0
     t: int = 8
-    l1_bytes: int = 32768
-    l2_bytes: int = 1 << 20
+    l1_bytes: int = DEFAULT_L1_BYTES
+    l2_bytes: int = DEFAULT_L2_BYTES
 
     def __post_init__(self):
         if self.b_s is None:
             self.b_s = max(self.cutoff // 2, 1)
         if self.cutoff < 64:
             raise ParameterError(f"cutoff {self.cutoff} < 64")
-        if not 1 <= self.t <= 8:
-            raise ParameterError(f"t={self.t} outside 1..8")
-        if not 0 <= self.k <= 16:
-            raise ParameterError(f"k={self.k} outside 0..16")
+        if not 1 <= self.t <= MAX_T:
+            raise ParameterError(f"t={self.t} outside 1..{MAX_T}")
+        if not 0 <= self.k <= MAX_K:
+            raise ParameterError(f"k={self.k} outside 0..{MAX_K}")
         if not 1 <= self.b_s <= self.cutoff:
             raise ParameterError(
                 f"block size {self.b_s} outside 1..cutoff={self.cutoff}")
+        if self.l1_bytes <= 0 or self.l2_bytes <= 0:
+            raise ParameterError(
+                f"cache sizes must be positive, got L1={self.l1_bytes} "
+                f"L2={self.l2_bytes}")
+
+    def effective_k(self, ncols: int, t: int | None = None) -> int:
+        """Gray-table width of a product whose B has ncols columns: k, or
+        for k == 0 the choose_k rule at this block size and L1 with t
+        tables (default self.t)."""
+        if self.k:
+            return self.k
+        return choose_k(max(self.b_s, 2), self.l1_bytes,
+                        self.t if t is None else t, ncols)
 
 
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,
@@ -65,7 +80,7 @@ def choose_k(b_s: int, l1_bytes: int, t: int = 8,
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")
     k0 = int(math.floor(0.75 * math.log2(b_s))) - 2
-    k0 = max(1, min(16, k0))
+    k0 = max(1, min(MAX_K, k0))
     if ncols is not None and k0 > 1:
         row_bytes = words_per_row(ncols) * 8
 
@@ -82,20 +97,17 @@ def default_params(l1_bytes: int = DEFAULT_L1_BYTES,
     """MulParams for the given cache sizes.
 
     cutoff is the largest multiple of 64 whose two square operands fit in
-    L2; b_s = cutoff / 2; t = 8; k follows choose_k with table rows sized
-    at the crossover width.
+    L2; b_s and t keep the MulParams defaults; k follows effective_k with
+    table rows sized at the crossover width.
     """
-    if l1_bytes <= 0 or l2_bytes <= 0:
-        raise ParameterError(
-            f"cache sizes must be positive, got L1={l1_bytes} L2={l2_bytes}")
-    cutoff = math.isqrt(4 * l2_bytes)
+    # isqrt rejects negatives; any L2 <= 0 is simply too small below
+    cutoff = math.isqrt(4 * max(l2_bytes, 0))
     cutoff -= cutoff % 64
     if cutoff < 64:
         raise ParameterError(f"L2 of {l2_bytes} bytes is too small to tune")
-    b_s = cutoff // 2
-    k = choose_k(b_s, l1_bytes, 8, cutoff)
-    return MulParams(cutoff=cutoff, b_s=b_s, k=k, t=8,
-                     l1_bytes=l1_bytes, l2_bytes=l2_bytes)
+    params = MulParams(cutoff=cutoff, l1_bytes=l1_bytes, l2_bytes=l2_bytes)
+    params.k = params.effective_k(cutoff)
+    return params
 
 
 def parse_config(text: str) -> dict[str, int]:
@@ -128,29 +140,22 @@ def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,
                    cutoff: int | None = None, bs: int | None = None,
                    k: int | None = None, t: int | None = None,
                    config: dict[str, int] | None = None) -> MulParams:
-    """Combine explicit overrides, config-file values and derived defaults."""
+    """Explicit values over config-file values; whatever neither gives
+    comes from default_params (the cutoff) and MulParams, and an unset k
+    from effective_k at the cutoff width."""
+    explicit = {"l1_bytes": l1_bytes, "l2_bytes": l2_bytes,
+                "cutoff": cutoff, "bs": bs, "k": k, "t": t}
     cfg = config or {}
-
-    def pick(explicit, key):
-        return explicit if explicit is not None else cfg.get(key)
-
-    l1 = pick(l1_bytes, "l1_bytes")
-    l2 = pick(l2_bytes, "l2_bytes")
-    if l1 is None:
-        l1 = DEFAULT_L1_BYTES
-    if l2 is None:
-        l2 = DEFAULT_L2_BYTES
-    cutoff_v = pick(cutoff, "cutoff")
-    if cutoff_v is None:
-        cutoff_v = default_params(l1, l2).cutoff
-    bs_v = pick(bs, "bs")
-    if bs_v is None:
-        bs_v = max(cutoff_v // 2, 1)
-    t_v = pick(t, "t")
-    if t_v is None:
-        t_v = 8
-    k_v = pick(k, "k")
-    if k_v is None:
-        k_v = choose_k(max(bs_v, 2), l1, t_v, cutoff_v)
-    return MulParams(cutoff=cutoff_v, b_s=bs_v, k=k_v, t=t_v,
-                     l1_bytes=l1, l2_bytes=l2)
+    given = {}
+    for key, value in explicit.items():
+        value = value if value is not None else cfg.get(key)
+        if value is not None:
+            given["b_s" if key == "bs" else key] = value
+    if "cutoff" not in given:
+        caches = {name: given[name] for name in ("l1_bytes", "l2_bytes")
+                  if name in given}
+        given["cutoff"] = default_params(**caches).cutoff
+    params = MulParams(**given)
+    if "k" not in given:
+        params.k = params.effective_k(params.cutoff)
+    return params

@@ -204,6 +204,12 @@ class TestParams:
         assert rc == 0
         assert "cutoff=256" in out
 
+    def test_non_positive_cache_sizes_exit_2(self, capsys):
+        rc = cli.main(["params", "--cutoff", "256", "--l1", "-5",
+                       "--l2", "0"])
+        assert rc == 2
+        assert "cache sizes must be positive" in capsys.readouterr().err
+
 
 class TestVerifyCatchesBadResult:
     def test_run_benchmark_verify_detects_mismatch(self, monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import from_rows, rows_of
-from gf2mat import core
+from gf2mat import _reference, core
 from gf2mat.errors import AlignmentError, DimensionError, FormatError
 
 
@@ -27,11 +29,6 @@ class TestCreate:
         assert m.width == 2
         core.set_bit(m, 0, 64, 1)
         assert core.get_bit(m, 0, 64) == 1
-
-    def test_row_index_identity_layout(self):
-        m = core.create(5, 130)
-        assert list(m.row_index) == [i * m.width for i in range(5)]
-        assert len(set(m.row_index.tolist())) == 5
 
     @pytest.mark.parametrize("ncols", [449, 512, 4133])
     def test_rows_of_eight_words_start_on_a_cache_line(self, ncols):
@@ -233,6 +230,16 @@ class TestWindow:
             core.window(a, 0, 64, 2, 65)
         with pytest.raises(DimensionError):
             core.window(a, 3, 0, 2, 64)
+
+    def test_window_of_window_wider_than_window_rejected(self):
+        w = core.window(core.random(100, 200, seed=16), 10, 64, 10, 64)
+        with pytest.raises(DimensionError):
+            core.window(w, 0, 0, 20, 128)
+
+    def test_window_of_window_before_window_rejected(self):
+        w = core.window(core.random(100, 200, seed=17), 10, 64, 10, 64)
+        with pytest.raises(DimensionError):
+            core.window(w, -5, 0, 5, 64)
 
 
 class TestCopyOut:
@@ -442,3 +449,68 @@ class TestScalarXorMode:
         expected = core.copy_out(a)
         core.row_add(expected, 2, b, 3)
         assert core.equal(m, expected)
+
+
+@st.composite
+def nested_windows(draw):
+    """A random parent, a chain of 1..3 nested windows into it (64-aligned
+    column offsets, ragged widths) and the innermost one's offsets."""
+    nrows = draw(st.integers(0, 300))
+    ncols = draw(st.integers(0, 300))
+    parent = core.random(nrows, ncols, seed=draw(st.integers(0, 2 ** 32)))
+    win, r0, c0 = parent, 0, 0
+    for _ in range(draw(st.integers(1, 3))):
+        ro = draw(st.integers(0, win.nrows))
+        co = 64 * draw(st.integers(0, win.ncols // 64))
+        nr = draw(st.integers(0, win.nrows - ro))
+        nc = draw(st.integers(0, win.ncols - co))
+        win = core.window(win, ro, co, nr, nc)
+        r0, c0 = r0 + ro, c0 + co
+    return parent, win, r0, c0
+
+
+class TestWindowAddressing:
+    """Every read through a (nested) window sees exactly its slice of the
+    parent, whatever live bits lie beyond its edges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_windows(), st.randoms(use_true_random=False))
+    def test_reads_match_parent_slice(self, case, rnd):
+        parent, win, r0, c0 = case
+        want = core.to_dense(parent)[r0:r0 + win.nrows, c0:c0 + win.ncols]
+        assert np.array_equal(core.to_dense(win), want)
+        assert np.array_equal(_reference.unpack_entries(win), want)
+        if win.nrows == 0 or win.ncols == 0:
+            return
+        for _ in range(50):
+            r, c = rnd.randrange(win.nrows), rnd.randrange(win.ncols)
+            assert core.get_bit(win, r, c) == want[r, c]
+        for k in range(1, min(16, win.ncols) + 1):
+            r = rnd.randrange(win.nrows)
+            # one span anywhere and, where the window allows, one that
+            # crosses a word boundary
+            starts = {rnd.randrange(win.ncols - k + 1)}
+            if 64 - k // 2 + k <= win.ncols:
+                starts.add(64 - k // 2)
+            for sc in starts:
+                expect = int("".join(map(str, want[r, sc:sc + k])), 2)
+                assert core.read_bits(win, r, sc, k) == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_windows(), st.sampled_from(
+        ["row_before", "col_before", "rows_past", "cols_past", "negative"]))
+    def test_sub_window_outside_window_raises(self, case, how):
+        _, win, _, _ = case
+        ro, co, nr, nc = 0, 0, win.nrows, win.ncols
+        if how == "row_before":
+            ro = -1
+        elif how == "col_before":
+            co = -64
+        elif how == "rows_past":
+            nr += 1
+        elif how == "cols_past":
+            nc += 1
+        else:
+            nr = -1
+        with pytest.raises(DimensionError):
+            core.window(win, ro, co, nr, nc)

@@ -33,6 +33,11 @@ class TestMulParams:
         with pytest.raises(ParameterError):
             MulParams(cutoff=128, k=17)
 
+    @pytest.mark.parametrize("l1, l2", [(0, 1 << 20), (32768, -1), (0, -1)])
+    def test_non_positive_cache_sizes_rejected(self, l1, l2):
+        with pytest.raises(ParameterError):
+            MulParams(cutoff=128, l1_bytes=l1, l2_bytes=l2)
+
 
 class TestPeelSplit:
     def test_conforming_power_of_two(self):

@@ -33,6 +33,8 @@ class TestDefaultParams:
             default_params(l1_bytes=-1)
         with pytest.raises(ParameterError):
             default_params(l2_bytes=512)
+        with pytest.raises(ParameterError):
+            default_params(l2_bytes=-1)
 
 
 class TestChooseK:
@@ -108,6 +110,12 @@ class TestResolveParams:
         p = resolve_params(config={"l2_bytes": 4 << 20, "l1_bytes": 32768})
         assert p.cutoff == 4096
         assert p.k == 6
+
+    def test_non_positive_cache_rejected_with_cutoff(self):
+        with pytest.raises(ParameterError):
+            resolve_params(cutoff=256, l1_bytes=-5, l2_bytes=0)
+        with pytest.raises(ParameterError):
+            resolve_params(config={"cutoff": 256, "l1_bytes": 0})
 
     def test_k_uses_resolved_t(self):
         # with one table, 2^5 rows of 256 bytes fit 32 KiB L1, so k stays 5
