@@ -56,7 +56,13 @@ from .strassen import (
     peel_split,
     schedule_winograd,
 )
-from .tuning import choose_k, default_params, load_config, resolve_params
+from .tuning import (
+    auto_params,
+    choose_k,
+    default_params,
+    load_config,
+    resolve_params,
+)
 
 __version__ = "0.1.0"
 
@@ -75,6 +81,7 @@ __all__ = [
     "add",
     "add_into",
     "augment",
+    "auto_params",
     "backend",
     "build_gray",
     "choose_k",

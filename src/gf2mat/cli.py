@@ -9,7 +9,12 @@ bench   times variants over a dimension sweep and writes CSV (one row per
         the kernel backend in use (with the C kernel's instruction
         set) goes to stderr.
 gen/mul generate and multiply matrices in the GF2M file format.
-params  prints the resolved tuning parameters.
+params  prints the resolved tuning parameters and, with no tuning flag,
+        the parameters mul_strassen(a, b) runs on and their source.
+
+With no tuning flag, `auto` runs mul_strassen(a, b) on its automatic
+parameters (tuning.auto_params), so `bench --algo auto` times what the
+library does; every other algorithm runs on the derived defaults.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from .cubic import mul_cubic
 from .errors import GF2MatError, ParameterError
 from .m4rm import mul_m4rm, mul_m4rm_blocked, mul_m4rm_multitable
 from .strassen import MulParams, mul_strassen
-from .tuning import MAX_T, load_config, resolve_params
+from .tuning import CONFIG_ENV, MAX_T, auto_params, env_config, resolve_params
 
-CONFIG_ENV = "GF2MAT_CONFIG"
+_TUNING_FLAGS = ("cutoff", "bs", "k", "t", "l1", "l2")
 
 CHECK_ALGOS = ("cubic", "m4rm", "m4rm-blocked", "m4rm-t2", "m4rm-t8",
                "strassen", "auto")
@@ -58,8 +63,17 @@ def _parse_dims2(text: str) -> tuple[int, int]:
     return m, n
 
 
-def _algorithm(name: str, params: MulParams):
-    """Multiplication callable plus the parameter tuple recorded in CSV."""
+def _algorithm(name: str, params: MulParams | None):
+    """Multiplication callable plus the parameter tuple recorded in CSV.
+
+    params None stands for no tuning flag: `auto` is then mul_strassen(a, b)
+    itself, and the rest run on resolve_params over the config.
+    """
+    if params is None:
+        if name == "auto":
+            auto = auto_params()
+            return mul_strassen, (auto.k, auto.t, auto.b_s, auto.cutoff)
+        params = resolve_params(config=env_config())
     if name == "cubic":
         return mul_cubic, (0, 0, 0, 0)
     if name == "m4rm":
@@ -148,7 +162,8 @@ def parse_csv(fh) -> list:
 
 
 def run_benchmark(name: str, m: int, l: int, n: int, seed: int, reps: int,
-                  params: MulParams, verify: bool = False) -> BenchRecord:
+                  params: MulParams | None,
+                  verify: bool = False) -> BenchRecord:
     """Time one algorithm on seeded inputs; warm-up excluded from stats."""
     fn, (k, t, bs, cutoff) = _algorithm(name, params)
     a = core.random(m, l, seed)
@@ -175,7 +190,7 @@ def run_benchmark(name: str, m: int, l: int, n: int, seed: int, reps: int,
                        peak_mem_bytes=peak)
 
 
-def cmd_check(args, params: MulParams) -> int:
+def cmd_check(args, params: MulParams | None) -> int:
     algos = args.algo or [a for a in CHECK_ALGOS if a != "cubic"]
     status = 0
     col = max(len(a) for a in algos) + 2
@@ -211,7 +226,7 @@ def cmd_check(args, params: MulParams) -> int:
 DEFAULT_BENCH_DIMS = [(d, d, d) for d in (1024, 2048, 4096, 8192)]
 
 
-def cmd_bench(args, params: MulParams) -> int:
+def cmd_bench(args, params: MulParams | None) -> int:
     algos = args.algo or ["m4rm", "m4rm-t8", "strassen"]
     # desk-scale default sweep; larger sizes stay reachable via --dims
     dims_list = args.dims or DEFAULT_BENCH_DIMS
@@ -240,7 +255,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_mul(args, params: MulParams) -> int:
+def cmd_mul(args, params: MulParams | None) -> int:
     a = core.load(args.a)
     b = core.load(args.b)
     fn, _ = _algorithm(args.algo or "auto", params)
@@ -248,13 +263,21 @@ def cmd_mul(args, params: MulParams) -> int:
     return 0
 
 
-def cmd_params(params: MulParams) -> int:
+def cmd_params(args) -> int:
+    params = _resolve(args)
     print(f"cutoff={params.cutoff}")
     print(f"bs={params.b_s}")
     print(f"k={params.k}" + ("  # 0 = auto" if params.k == 0 else ""))
     print(f"t={params.t}")
     print(f"l1_bytes={params.l1_bytes}")
     print(f"l2_bytes={params.l2_bytes}")
+    if not _tuned(args):
+        auto = auto_params()
+        k = f"{auto.k}" if auto.k else "0 (per product)"
+        source = os.environ.get(CONFIG_ENV) or "fitted"
+        print(f"# mul_strassen(a, b): cutoff={auto.cutoff} bs={auto.b_s} "
+              f"k={k} t={auto.t} l2_bytes={auto.l2_bytes}"
+              f"  # source: {source}")
     return 0
 
 
@@ -315,18 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _tuned(args) -> bool:
+    return any(getattr(args, flag, None) is not None
+               for flag in _TUNING_FLAGS)
+
+
 def _resolve(args) -> MulParams:
-    config = None
-    path = os.environ.get(CONFIG_ENV)
-    if path:
-        config = load_config(path)
     return resolve_params(l1_bytes=getattr(args, "l1", None),
                           l2_bytes=getattr(args, "l2", None),
                           cutoff=getattr(args, "cutoff", None),
                           bs=getattr(args, "bs", None),
                           k=getattr(args, "k", None),
                           t=getattr(args, "t", None),
-                          config=config)
+                          config=env_config())
 
 
 def main(argv=None) -> int:
@@ -336,15 +360,15 @@ def main(argv=None) -> int:
         with _kernel.using("scalar" if scalar else None):
             if args.command == "gen":
                 return cmd_gen(args)
-            params = _resolve(args)
+            if args.command == "params":
+                return cmd_params(args)
+            params = _resolve(args) if _tuned(args) else None
             if args.command == "check":
                 return cmd_check(args, params)
             if args.command == "bench":
                 return cmd_bench(args, params)
             if args.command == "mul":
                 return cmd_mul(args, params)
-            if args.command == "params":
-                return cmd_params(params)
     except GF2MatError as exc:
         print(f"gf2mat: error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,9 @@ right edge.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -421,39 +424,61 @@ def trailing_bits_clean(a: Mat) -> bool:
 
 
 def save(a: Mat, path) -> None:
-    """Write the GF2M file format (magic, version, dims, packed rows)."""
+    """Write the GF2M file format (magic, version, dims, packed rows).
+
+    The bytes go to a new file beside the target, which then replaces the
+    target in one rename, so a write that fails leaves an old file whole.
+    """
     header = (_FILE_MAGIC + bytes([_FILE_VERSION])
               + a.nrows.to_bytes(8, "little") + a.ncols.to_bytes(8, "little"))
-    body = a.words.copy()
+    body = a.words.astype("<u8")  # an owned copy, so the mask stays here
     if body.size:
         body[:, -1] &= tail_mask(a.ncols)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body.astype("<u8").tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(body.data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load(path) -> BitMatrix:
-    """Read a GF2M file; rejects bad magic, version, size or dirty bits."""
+    """Read a GF2M file; rejects bad magic, version, size or dirty bits.
+
+    The header and the file size are checked before the matrix is
+    allocated, and the rows are read straight into its buffer.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER_BYTES:
-        raise FormatError(f"truncated header at offset {len(raw)}")
-    if raw[:4] != _FILE_MAGIC:
-        raise FormatError("bad magic at offset 0")
-    if raw[4] != _FILE_VERSION:
-        raise FormatError(f"unsupported version {raw[4]} at offset 4")
-    nrows = int.from_bytes(raw[5:13], "little")
-    ncols = int.from_bytes(raw[13:21], "little")
-    width = words_per_row(ncols)
-    expect = _HEADER_BYTES + nrows * width * 8
-    if len(raw) != expect:
-        raise FormatError(
-            f"file length {len(raw)} != expected {expect} at offset "
-            f"{min(len(raw), expect)}")
-    out = BitMatrix(nrows, ncols)
+        raw = fh.read(_HEADER_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+        if len(raw) < _HEADER_BYTES:
+            raise FormatError(f"truncated header at offset {len(raw)}")
+        if raw[:4] != _FILE_MAGIC:
+            raise FormatError("bad magic at offset 0")
+        if raw[4] != _FILE_VERSION:
+            raise FormatError(f"unsupported version {raw[4]} at offset 4")
+        nrows = int.from_bytes(raw[5:13], "little")
+        ncols = int.from_bytes(raw[13:21], "little")
+        width = words_per_row(ncols)
+        expect = _HEADER_BYTES + nrows * width * 8
+        if size != expect:
+            raise FormatError(
+                f"file length {size} != expected {expect} at offset "
+                f"{min(size, expect)}")
+        out = BitMatrix(nrows, ncols)
+        got = fh.readinto(out.data.view(np.uint8))
+    if got != out.data.nbytes:
+        raise FormatError(f"file shrank while read, at offset "
+                          f"{_HEADER_BYTES + got}")
     if out.data.size:
-        words = np.frombuffer(raw, dtype="<u8", offset=_HEADER_BYTES)
-        out.data[:] = words.astype(np.uint64)
+        if sys.byteorder != "little":
+            out.data.byteswap(inplace=True)
         spare = ~tail_mask(ncols)
         dirty = np.nonzero(out.words[:, -1] & spare)[0]
         if dirty.size:

@@ -75,7 +75,8 @@ def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
         return
     if not accumulate:
         core.clear(dst)
-    _mul_into(dst, a, b, params.effective_k(n), params.b_s, params.t)
+    _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
+              params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -180,7 +181,7 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
     block, then the remaining rows of C, then the remaining columns.
     """
     if params is None:
-        params = tuning.default_params()
+        params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
     if c.nrows != m or c.ncols != n:
         raise DimensionError(f"target {c.shape} != product {m}x{n}")
@@ -206,12 +207,16 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
 
 def mul_strassen(a: core.Mat, b: core.Mat,
                  params: MulParams | None = None) -> core.BitMatrix:
-    """Full dispatch stack: recursion, then M4RM, then cubic for narrow B."""
+    """Full dispatch stack: recursion, then M4RM, then cubic for narrow B.
+
+    Without params, tuning.auto_params() decides: the GF2MAT_CONFIG file,
+    or the parameters fitted to the compiled kernel.
+    """
     if a.ncols != b.nrows:
         raise DimensionError(
             f"inner dimensions {a.ncols} and {b.nrows} differ")
     if params is None:
-        params = tuning.default_params()
+        params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
     if m == 0 or n == 0 or l == 0:
         return core.create(m, n)
@@ -224,7 +229,8 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if ps.depth == 0:
         # Whole M4RM into the fresh zero C; the checks above leave
         # nothing for _base_mul_into to decide.
-        _mul_into(c, a, b, params.effective_k(n), params.b_s, params.t)
+        _mul_into(c, a, b, params.effective_k(n, nrows=m), params.b_s,
+                  params.t)
         return c
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),

@@ -1,21 +1,32 @@
-"""Multiplication parameters (MulParams) and their defaults from cache
-geometry.
+"""Multiplication parameters (MulParams): the paper's cache formula, and
+the automatic parameters of mul_strassen(a, b).
 
-The crossover is sized so two square operands fit in L2 (2 * cutoff^2 / 8
+The paper's formula (default_params, choose_k without a row count): the
+crossover is sized so two square operands fit in L2 (2 * cutoff^2 / 8
 bytes), the M4RM block size is half of that, and the Gray-table width is
 floor(0.75 * log2(b_s)) - 2, dropping by one more only when that makes all
 t tables fit in L1 while the larger tables do not. The subtraction of 2
 compensates for running 8 tables and is kept even for smaller t; pass an
-explicit k to override. Pure operation counting would suggest k near
-log2(n); in practice cache blocking dictates k through the block size, and
-the smaller width wins. No hardware probing is done: cache sizes come from
-arguments, a key=value config file, or conservative defaults (32 KiB L1,
-1 MiB L2).
+explicit k to override.
+
+The automatic parameters (auto_params) come from the config file that
+GF2MAT_CONFIG names, when it is set, and otherwise from a rule fitted to
+the compiled kernel, whose cost is C row updates more than cache misses:
+no Strassen level at or below 8192 (one level lost to flat M4RM at 4096
+and 8192), one row block up to that size, and a Gray width chosen per
+product from its rows and columns (choose_k with a row count): the t
+tables span at most a quarter of the rows they serve and stay within half
+of L2, and k is never below 4. The L2 of that rule is the 2 MiB of the
+host it was fitted on; with 1 MiB the tables of 4133- and 8192-column
+products drop to k = 6, which measured 6-9% slower than k = 7. No
+hardware probing is done: cache sizes come from arguments, a key=value
+config file, or conservative defaults (32 KiB L1, 1 MiB L2).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .core import words_per_row
@@ -25,6 +36,10 @@ from .graycode import MAX_K
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_L2_BYTES = 1 << 20
 MAX_T = 8  # simultaneous Gray tables
+FITTED_CUTOFF = 8192  # auto crossover and row block without a config
+FITTED_L2_BYTES = 2 << 20  # L2 of the host the auto rule was fitted on
+MIN_FITTED_K = 4
+CONFIG_ENV = "GF2MAT_CONFIG"
 
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
 
@@ -64,21 +79,36 @@ class MulParams:
                 f"cache sizes must be positive, got L1={self.l1_bytes} "
                 f"L2={self.l2_bytes}")
 
-    def effective_k(self, ncols: int, t: int | None = None) -> int:
-        """Gray-table width of a product whose B has ncols columns: k, or
-        for k == 0 the choose_k rule at this block size and L1 with t
-        tables (default self.t)."""
+    def effective_k(self, ncols: int, t: int | None = None,
+                    nrows: int | None = None) -> int:
+        """Gray-table width of a product whose B has ncols columns (and A
+        nrows rows): k, or for k == 0 the choose_k rule at this block
+        size and these caches with t tables (default self.t)."""
         if self.k:
             return self.k
         return choose_k(max(self.b_s, 2), self.l1_bytes,
-                        self.t if t is None else t, ncols)
+                        self.t if t is None else t, ncols, nrows,
+                        self.l2_bytes)
 
 
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,
-             ncols: int | None = None) -> int:
-    """Gray-table width for a given block size and L1 capacity."""
+             ncols: int | None = None, nrows: int | None = None,
+             l2_bytes: int = DEFAULT_L2_BYTES) -> int:
+    """Gray-table width for a given block size and cache capacities.
+
+    Without nrows, the paper's rule from b_s and L1. With nrows (and
+    ncols), the rule fitted to the compiled kernel: the largest k with
+    t * 2^k <= min(nrows, b_s) / 4 (the t tables span at most a quarter
+    of the rows they serve) and t * 2^k * row_bytes <= l2_bytes / 2, but
+    never below 4.
+    """
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")
+    if nrows is not None:
+        by_rows = (min(nrows, b_s) // (4 * t)).bit_length() - 1
+        row_bytes = max(words_per_row(ncols), 1) * 8
+        by_l2 = (l2_bytes // (2 * t * row_bytes)).bit_length() - 1
+        return max(MIN_FITTED_K, min(by_rows, by_l2, MAX_K))
     k0 = int(math.floor(0.75 * math.log2(b_s))) - 2
     k0 = max(1, min(MAX_K, k0))
     if ncols is not None and k0 > 1:
@@ -132,8 +162,33 @@ def parse_config(text: str) -> dict[str, int]:
 
 
 def load_config(path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse a config file; an unreadable or malformed one raises a
+    ParameterError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except OSError as exc:
+        raise ParameterError(f"{path}: {exc.strerror}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
+def env_config() -> dict[str, int] | None:
+    """The config file GF2MAT_CONFIG names, parsed; None when unset."""
+    path = os.environ.get(CONFIG_ENV)
+    return load_config(path) if path else None
+
+
+def auto_params() -> MulParams:
+    """Parameters of mul_strassen(a, b): the config GF2MAT_CONFIG names,
+    resolved as the CLI resolves it, or else the fitted rule (cutoff and
+    row block FITTED_CUTOFF, k chosen per product against the fitting
+    host's L2, FITTED_L2_BYTES). The variable is read on every call."""
+    config = env_config()
+    if config is not None:
+        return resolve_params(config=config)
+    return MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
+                     l2_bytes=FITTED_L2_BYTES)
 
 
 def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,

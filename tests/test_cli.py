@@ -4,10 +4,10 @@ import pytest
 
 import gf2mat
 from gf2mat import _reference as ref
-from gf2mat import _kernel, cli, core
+from gf2mat import _kernel, cli, core, tuning
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
-from gf2mat.strassen import MulParams
+from gf2mat.strassen import MulParams, mul_strassen
 
 
 class TestParsing:
@@ -209,6 +209,84 @@ class TestParams:
                        "--l2", "0"])
         assert rc == 2
         assert "cache sizes must be positive" in capsys.readouterr().err
+
+
+    def test_params_names_auto_parameters(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        assert cli.main(["params"]) == 0
+        out = capsys.readouterr().out
+        assert "# mul_strassen(a, b): cutoff=8192 bs=8192 k=0 (per product)" \
+            " t=8 l2_bytes=2097152  # source: fitted" in out
+        assert "cutoff=2048\n" in out  # the CLI's own derived defaults
+        cfg = tmp_path / "gf2mat.conf"
+        cfg.write_text("cutoff=4096\nk=7\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        assert cli.main(["params"]) == 0
+        out = capsys.readouterr().out
+        assert "# mul_strassen(a, b): cutoff=4096 bs=2048 k=7 t=8" \
+            f" l2_bytes=1048576  # source: {cfg}" in out
+        assert tuning.parse_config(out) == {
+            "cutoff": 4096, "bs": 2048, "k": 7, "t": 8,
+            "l1_bytes": tuning.DEFAULT_L1_BYTES,
+            "l2_bytes": tuning.DEFAULT_L2_BYTES}
+
+    def test_params_with_flags_omit_auto_line(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        assert cli.main(["params", "--t", "4"]) == 0
+        assert "mul_strassen" not in capsys.readouterr().out
+
+    def test_malformed_config_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "gf2mat.conf"
+        cfg.write_text("cutoff=64\nbogus\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        assert cli.main(["params"]) == 2
+        assert "config line 2" in capsys.readouterr().err
+
+
+class TestBenchAuto:
+    """With no tuning flag, `auto` is mul_strassen(a, b) itself."""
+
+    def test_untuned_auto_calls_mul_strassen_bare(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return mul_strassen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mul_strassen", recording)
+        assert cli.main(["bench", "--dims", "70x80x90", "--reps", "2",
+                         "--algo", "auto", "--verify"]) == 0
+        rec, = cli.parse_csv(io.StringIO(capsys.readouterr().out))
+        assert calls == [(2, {})] * 3  # warm-up and two repetitions
+        assert (rec.k, rec.t, rec.bs, rec.cutoff) == (0, 8, 8192, 8192)
+
+    def test_tuning_flag_gives_explicit_params(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        assert cli.main(["bench", "--dims", "70x80x90", "--reps", "1",
+                         "--algo", "auto", "--algo", "strassen",
+                         "--cutoff", "1024"]) == 0
+        recs = cli.parse_csv(io.StringIO(capsys.readouterr().out))
+        assert [(r.algorithm, r.cutoff, r.bs) for r in recs] == [
+            ("auto", 1024, 512), ("strassen", 1024, 512)]
+
+    def test_untuned_named_variants_keep_derived_defaults(self, monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        derived = tuning.resolve_params()
+        for name in ("strassen", "m4rm-t8", "m4rm-blocked"):
+            _, (k, t, bs, cutoff) = cli._algorithm(name, None)
+            assert (k, bs) == (derived.k, derived.b_s)
+        assert cli._algorithm("strassen", None)[1][3] == derived.cutoff
+
+    def test_auto_follows_config(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "gf2mat.conf"
+        cfg.write_text("cutoff=512\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        fn, (k, t, bs, cutoff) = cli._algorithm("auto", None)
+        assert fn is mul_strassen
+        assert (bs, cutoff) == (256, 512)
 
 
 class TestVerifyCatchesBadResult:

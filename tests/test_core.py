@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -430,6 +433,75 @@ class TestFileFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
+            core.load(path)
+
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.gf2m"
+        old = core.random(40, 300, seed=38)
+        core.save(old, path)
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            """A file whose second write fails, after the header."""
+
+            def __init__(self, fd, mode):
+                self.fh = real_fdopen(fd, mode)
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    self.fh.write(bytes(memoryview(data)[:100]))
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(os, "fdopen", DiskFull)
+        with pytest.raises(OSError, match="No space"):
+            core.save(core.random(40, 300, seed=39), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert core.equal(core.load(path), old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.gf2m"]
+
+    def test_save_replaces_and_writes_windows(self, tmp_path):
+        path = tmp_path / "a.gf2m"
+        core.save(core.random(5, 5, seed=40), path)
+        parent = core.random(30, 260, seed=41)
+        win = core.window(parent, 3, 64, 20, 130)  # parent bits lie beyond
+        core.save(win, str(path))
+        assert core.equal(core.load(path), win)
+        assert core.trailing_bits_clean(core.load(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.gf2m"]
+
+    def test_load_peak_is_about_the_matrix(self, tmp_path):
+        path = tmp_path / "big.gf2m"
+        a = core.random(512, 4096, seed=42)
+        core.save(a, path)
+        nbytes = a.data.nbytes
+        tracemalloc.start()
+        try:
+            got = core.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert core.equal(got, a)
+        assert peak < 1.2 * nbytes, (peak, nbytes)
+
+    def test_size_checked_before_allocating(self, tmp_path):
+        path = tmp_path / "bad.gf2m"
+        core.save(core.random(3, 100, seed=43), path)
+        raw = bytearray(path.read_bytes())
+        raw[5:13] = (1 << 40).to_bytes(8, "little")  # 2^40 rows claimed
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="file length"):
             core.load(path)
 
 

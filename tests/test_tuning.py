@@ -1,7 +1,21 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gf2mat import _reference, core
+from gf2mat.counters import counters
+from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
+from gf2mat.strassen import mul_strassen, peel_fixup
 from gf2mat.tuning import (
+    CONFIG_ENV,
+    DEFAULT_L2_BYTES,
+    FITTED_CUTOFF,
+    FITTED_L2_BYTES,
+    MulParams,
+    auto_params,
     choose_k,
     default_params,
     parse_config,
@@ -123,3 +137,181 @@ class TestResolveParams:
         p8 = resolve_params(cutoff=2048, t=8)
         assert p1.k == 5
         assert p8.k == 4
+
+
+def _paper_k(b_s, l1_bytes, t, ncols):
+    """The paper's Gray-width rule as first written, kept here to pin
+    choose_k without a row count."""
+    k0 = max(1, min(16, int(math.floor(0.75 * math.log2(b_s))) - 2))
+    if k0 > 1:
+        row_bytes = -(-ncols // 64) * 8
+        big = t * (1 << k0) * row_bytes <= l1_bytes
+        small = t * (1 << (k0 - 1)) * row_bytes <= l1_bytes
+        if not big and small:
+            return k0 - 1
+    return k0
+
+
+FITTED = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
+                   l2_bytes=FITTED_L2_BYTES)
+
+
+class TestFittedGrayWidth:
+    """choose_k with a row count: the rule of the automatic parameters."""
+
+    @staticmethod
+    def auto_k(m, n, t=8):
+        return FITTED.effective_k(n, t, nrows=m)
+
+    def test_measured_shapes(self):
+        assert self.auto_k(2048, 2048) == 6
+        assert self.auto_k(4096, 4096) == 7
+        assert self.auto_k(4133, 4133) == 7
+        assert self.auto_k(8192, 8192) == 7
+
+    def test_half_the_l2_lowers_wide_rows(self):
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF)  # 1 MiB L2
+        assert p.effective_k(4096, nrows=4096) == 7
+        assert p.effective_k(4133, nrows=4133) == 6
+        assert p.effective_k(8192, nrows=8192) == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1023), st.integers(64, 1 << 20),
+           st.sampled_from([DEFAULT_L2_BYTES, FITTED_L2_BYTES, 1 << 30]))
+    def test_below_1024_rows_keeps_four(self, m, n, l2):
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, l2_bytes=l2)
+        assert p.effective_k(n, nrows=m) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1 << 16), st.integers(1, 1 << 16),
+           st.integers(1, 8), st.integers(1 << 12, 1 << 26))
+    def test_wide_tables_stay_in_half_of_l2(self, m, n, t, l2):
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t,
+                      l2_bytes=l2)
+        k = p.effective_k(n, nrows=m)
+        assert 4 <= k <= 16
+        if k > 4:
+            assert t * (1 << k) * core.words_per_row(n) * 8 <= l2 // 2
+            assert (1 << k) * 4 * t <= min(m, p.b_s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(64, 1 << 16), st.integers(1, 8))
+    def test_non_decreasing_in_rows(self, n, t):
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t)
+        ks = [p.effective_k(n, nrows=m) for m in range(1, 20000, 37)]
+        assert ks == sorted(ks)
+
+    def test_without_rows_is_the_paper_rule(self):
+        for b_s in (2, 3, 16, 100, 512, 1000, 1024, 2048, 4096, 8192,
+                    1 << 16):
+            for l1 in (1, 4096, 32 * 1024, 48 * 1024, 64 * 1024, 1 << 20):
+                for t in range(1, 9):
+                    for ncols in (1, 64, 65, 200, 1024, 2048, 4096, 5000):
+                        assert choose_k(b_s, l1, t, ncols) == \
+                            _paper_k(b_s, l1, t, ncols), (b_s, l1, t, ncols)
+
+    def test_explicit_k_wins(self):
+        assert MulParams(cutoff=8192, b_s=8192, k=3).effective_k(
+            4096, nrows=4096) == 3
+
+
+def _config(tmp_path, monkeypatch, text, name="gf2mat.conf"):
+    path = tmp_path / name
+    path.write_text(text)
+    monkeypatch.setenv(CONFIG_ENV, str(path))
+    return path
+
+
+def _products(a, b):
+    before = counters.strassen_products
+    c = mul_strassen(a, b)
+    return counters.strassen_products - before, c
+
+
+class TestAutoParams:
+    def test_fitted_without_config(self, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        p = auto_params()
+        assert p == FITTED
+        assert (p.cutoff, p.b_s, p.k, p.t) == (8192, 8192, 0, 8)
+        assert p.l2_bytes == 2 << 20
+
+    def test_config_drives_mul_strassen(self, tmp_path, monkeypatch):
+        _config(tmp_path, monkeypatch, "cutoff=64\n")
+        a = core.random(256, 256, seed=61)
+        b = core.random(256, 256, seed=62)
+        done, c = _products(a, b)
+        assert done == 7 + 49  # two levels
+        assert _reference.first_mismatch(
+            c, _reference.naive_product(a, b)) is None
+
+    def test_config_is_resolved_as_the_cli_resolves_it(self, tmp_path,
+                                                       monkeypatch):
+        _config(tmp_path, monkeypatch, "l2_bytes=4194304\nt=4\n")
+        assert auto_params() == resolve_params(
+            config={"l2_bytes": 4194304, "t": 4})
+
+    @pytest.mark.parametrize("dims", [(4096, 4096, 4096),
+                                      (4133, 5000, 4133)])
+    def test_no_recursion_without_config(self, monkeypatch, dims):
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        m, l, n = dims
+        a = core.random(m, l, seed=63)
+        b = core.random(l, n, seed=64)
+        done, c = _products(a, b)
+        assert done == 0
+        # spot-check rows against the cubic product of a slice of A
+        rows = core.window(a, m - 40, 0, 40, l)
+        assert core.equal(core.window(c, m - 40, 0, 40, n),
+                          mul_cubic(rows, b))
+
+    def test_variable_change_takes_effect_between_products(self, tmp_path,
+                                                           monkeypatch):
+        a = core.random(256, 256, seed=65)
+        b = core.random(256, 256, seed=66)
+        _config(tmp_path, monkeypatch, "cutoff=64\n", "one.conf")
+        assert _products(a, b)[0] == 56
+        _config(tmp_path, monkeypatch, "cutoff=128\n", "two.conf")
+        assert _products(a, b)[0] == 7
+        monkeypatch.delenv(CONFIG_ENV)
+        assert _products(a, b)[0] == 0
+        monkeypatch.setenv(CONFIG_ENV, "")
+        assert _products(a, b)[0] == 0
+
+    @pytest.mark.parametrize("text, line", [("cutoff=64\nk=five\n", 2),
+                                            ("# ok\ncutof=64\n", 2),
+                                            ("just words\n", 1)])
+    def test_malformed_config_raises_before_allocating(
+            self, tmp_path, monkeypatch, text, line):
+        path = _config(tmp_path, monkeypatch, text)
+        a = core.random(100, 100, seed=67)
+        before = counters.words_allocated
+        with pytest.raises(ParameterError,
+                           match=f"{path}: config line {line}:"):
+            mul_strassen(a, a)
+        assert counters.words_allocated == before
+
+    def test_peel_fixup_uses_auto_params(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        a = core.random(100, 70, seed=68)
+        b = core.random(70, 130, seed=69)
+        c = core.create(100, 130)
+        core.copy_into(core.window(c, 0, 0, 64, 64),
+                       mul_cubic(core.window(a, 0, 0, 64, 64),
+                                 core.window(b, 0, 0, 64, 64)))
+        peel_fixup(c, a, b, 64, 64, 64)
+        assert _reference.first_mismatch(
+            c, _reference.naive_product(a, b)) is None
+        _config(tmp_path, monkeypatch, "t=9\n")
+        with pytest.raises(ParameterError, match="t=9 outside"):
+            peel_fixup(c, a, b, 64, 64, 64)
+
+    def test_missing_config_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "absent.conf"))
+        with pytest.raises(ParameterError, match="absent.conf"):
+            auto_params()
+
+    def test_invalid_config_value_raises(self, tmp_path, monkeypatch):
+        _config(tmp_path, monkeypatch, "cutoff=32\n")
+        with pytest.raises(ParameterError, match="cutoff 32 < 64"):
+            mul_strassen(core.random(8, 8, seed=1), core.random(8, 8, seed=2))
