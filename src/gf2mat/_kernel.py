@@ -120,24 +120,23 @@ class ScalarKernel(NumpyKernel):
                 dst[r, i] = dst[r, i] ^ row[i]
 
 
-def _view(words: np.ndarray, rows: int, cols: int) -> tuple[int, int]:
-    """Address and row stride (in words) of a 2-D word array, after checking
-    that it holds at least rows x cols words with unit column stride."""
-    if (words.dtype != np.uint64 or words.ndim != 2
-            or words.shape[0] < rows or words.shape[1] < cols
-            or words.strides[1] != 8 or words.strides[0] < 0
-            or words.strides[0] % 8):
+def _operand(mat, rows: int, cols: int) -> tuple[int, int]:
+    """Recorded address and row stride (in words) of a matrix or window,
+    after checking that it holds at least rows x cols words."""
+    if mat.nrows < rows or mat.width < cols:
         raise DimensionError(
-            f"kernel operand {words.dtype} {words.shape} strides "
-            f"{words.strides} does not cover {rows}x{cols} words")
-    return words.ctypes.data, words.strides[0] // 8
+            f"kernel operand {mat.nrows}x{mat.width} words does not cover "
+            f"{rows}x{cols} words")
+    return mat.addr, mat.stride
 
 
 class CKernel(NumpyKernel):
     """M4RM and cubic products whole in compiled C; additions as numpy.
 
-    ctypes releases the interpreter lock for each call, so products on
-    distinct outputs run in parallel threads.
+    The products take matrices or windows (see core) and pass the kernel
+    each one's recorded address and row stride. ctypes releases the
+    interpreter lock for each call, so products on distinct outputs run
+    in parallel threads.
     """
 
     name = "c"
@@ -147,31 +146,29 @@ class CKernel(NumpyKernel):
         self._lib = lib
         self.isa = lib.gf2mat_isa().decode()
 
-    def m4rm(self, c: np.ndarray, a: np.ndarray, b: np.ndarray, l: int,
-             n: int, k: int, b_s: int, t: int, tail: np.uint64,
-             tables: np.ndarray) -> None:
+    def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
+             tail: np.uint64, tables) -> None:
         """c += a @ b (a: m x l, b: l x n entries) with stripes of k <= l
         columns, row blocks of b_s and t tables; `tables` is scratch for
         min(t, stripes) tables of 2^k rows, `tail` masks b's last word."""
-        m, width = c.shape[0], (n + 63) // 64
+        m, width = c.nrows, (n + 63) // 64
         if not (1 <= k <= min(l, 16) and 1 <= t <= _MAX_TABLES
                 and b_s >= 1 and m >= 1 and width >= 1):
             raise ParameterError(
                 f"kernel parameters k={k} t={t} b_s={b_s} for {m}x{l}x{n}")
         ntables = min(t, -(-l // k))
         self._lib.gf2mat_m4rm(
-            *_view(c, m, width), *_view(a, m, (l + 63) // 64),
-            *_view(b, l, width), m, l, n, k, b_s, t, int(tail),
-            _view(tables, ntables << k, width)[0])
+            *_operand(c, m, width), *_operand(a, m, (l + 63) // 64),
+            *_operand(b, l, width), m, l, n, k, b_s, t, int(tail),
+            _operand(tables, ntables << k, width)[0])
 
-    def cubic(self, c: np.ndarray, a: np.ndarray, b: np.ndarray, l: int,
-              n: int, bt: np.ndarray) -> None:
+    def cubic(self, c, a, b, l: int, n: int, bt) -> None:
         """c = a @ b (a: m x l, b: l x n entries) with c owned; `bt` is
         scratch for b transposed, n rows of ceil(l / 64) words."""
-        m, wl, wn = c.shape[0], (l + 63) // 64, (n + 63) // 64
-        self._lib.gf2mat_cubic(*_view(c, m, wn), *_view(a, m, wl),
-                               *_view(b, l, wn), m, l, n,
-                               _view(bt, n, wl)[0])
+        m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
+        self._lib.gf2mat_cubic(*_operand(c, m, wn), *_operand(a, m, wl),
+                               *_operand(b, l, wn), m, l, n,
+                               _operand(bt, n, wl)[0])
 
 
 def _compiler() -> str | None:

@@ -4,9 +4,11 @@ Storage is flat row-major: 64 consecutive row entries share one machine
 word. Column c of a row lives in word c // 64 at bit position 63 - (c % 64)
 (most significant bit first), so reading k consecutive columns is a shift
 and mask. Rows are addressed only through `words`, a 2-D view with a base
-address and a row stride: row r is `words[r]`. In-place submatrices
-("matrix windows") are slices of the parent's view, so they share its row
-stride, and must start on a word boundary. Bits in a row's last word
+address and a row stride: row r is `words[r]`. The base address (`addr`)
+and the row stride in words (`stride`) are also recorded as integers, for
+the compiled kernel. In-place submatrices ("matrix windows") are slices of
+the root matrix's view, so they share its row stride, derive their address
+from the root's, and must start on a word boundary. Bits in a row's last word
 beyond `ncols` ("trailing bits") are kept zero in owned matrices, and
 every write through a window preserves whatever lies beyond the window's
 right edge.
@@ -15,9 +17,9 @@ right edge.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import sys
-import weakref
 
 import numpy as np
 
@@ -50,10 +52,7 @@ def words_per_row(ncols: int) -> int:
 
 def tail_mask(ncols: int) -> np.uint64:
     """Mask of the used bits in a row's last word (all-ones if none spare)."""
-    rem = ncols % WORD_BITS
-    if rem == 0:
-        return _FULL_MASK
-    return np.uint64(_FULL_MASK) << np.uint64(WORD_BITS - rem)
+    return np.uint64(-1 << (-ncols % WORD_BITS) & 0xFFFFFFFFFFFFFFFF)
 
 
 class _Matrix:
@@ -88,6 +87,12 @@ class _Matrix:
         return ""
 
 
+def _address(buf: np.ndarray) -> int:
+    """Address of a non-empty writable buffer's first byte (about a third
+    of the cost of `buf.ctypes.data`)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
 class BitMatrix(_Matrix):
     """Owned bit-packed matrix.
 
@@ -97,30 +102,50 @@ class BitMatrix(_Matrix):
         data: contiguous uint64 buffer of nrows * width words, starting
             on a 64-byte boundary when rows are 8 words or wider.
         words: the buffer viewed as an (nrows, width) array.
+        addr, stride: address of `words` and its row stride in words
+            (the width), recorded once at allocation.
+
+    The words stay counted in `counters.live_words` until the matrix and
+    every window onto it are gone.
     """
 
-    __slots__ = ("nrows", "ncols", "width", "data", "words", "__weakref__")
+    __slots__ = ("nrows", "ncols", "width", "data", "words", "addr",
+                 "stride")
 
     def __init__(self, nrows: int, ncols: int):
         if nrows < 0 or ncols < 0:
             raise DimensionError(f"negative dimensions {nrows}x{ncols}")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.width = words_per_row(ncols)
-        nwords = nrows * self.width
-        if self.width >= _LINE_WORDS:
+        width = words_per_row(ncols)
+        nwords = nrows * width
+        if width >= _LINE_WORDS and nrows:
             # Rows of a cache line or more start on a line, so the C
-            # kernel's vector loads of a row do not split lines. Narrower
-            # matrices skip the address lookup (about 3 us each). Strides
+            # kernel's vector loads of a row do not split lines. Strides
             # are not padded, so memory stays as it is.
             raw = np.zeros(nwords + _LINE_WORDS - 1, dtype=np.uint64)
-            start = -raw.ctypes.data // 8 % _LINE_WORDS
-            self.data = raw[start:start + nwords]
+            addr = _address(raw)
+            start = -addr // 8 % _LINE_WORDS
+            data = raw[start:start + nwords]
+            addr += start * 8
         else:
-            self.data = np.zeros(nwords, dtype=np.uint64)
-        self.words = self.data.reshape(nrows, self.width)
+            data = np.zeros(nwords, dtype=np.uint64)
+            # from_buffer refuses an empty buffer; numpy still gives it an
+            # address.
+            addr = _address(data) if nwords else data.ctypes.data
+        self.ncols = ncols
+        self.width = self.stride = width
+        self.data = data
+        self.words = data.reshape(nrows, width)
+        self.addr = addr
+        # Set last, right before counting, so __del__ releases only words
+        # that were counted.
+        self.nrows = nrows
         counters.note_alloc(nwords)
-        weakref.finalize(self, counters.note_free, nwords)
+
+    def __del__(self):
+        try:
+            counters.note_free(self.nrows * self.width)
+        except AttributeError:  # __init__ raised before counting
+            pass
 
 
 def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
@@ -149,7 +174,7 @@ class MatrixWindow(_Matrix):
     """
 
     __slots__ = ("parent", "row_offset", "col_offset", "nrows", "ncols",
-                 "width", "words")
+                 "width", "words", "addr", "stride")
 
     def __init__(self, parent: BitMatrix, row_offset: int, col_offset: int,
                  nrows: int, ncols: int):
@@ -159,10 +184,15 @@ class MatrixWindow(_Matrix):
         self.col_offset = col_offset
         self.nrows = nrows
         self.ncols = ncols
-        self.width = words_per_row(ncols)
+        self.width = width = words_per_row(ncols)
+        self.stride = stride = parent.width
         word_off = col_offset // WORD_BITS
         self.words = parent.words[row_offset:row_offset + nrows,
-                                  word_off:word_off + self.width]
+                                  word_off:word_off + width]
+        if nrows and width:
+            self.addr = parent.addr + 8 * (row_offset * stride + word_off)
+        else:  # never dereferenced; numpy's own rule places empty slices
+            self.addr = self.words.ctypes.data
 
     def _origin(self) -> str:
         return f"@({self.row_offset},{self.col_offset})"

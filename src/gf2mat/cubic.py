@@ -84,8 +84,7 @@ def mul_cubic(a: core.Mat, b: core.Mat) -> core.BitMatrix:
         return c
     kernel = _kernel.active()
     if kernel.compiled:
-        bt = core.create(n, l)  # scratch for B transposed
-        kernel.cubic(c.words, a.words, b.words, l, n, bt.words)
+        kernel.cubic(c, a, b, l, n, core.create(n, l))  # B^T scratch
         return c
     bt = core.transpose(b)  # n x l, owned, clean tails
     wl = bt.width

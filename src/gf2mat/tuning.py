@@ -25,9 +25,10 @@ config file, or conservative defaults (32 KiB L1, 1 MiB L2).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import words_per_row
 from .errors import ParameterError
@@ -44,9 +45,10 @@ CONFIG_ENV = "GF2MAT_CONFIG"
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MulParams:
-    """Tuning bundle for the full dispatch stack.
+    """Tuning bundle for the full dispatch stack; immutable, so one
+    instance can be shared by every product.
 
     cutoff: dimension at or below which recursion hands over to M4RM.
     b_s: row block size inside M4RM (defaults to cutoff / 2).
@@ -64,7 +66,7 @@ class MulParams:
 
     def __post_init__(self):
         if self.b_s is None:
-            self.b_s = max(self.cutoff // 2, 1)
+            object.__setattr__(self, "b_s", max(self.cutoff // 2, 1))
         if self.cutoff < 64:
             raise ParameterError(f"cutoff {self.cutoff} < 64")
         if not 1 <= self.t <= MAX_T:
@@ -91,6 +93,7 @@ class MulParams:
                         self.l2_bytes)
 
 
+@functools.lru_cache(maxsize=1024)
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,
              ncols: int | None = None, nrows: int | None = None,
              l2_bytes: int = DEFAULT_L2_BYTES) -> int:
@@ -100,7 +103,7 @@ def choose_k(b_s: int, l1_bytes: int, t: int = 8,
     ncols), the rule fitted to the compiled kernel: the largest k with
     t * 2^k <= min(nrows, b_s) / 4 (the t tables span at most a quarter
     of the rows they serve) and t * 2^k * row_bytes <= l2_bytes / 2, but
-    never below 4.
+    never below 4. Results are memoized, since every product asks.
     """
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")
@@ -136,8 +139,7 @@ def default_params(l1_bytes: int = DEFAULT_L1_BYTES,
     if cutoff < 64:
         raise ParameterError(f"L2 of {l2_bytes} bytes is too small to tune")
     params = MulParams(cutoff=cutoff, l1_bytes=l1_bytes, l2_bytes=l2_bytes)
-    params.k = params.effective_k(cutoff)
-    return params
+    return replace(params, k=params.effective_k(cutoff))
 
 
 def parse_config(text: str) -> dict[str, int]:
@@ -179,16 +181,20 @@ def env_config() -> dict[str, int] | None:
     return load_config(path) if path else None
 
 
+# The fitted rule: cutoff and row block FITTED_CUTOFF, k chosen per
+# product against the fitting host's L2, FITTED_L2_BYTES.
+_FITTED = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
+                    l2_bytes=FITTED_L2_BYTES)
+
+
 def auto_params() -> MulParams:
     """Parameters of mul_strassen(a, b): the config GF2MAT_CONFIG names,
-    resolved as the CLI resolves it, or else the fitted rule (cutoff and
-    row block FITTED_CUTOFF, k chosen per product against the fitting
-    host's L2, FITTED_L2_BYTES). The variable is read on every call."""
+    resolved as the CLI resolves it, or else the fitted rule, one shared
+    immutable instance. The variable is read on every call."""
     config = env_config()
     if config is not None:
         return resolve_params(config=config)
-    return MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
-                     l2_bytes=FITTED_L2_BYTES)
+    return _FITTED
 
 
 def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,
@@ -212,5 +218,5 @@ def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,
         given["cutoff"] = default_params(**caches).cutoff
     params = MulParams(**given)
     if "k" not in given:
-        params.k = params.effective_k(params.cutoff)
+        params = replace(params, k=params.effective_k(params.cutoff))
     return params

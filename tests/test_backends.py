@@ -1,6 +1,8 @@
 """Every kernel backend against the naive oracle, plus the compiled
 kernel's build cache, its fallback and concurrent use."""
 
+import contextlib
+import gc
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from gf2mat import _kernel, core
 from gf2mat import _reference as ref
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
+from gf2mat.errors import DimensionError
 from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
 from gf2mat.strassen import MulParams, _base_mul_into, mul_strassen
 
@@ -126,6 +129,61 @@ def test_counter_deltas_identical_across_backends(run):
     assert all(d == deltas["numpy"] for d in deltas.values()), deltas
 
 
+@contextlib.contextmanager
+def no_gc():
+    """Collect once, then keep the collector off, so live_words moves only
+    with what the enclosed block allocates and drops."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("run,levels", [
+    (lambda a, b: mul_m4rm_multitable(a, b, 5, 3, 17), 0),
+    (mul_cubic, 0),
+    (lambda a, b: mul_strassen(a, b, MulParams(cutoff=64)), 2),
+], ids=["m4rm", "cubic", "strassen"])
+def test_live_words_return_after_products(backend, run, levels):
+    a = core.random(256, 256, seed=13)
+    b = core.random(256, 256, seed=14)
+    with no_gc():
+        start = counters.live_words
+        temps = counters.temp_quadrants
+        c = run(a, b)
+        assert counters.temp_quadrants - temps == 2 * levels
+        assert counters.live_words == start + c.nrows * c.width
+        del c
+        assert counters.live_words == start
+
+
+def test_flat_m4rm_peak_is_c_plus_tables(backend):
+    m, l, n, k, t = 150, 200, 170, 5, 3
+    a = core.random(m, l, seed=15)
+    b = core.random(l, n, seed=16)
+    wn = core.words_per_row(n)
+    with no_gc():
+        start = counters.live_words
+        counters.rebase_peak()
+        c = mul_m4rm_multitable(a, b, k, t, 17)
+        assert counters.peak_live_words - start == m * wn + (t << k) * wn
+        del c
+        assert counters.live_words == start
+
+
+def test_window_keeps_root_words_live():
+    with no_gc():
+        start = counters.live_words
+        root = core.create(10, 200)
+        win = core.window(core.window(root, 2, 64, 5, 100), 1, 0, 2, 30)
+        del root
+        assert counters.live_words == start + 10 * 4
+        del win
+        assert counters.live_words == start
+
+
 def test_backend_reports_selection():
     for name in BACKENDS:
         with _kernel.using(name):
@@ -201,8 +259,8 @@ a = core.random(40, 100, seed=1)
 b = core.random(100, 70, seed=2)
 c = core.create(40, 70)
 tables = core.create(2 << 4, 70)
-_kernel.CKernel(lib).m4rm(c.words, a.words, b.words, 100, 70, 4, 16, 2,
-                          core.tail_mask(70), tables.words)
+_kernel.CKernel(lib).m4rm(c, a, b, 100, 70, 4, 16, 2,
+                          core.tail_mask(70), tables)
 if len(sys.argv) == 2:
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 """
@@ -284,6 +342,41 @@ def test_concurrent_products_on_c_backend():
         assert ref.first_mismatch(got, expected) is None
 
 
+# (operand, rows, columns) of one too small for its stated role: c, a
+# and b sized for 40 x 100 x 70, tables for 2 << 4 rows of 70 columns
+# (m4rm with k=4, t=2) and bt for B transposed (cubic). c's rows set m.
+SHORT_OPERANDS = {
+    "m4rm": [("c", 40, 64), ("a", 39, 100), ("a", 40, 64), ("b", 99, 70),
+             ("b", 100, 64), ("tables", 31, 70), ("tables", 32, 64)],
+    "cubic": [("c", 40, 64), ("a", 39, 100), ("a", 40, 64), ("b", 99, 70),
+              ("b", 100, 64), ("bt", 69, 100), ("bt", 70, 64)],
+}
+
+
+@needs_c
+@pytest.mark.parametrize("product,which,rows,cols", [
+    (p, *case) for p, cases in SHORT_OPERANDS.items() for case in cases])
+def test_short_kernel_operand_raises_before_writing(product, which, rows,
+                                                    cols):
+    ops = {"c": core.random(40, 70, seed=31),
+           "a": core.random(40, 100, seed=32),
+           "b": core.random(100, 70, seed=33),
+           "tables": core.create(2 << 4, 70),
+           "bt": core.create(70, 100)}
+    roots = {name: mat.words for name, mat in ops.items()}
+    before = {name: words.copy() for name, words in roots.items()}
+    ops[which] = core.window(ops[which], 0, 0, rows, cols)
+    kernel = _kernel.get("c")
+    with pytest.raises(DimensionError):
+        if product == "m4rm":
+            kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 70, 4, 16, 2,
+                        core.tail_mask(70), ops["tables"])
+        else:
+            kernel.cubic(ops["c"], ops["a"], ops["b"], 100, 70, ops["bt"])
+    for name, words in roots.items():
+        assert np.array_equal(words, before[name]), name
+
+
 # Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
 # AVX-512 never chosen, and the copies beyond the portable one compiled out.
 ISA_EDITS = {
@@ -333,8 +426,7 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         c = dirty_window(m, n, seed=23)
         before = core.to_dense(c.parent)
         tables = core.create(min(t, -(-l // k)) << k, n)
-        kernel.m4rm(c.words, a.words, b.words, l, n, k, b_s, t,
-                    core.tail_mask(n), tables.words)
+        kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n), tables)
         expect_added(c, before, expected)
         parents[name] = c.parent.words
     for words in parents.values():

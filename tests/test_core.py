@@ -33,6 +33,13 @@ class TestCreate:
         core.set_bit(m, 0, 64, 1)
         assert core.get_bit(m, 0, 64) == 1
 
+    @pytest.mark.parametrize("nrows,ncols", [
+        (0, 0), (0, 40), (0, 600), (4, 0), (1, 1), (3, 63), (3, 600)])
+    def test_root_records_its_address(self, nrows, ncols):
+        m = core.create(nrows, ncols)
+        assert m.addr == m.words.ctypes.data == m.data.ctypes.data
+        assert m.stride == m.width
+
     @pytest.mark.parametrize("ncols", [449, 512, 4133])
     def test_rows_of_eight_words_start_on_a_cache_line(self, ncols):
         for nrows in (1, 3, 100):
@@ -567,6 +574,16 @@ class TestWindowAddressing:
             for sc in starts:
                 expect = int("".join(map(str, want[r, sc:sc + k])), 2)
                 assert core.read_bits(win, r, sc, k) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_windows())
+    def test_recorded_address_and_stride(self, case):
+        parent, win, _, _ = case
+        for mat in (parent, win):
+            assert mat.addr == mat.words.ctypes.data
+            assert mat.stride == parent.width
+            if mat.nrows > 1 and mat.width:
+                assert mat.words.strides == (8 * parent.width, 8)
 
     @settings(max_examples=100, deadline=None)
     @given(nested_windows(), st.sampled_from(

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2mat import _reference, core
+from gf2mat import _reference, core, strassen
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
@@ -235,6 +236,28 @@ class TestAutoParams:
         assert p == FITTED
         assert (p.cutoff, p.b_s, p.k, p.t) == (8192, 8192, 0, 8)
         assert p.l2_bytes == 2 << 20
+
+    def test_fitted_params_are_shared_and_immutable(self, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        calls = []
+
+        def record(c, a, b, k, b_s, t):
+            calls.append((k, b_s, t))
+            real(c, a, b, k, b_s, t)
+
+        real = strassen._mul_into
+        monkeypatch.setattr(strassen, "_mul_into", record)
+        a = core.random(300, 200, seed=70)
+        b = core.random(200, 150, seed=71)
+        first = _products(a, b)[0]
+        p = auto_params()
+        assert auto_params() is p
+        for name, value in (("k", 7), ("b_s", 64), ("cutoff", 64)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, value)
+        assert _products(a, b)[0] == first == 0
+        assert calls[0] == calls[1] == (4, FITTED_CUTOFF, 8)
+        assert (p.cutoff, p.b_s, p.k) == (FITTED_CUTOFF, FITTED_CUTOFF, 0)
 
     def test_config_drives_mul_strassen(self, tmp_path, monkeypatch):
         _config(tmp_path, monkeypatch, "cutoff=64\n")
