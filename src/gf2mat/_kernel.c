@@ -5,7 +5,9 @@
  * first word plus a row stride in words, so windows of a larger parent are
  * passed without a copy. Bits beyond a matrix's last column may be live
  * (window parents); the kernels neither read them as entries nor change
- * them in C.
+ * them in C. The M4RM table scratch is passed the same way, with a row
+ * stride of its own: rows of 8 words or more are padded to whole cache
+ * lines, so each table row starts on one.
  *
  * Built by _kernel.py with the system C compiler and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture.
@@ -80,18 +82,20 @@ INLINE int64_t read_bits(const word *row, int64_t sc, int k)
     return (int64_t)(((row[wi] << nlo) | (row[wi + 1] >> (64 - nlo))) & mask);
 }
 
-/* Fill `table` (2^k rows of `width` words) with every XOR combination of
- * the k source rows, index bit k-1 selecting source row 0. Walks the
- * reflected Gray code: step j writes slot j ^ (j >> 1) as the previous
- * slot plus source row k-1-ctz(j), so the table costs 2^k - 1 row
- * additions. Source rows are masked with `tail` so table rows stay clean. */
-INLINE void gray_table(int vw, word *restrict table, const word *src,
-                       int64_t src_stride, int k, int64_t width, word tail)
+/* Fill `table` (2^k rows of `width` words, `t_stride` words apart) with
+ * every XOR combination of the k source rows, index bit k-1 selecting
+ * source row 0. Walks the reflected Gray code: step j writes slot
+ * j ^ (j >> 1) as the previous slot plus source row k-1-ctz(j), so the
+ * table costs 2^k - 1 row additions. Source rows are masked with `tail`
+ * so table rows stay clean. */
+INLINE void gray_table(int vw, word *restrict table, int64_t t_stride,
+                       const word *src, int64_t src_stride, int k,
+                       int64_t width, word tail)
 {
     memset(table, 0, (size_t)width * sizeof(word));
     const word *prev = table;
     for (int64_t j = 1; j < ((int64_t)1 << k); j++) {
-        word *dst = table + (j ^ (j >> 1)) * width;
+        word *dst = table + (j ^ (j >> 1)) * t_stride;
         const word *s = src + (k - 1 - __builtin_ctzll((word)j)) * src_stride;
         CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
         dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
@@ -129,15 +133,16 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
  * Row blocks of b_s rows outer; inside a block, groups of t stripes of k
  * columns of a (the last stripe may be narrower). Each group builds its t
  * Gray tables from the matching rows of b into `tables` (t tables of 2^k
- * rows of ceil(n/64) words, consecutive), then updates every row of the
- * block once. `tail` masks the used bits of a row's last word of b. */
+ * rows of ceil(n/64) words, t_stride >= ceil(n/64) words apart,
+ * consecutive), then updates every row of the block once. `tail` masks the
+ * used bits of a row's last word of b. */
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
                  int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
-                 word tail, word *tables)
+                 word tail, word *tables, int64_t t_stride)
 {
     int64_t width = (n + 63) / 64;
-    int64_t table_words = width << k;
+    int64_t table_words = t_stride << k;
     const word *rows[MAX_TABLES];
     int64_t sc[MAX_TABLES];
     int kw[MAX_TABLES];
@@ -149,7 +154,7 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
             for (; ng < t && g0 + (int64_t)ng * k < l; ng++) {
                 sc[ng] = g0 + (int64_t)ng * k;
                 kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
-                gray_table(vw, tables + ng * table_words,
+                gray_table(vw, tables + ng * table_words, t_stride,
                            b + sc[ng] * b_stride, b_stride, kw[ng], width,
                            tail);
             }
@@ -157,7 +162,7 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                 const word *arow = a + r * a_stride;
                 for (int g = 0; g < ng; g++)
                     rows[g] = tables + g * table_words
-                              + read_bits(arow, sc[g], kw[g]) * width;
+                              + read_bits(arow, sc[g], kw[g]) * t_stride;
                 combine(vw, c + r * c_stride, rows, ng, width);
             }
         }
@@ -167,9 +172,9 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
 #define M4RM_PARAMS                                                       \
     word *c, int64_t c_stride, const word *a, int64_t a_stride,           \
     const word *b, int64_t b_stride, int64_t m, int64_t l, int64_t n,     \
-    int k, int64_t b_s, int t, word tail, word *tables
+    int k, int64_t b_s, int t, word tail, word *tables, int64_t t_stride
 #define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, \
-    t, tail, tables
+    t, tail, tables, t_stride
 
 /* One copy of the engine per instruction set. */
 static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }

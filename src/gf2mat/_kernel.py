@@ -150,7 +150,8 @@ class CKernel(NumpyKernel):
              tail: np.uint64, tables) -> None:
         """c += a @ b (a: m x l, b: l x n entries) with stripes of k <= l
         columns, row blocks of b_s and t tables; `tables` is scratch for
-        min(t, stripes) tables of 2^k rows, `tail` masks b's last word."""
+        min(t, stripes) tables of 2^k rows of ceil(n / 64) words, rows of
+        the operand's stride apart; `tail` masks b's last word."""
         m, width = c.nrows, (n + 63) // 64
         if not (1 <= k <= min(l, 16) and 1 <= t <= _MAX_TABLES
                 and b_s >= 1 and m >= 1 and width >= 1):
@@ -160,7 +161,7 @@ class CKernel(NumpyKernel):
         self._lib.gf2mat_m4rm(
             *_operand(c, m, width), *_operand(a, m, (l + 63) // 64),
             *_operand(b, l, width), m, l, n, k, b_s, t, int(tail),
-            _operand(tables, ntables << k, width)[0])
+            *_operand(tables, ntables << k, width))
 
     def cubic(self, c, a, b, l: int, n: int, bt) -> None:
         """c = a @ b (a: m x l, b: l x n entries) with c owned; `bt` is
@@ -184,7 +185,8 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     i64, ptr, u64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64
     lib.gf2mat_m4rm.argtypes = (ptr, i64, ptr, i64, ptr, i64, i64, i64, i64,
-                                ctypes.c_int, i64, ctypes.c_int, u64, ptr)
+                                ctypes.c_int, i64, ctypes.c_int, u64, ptr,
+                                i64)
     lib.gf2mat_m4rm.restype = None
     lib.gf2mat_cubic.argtypes = (ptr, i64, ptr, i64, ptr, i64, i64, i64,
                                  i64, ptr)

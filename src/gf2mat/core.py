@@ -119,8 +119,9 @@ class BitMatrix(_Matrix):
         nwords = nrows * width
         if width >= _LINE_WORDS and nrows:
             # Rows of a cache line or more start on a line, so the C
-            # kernel's vector loads of a row do not split lines. Strides
-            # are not padded, so memory stays as it is.
+            # kernel's vector loads of a row do not split lines. A
+            # matrix's stride is not padded, so its memory stays as it
+            # is; only table scratch pads its rows (padded_cols).
             raw = np.zeros(nwords + _LINE_WORDS - 1, dtype=np.uint64)
             addr = _address(raw)
             start = -addr // 8 % _LINE_WORDS
@@ -204,6 +205,16 @@ Mat = BitMatrix | MatrixWindow
 def create(nrows: int, ncols: int) -> BitMatrix:
     """All-zero matrix with clean trailing bits."""
     return BitMatrix(nrows, ncols)
+
+
+def padded_cols(ncols: int) -> int:
+    """Columns to allocate for scratch rows of ncols columns (the M4RM
+    tables) so that each row starts on a cache line: the width rounded up
+    to whole lines once rows are a line or wider, at most 7 words more."""
+    width = words_per_row(ncols)
+    if width < _LINE_WORDS or width % _LINE_WORDS == 0:
+        return ncols
+    return -(-width // _LINE_WORDS) * _LINE_WORDS * WORD_BITS
 
 
 def identity(n: int) -> BitMatrix:

@@ -82,6 +82,8 @@ class CombinationTable:
     big-endian convention of read_bits. Slot 0 is the zero row. A table is
     allocated once per multiplication and refilled for every stripe; `k`
     reflects the width of the most recent fill and may be below capacity.
+    Its rows are as far apart as the compiled kernel's table rows
+    (`core.padded_cols`), so both allocate the same words.
     """
 
     def __init__(self, k: int, ncols: int):
@@ -90,7 +92,8 @@ class CombinationTable:
         self.capacity = k
         self.k = k
         self.ncols = ncols
-        self.matrix = core.create(1 << k, ncols)
+        self.matrix = core.window(
+            core.create(1 << k, core.padded_cols(ncols)), 0, 0, 1 << k, ncols)
 
     @property
     def words(self) -> np.ndarray:

@@ -95,7 +95,7 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
     kernel = _kernel.active()
     if kernel.compiled:
         kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n),
-                    core.create(ntables << k, n))
+                    core.create(ntables << k, core.padded_cols(n)))
         # The deltas the table builds and row updates below record; a
         # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
         built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)

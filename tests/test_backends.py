@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gf2mat
 from gf2mat import _kernel, core
@@ -48,14 +50,15 @@ def expect_added(c, before, product):
 
 
 # (m, l, n, k, t, b_s): k = 1..16 with t = 1..8, l not a multiple of k and
-# b_s not dividing m; k >= 12 on narrow n; then l < k, aligned widths and
-# zero dimensions.
+# b_s not dividing m; k >= 12 on narrow n; then l < k, aligned widths,
+# table rows padded from 10 words to 16, and zero dimensions.
 M4RM_CASES = [
     *[(45, 3 * k + 2, 130 if k < 12 else 40, k, (k - 1) % 8 + 1, 7 + k)
       for k in range(1, 17)],
     (30, 5, 70, 8, 2, 30),
     (30, 10, 70, 16, 8, 4),
     (64, 200, 128, 6, 8, 64),
+    (30, 40, 600, 5, 3, 17),
     (0, 20, 70, 4, 2, 8),
     (20, 0, 70, 4, 2, 8),
     (20, 20, 0, 4, 2, 8),
@@ -109,15 +112,21 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     expect_added(c, before, ref.naive_product(a, b))
 
 
-@pytest.mark.parametrize("run", [
-    lambda a, b: mul_m4rm(a, b, 7),
-    lambda a, b: mul_m4rm_multitable(a, b, 5, 3, 17),
-    lambda a, b: mul_strassen(a, b, MulParams(cutoff=64)),
-    mul_cubic,
-], ids=["m4rm", "m4rm-t3", "strassen", "cubic"])
-def test_counter_deltas_identical_across_backends(run):
+COUNTED_RUNS = {
+    "m4rm": lambda a, b: mul_m4rm(a, b, 7),
+    "m4rm-t3": lambda a, b: mul_m4rm_multitable(a, b, 5, 3, 17),
+    "strassen": lambda a, b: mul_strassen(a, b, MulParams(cutoff=64)),
+    "cubic": mul_cubic,
+}
+
+
+# n=170 gives tables of 3 words a row; n=600 gives 10, padded to 16.
+@pytest.mark.parametrize("run,n", [
+    pytest.param(run, n, id=name if n == 170 else f"{name}-n{n}")
+    for n in (170, 600) for name, run in COUNTED_RUNS.items()])
+def test_counter_deltas_identical_across_backends(run, n):
     a = core.random(150, 200, seed=11)
-    b = core.random(200, 170, seed=12)
+    b = core.random(200, n, seed=12)
     names = [f.name for f in fields(counters)
              if f.name not in ("live_words", "peak_live_words")]
     deltas = {}
@@ -169,6 +178,21 @@ def test_flat_m4rm_peak_is_c_plus_tables(backend):
         counters.rebase_peak()
         c = mul_m4rm_multitable(a, b, k, t, 17)
         assert counters.peak_live_words - start == m * wn + (t << k) * wn
+        del c
+        assert counters.live_words == start
+
+
+def test_flat_m4rm_peak_counts_padded_table_rows(backend):
+    # Rows of 10 words: table rows are padded to 16 words, C's are not.
+    m, l, n, k, t, padded = 150, 200, 600, 5, 3, 16
+    a = core.random(m, l, seed=15)
+    b = core.random(l, n, seed=16)
+    wn = core.words_per_row(n)
+    with no_gc():
+        start = counters.live_words
+        counters.rebase_peak()
+        c = mul_m4rm_multitable(a, b, k, t, 17)
+        assert counters.peak_live_words - start == m * wn + (t << k) * padded
         del c
         assert counters.live_words == start
 
@@ -377,6 +401,24 @@ def test_short_kernel_operand_raises_before_writing(product, which, rows,
         assert np.array_equal(words, before[name]), name
 
 
+@needs_c
+def test_short_padded_tables_raise_before_writing():
+    # Table scratch for 40 x 100 x 600 with k=4, t=2 needs 2 << 4 rows of
+    # 10 words; these rows are 16 words apart, but one row short.
+    ops = {"c": core.random(40, 600, seed=34),
+           "a": core.random(40, 100, seed=35),
+           "b": core.random(100, 600, seed=36),
+           "tables": core.create(31, core.padded_cols(600))}
+    assert ops["tables"].stride == 16
+    roots = [mat.words for mat in ops.values()]
+    before = [words.copy() for words in roots]
+    with pytest.raises(DimensionError):
+        _kernel.get("c").m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16,
+                              2, core.tail_mask(600), ops["tables"])
+    for words, old in zip(roots, before):
+        assert np.array_equal(words, old)
+
+
 # Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
 # AVX-512 never chosen, and the copies beyond the portable one compiled out.
 ISA_EDITS = {
@@ -431,3 +473,76 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         parents[name] = c.parent.words
     for words in parents.values():
         assert np.array_equal(words, parents["shipped"])
+
+
+# Table row widths in words around one cache line (8 words) and two.
+STRIDE_WIDTHS = (1, 7, 8, 9, 15, 16, 17)
+# Table words a case may allocate (16 MiB), which caps t at the largest k.
+MAX_TABLE_WORDS = 1 << 21
+
+
+@needs_c
+@pytest.mark.parametrize("width", STRIDE_WIDTHS)
+@settings(max_examples=25, deadline=None)
+@given(spare=st.integers(1, 63), k=st.integers(1, 16), t=st.integers(1, 8),
+       m=st.integers(1, 40), groups=st.integers(1, 2),
+       narrow=st.integers(0, 15), b_s=st.integers(4, 48))
+def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
+                                        groups, narrow, b_s):
+    """Every engine copy, on the product's own line-padded table scratch
+    and on tables whose stride is their width, starting one row into a
+    matrix, gives the oracle's product."""
+    n = 64 * width - spare
+    stride = width if width < 8 else -(-width // 8) * 8
+    t = max(1, min(t, MAX_TABLE_WORDS // (stride << k)))
+    l = groups * t * k + narrow % k
+    ntables = min(t, -(-l // k))
+    a = dirty_window(m, l, seed=41)
+    b = dirty_window(l, n, seed=42)
+    expected = ref.naive_product(a, b)
+    layouts = {
+        "padded": lambda: core.create(ntables << k, core.padded_cols(n)),
+        "off-line": lambda: core.window(core.create((ntables << k) + 1, n),
+                                        1, 0, ntables << k, n),
+    }
+    parents = []
+    for kernel in isa_kernels.values():
+        for layout, make in layouts.items():
+            tables = make()
+            assert tables.stride == (stride if layout == "padded" else width)
+            c = dirty_window(m, n, seed=43)
+            before = core.to_dense(c.parent)
+            kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n), tables)
+            expect_added(c, before, expected)
+            parents.append(c.parent.words)
+    for words in parents:
+        assert np.array_equal(words, parents[0])
+
+
+@needs_c
+@pytest.mark.parametrize("width", STRIDE_WIDTHS)
+def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
+    """The table scratch of an M4RM product has rows a whole number of
+    cache lines apart, from an address on a line, once rows are 8 words
+    or wider; narrower rows are not padded."""
+    scratch = []
+    m4rm = _kernel.CKernel.m4rm
+
+    def spy(self, *args):
+        scratch.append(args[-1])
+        m4rm(self, *args)
+
+    monkeypatch.setattr(_kernel.CKernel, "m4rm", spy)
+    n = 64 * width - 5
+    a = core.random(30, 40, seed=44)
+    b = core.random(40, n, seed=45)
+    with _kernel.using("c"):
+        c = mul_m4rm_multitable(a, b, 5, 3, 17)
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+    [tables] = scratch
+    assert tables.nrows == 3 << 5
+    if width >= 8:
+        assert tables.stride % 8 == 0 and 0 <= tables.stride - width < 8
+        assert tables.addr % 64 == 0
+    else:
+        assert tables.stride == width
