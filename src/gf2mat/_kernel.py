@@ -45,7 +45,10 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # attributes in the source, chosen at run time.
 _CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
-_MAX_TABLES = 8
+# Hard limits of `_kernel.c`: `read_bits` reads at most 16 entries (the
+# Gray width k) and `m4rm` keeps at most MAX_TABLES (8) tables.
+MAX_K = 16
+MAX_T = 8
 
 
 class NumpyKernel:
@@ -153,7 +156,7 @@ class CKernel(NumpyKernel):
         min(t, stripes) tables of 2^k rows of ceil(n / 64) words, rows of
         the operand's stride apart; `tail` masks b's last word."""
         m, width = c.nrows, (n + 63) // 64
-        if not (1 <= k <= min(l, 16) and 1 <= t <= _MAX_TABLES
+        if not (1 <= k <= min(l, MAX_K) and 1 <= t <= MAX_T
                 and b_s >= 1 and m >= 1 and width >= 1):
             raise ParameterError(
                 f"kernel parameters k={k} t={t} b_s={b_s} for {m}x{l}x{n}")

@@ -5,9 +5,9 @@ check   runs every multiplication variant on seeded random inputs and
         oracle; exits non-zero on the first mismatch.
 bench   times variants over a dimension sweep and writes CSV (one row per
         dims x algorithm; warm-up run excluded; mean and minimum of the
-        repetitions; peak memory from the internal allocation counter);
-        the kernel backend in use (with the C kernel's instruction
-        set) goes to stderr.
+        repetitions; peak memory as the tracemalloc peak of one untimed
+        product above the level before it); the kernel backend in use
+        (with the C kernel's instruction set) goes to stderr.
 gen/mul generate and multiply matrices in the GF2M file format.
 params  prints the resolved tuning parameters and, with no tuning flag,
         the parameters mul_strassen(a, b) runs on and their source.
@@ -23,10 +23,10 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, fields as dc_fields
 
 from . import _kernel, _reference, core
-from .counters import counters
 from .cubic import mul_cubic
 from .errors import GF2MatError, ParameterError
 from .m4rm import mul_m4rm, mul_m4rm_blocked, mul_m4rm_multitable
@@ -39,28 +39,19 @@ CHECK_ALGOS = ("cubic", "m4rm", "m4rm-blocked", "m4rm-t2", "m4rm-t8",
                "strassen", "auto")
 
 
-def _parse_dims3(text: str) -> tuple[int, int, int]:
+def _parse_dims(text: str, count: int) -> tuple[int, ...]:
+    """`count` non-negative sizes joined by x, such as MxLxN for 3."""
     parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ParameterError(f"--dims wants MxLxN, got {text!r}")
+    if len(parts) != count:
+        form = "MxLxN" if count == 3 else "MxN"
+        raise ParameterError(f"--dims wants {form}, got {text!r}")
     try:
-        m, l, n = (int(p) for p in parts)
+        dims = tuple(int(p) for p in parts)
     except ValueError:
         raise ParameterError(f"--dims wants integers, got {text!r}") from None
-    if m < 0 or l < 0 or n < 0:
+    if min(dims) < 0:
         raise ParameterError(f"--dims must be non-negative, got {text!r}")
-    return m, l, n
-
-
-def _parse_dims2(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ParameterError(f"--dims wants MxN, got {text!r}")
-    try:
-        m, n = (int(p) for p in parts)
-    except ValueError:
-        raise ParameterError(f"--dims wants integers, got {text!r}") from None
-    return m, n
+    return dims
 
 
 def _algorithm(name: str, params: MulParams | None):
@@ -161,23 +152,38 @@ def parse_csv(fh) -> list:
     return out
 
 
+def _peak_bytes(fn, a, b) -> int:
+    """Tracemalloc peak of one product fn(a, b) above the level before it.
+    Tracing that the caller already had running is left running."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(a, b)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def run_benchmark(name: str, m: int, l: int, n: int, seed: int, reps: int,
                   params: MulParams | None,
                   verify: bool = False) -> BenchRecord:
-    """Time one algorithm on seeded inputs; warm-up excluded from stats."""
+    """Time one algorithm on seeded inputs; warm-up excluded from stats.
+    Peak memory comes from one more, untimed product (`_peak_bytes`)."""
     fn, (k, t, bs, cutoff) = _algorithm(name, params)
     a = core.random(m, l, seed)
     b = core.random(l, n, seed + 1)
-    fn(a, b)  # warm-up
+    fn(a, b)  # warm-up, which also loads the kernel
+    peak = _peak_bytes(fn, a, b)
     times = []
-    baseline = counters.live_words
-    counters.rebase_peak()
     result = None
     for _ in range(reps):
         t0 = time.perf_counter()
         result = fn(a, b)
         times.append(time.perf_counter() - t0)
-    peak = max(counters.peak_live_words - baseline, 0) * 8
     if verify and result is not None:
         expected = _reference.naive_product(a, b)
         where = _reference.first_mismatch(result, expected)
@@ -300,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify all variants against oracles")
-    p.add_argument("--dims", action="append", type=_parse_dims3,
-                   required=True, metavar="MxLxN")
+    p.add_argument("--dims", action="append", required=True,
+                   type=lambda s: _parse_dims(s, 3), metavar="MxLxN")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algo", action="append", metavar="NAME")
     p.add_argument("--inject-fault", action="store_true",
@@ -310,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
 
     p = sub.add_parser("bench", help="benchmark sweep with CSV output")
-    p.add_argument("--dims", action="append", type=_parse_dims3,
-                   metavar="MxLxN",
+    p.add_argument("--dims", action="append",
+                   type=lambda s: _parse_dims(s, 3), metavar="MxLxN",
                    help="repeatable; default sweep is 1024..8192 squares")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=10)
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
 
     p = sub.add_parser("gen", help="write a random matrix file")
-    p.add_argument("--dims", type=_parse_dims2, required=True, metavar="MxN")
+    p.add_argument("--dims", type=lambda s: _parse_dims(s, 2), required=True,
+                   metavar="MxN")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="PATH")
 

@@ -104,9 +104,6 @@ class BitMatrix(_Matrix):
         words: the buffer viewed as an (nrows, width) array.
         addr, stride: address of `words` and its row stride in words
             (the width), recorded once at allocation.
-
-    The words stay counted in `counters.live_words` until the matrix and
-    every window onto it are gone.
     """
 
     __slots__ = ("nrows", "ncols", "width", "data", "words", "addr",
@@ -132,21 +129,13 @@ class BitMatrix(_Matrix):
             # from_buffer refuses an empty buffer; numpy still gives it an
             # address.
             addr = _address(data) if nwords else data.ctypes.data
+        self.nrows = nrows
         self.ncols = ncols
         self.width = self.stride = width
         self.data = data
         self.words = data.reshape(nrows, width)
         self.addr = addr
-        # Set last, right before counting, so __del__ releases only words
-        # that were counted.
-        self.nrows = nrows
-        counters.note_alloc(nwords)
-
-    def __del__(self):
-        try:
-            counters.note_free(self.nrows * self.width)
-        except AttributeError:  # __init__ raised before counting
-            pass
+        counters.words_allocated += nwords
 
 
 def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
@@ -266,10 +255,10 @@ def read_bits(a: Mat, r: int, sc: int, k: int) -> int:
     """Read k consecutive entries of row r starting at column sc.
 
     Returns a[r,sc] * 2^(k-1) + a[r,sc+1] * 2^(k-2) + ... + a[r,sc+k-1],
-    correct when the span crosses a word boundary. k is limited to 16.
+    correct when the span crosses a word boundary. k is limited to MAX_K.
     """
-    if not 1 <= k <= 16:
-        raise IndexError(f"read_bits width {k} outside 1..16")
+    if not 1 <= k <= _kernel.MAX_K:
+        raise IndexError(f"read_bits width {k} outside 1..{_kernel.MAX_K}")
     if not (0 <= r < a.nrows and 0 <= sc and sc + k <= a.ncols):
         raise IndexError(
             f"read_bits row {r} cols [{sc},{sc + k}) out of range")

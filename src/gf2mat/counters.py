@@ -20,25 +20,10 @@ class Counters:
     quadrant_adds: int = 0      # quadrant-level additions inside the schedule
     temp_quadrants: int = 0     # scratch quadrant buffers allocated for recursion
     words_allocated: int = 0    # cumulative 64-bit words allocated for matrices
-    live_words: int = 0         # currently reachable matrix words
-    peak_live_words: int = 0    # high-water mark of live_words
 
     def reset(self) -> None:
         for f in fields(self):
             setattr(self, f.name, 0)
-
-    def note_alloc(self, nwords: int) -> None:
-        self.words_allocated += nwords
-        self.live_words += nwords
-        if self.live_words > self.peak_live_words:
-            self.peak_live_words = self.live_words
-
-    def note_free(self, nwords: int) -> None:
-        self.live_words -= nwords
-
-    def rebase_peak(self) -> None:
-        """Reset the high-water mark to the current live amount."""
-        self.peak_live_words = self.live_words
 
 
 counters = Counters()

@@ -11,15 +11,15 @@ during construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernel, core
+from ._kernel import MAX_K
 from .counters import counters
 from .errors import DimensionError, ParameterError
-
-MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -48,31 +48,22 @@ def build_gray(k: int) -> GrayCode:
     return GrayCode(k, tuple(code), tuple(changed))
 
 
-_cache: dict[int, GrayCode] = {}
-_steps_cache: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@functools.cache
 def gray_code(k: int) -> GrayCode:
     """Cached accessor; codes are immutable and shared."""
-    g = _cache.get(k)
-    if g is None:
-        g = _cache[k] = build_gray(k)
-    return g
+    return build_gray(k)
 
 
+@functools.cache
 def _table_steps(k: int) -> tuple[tuple[int, int], ...]:
     """Gray walk as (destination slot, source row) pairs, cached per k.
 
     Step j writes slot code[j]; the flipped bit changed_bit[j] names the
     source row under the big-endian index convention (bit k-1 = row 0).
     """
-    steps = _steps_cache.get(k)
-    if steps is None:
-        g = gray_code(k)
-        steps = tuple((g.code[j], k - 1 - g.changed_bit[j])
-                      for j in range(1, 1 << k))
-        _steps_cache[k] = steps
-    return steps
+    g = gray_code(k)
+    return tuple((g.code[j], k - 1 - g.changed_bit[j])
+                 for j in range(1, 1 << k))
 
 
 class CombinationTable:

@@ -30,13 +30,12 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+from ._kernel import MAX_K, MAX_T
 from .core import words_per_row
 from .errors import ParameterError
-from .graycode import MAX_K
 
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_L2_BYTES = 1 << 20
-MAX_T = 8  # simultaneous Gray tables
 FITTED_CUTOFF = 8192  # auto crossover and row block without a config
 FITTED_L2_BYTES = 2 << 20  # L2 of the host the auto rule was fitted on
 MIN_FITTED_K = 4

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -127,8 +128,7 @@ COUNTED_RUNS = {
 def test_counter_deltas_identical_across_backends(run, n):
     a = core.random(150, 200, seed=11)
     b = core.random(200, n, seed=12)
-    names = [f.name for f in fields(counters)
-             if f.name not in ("live_words", "peak_live_words")]
+    names = [f.name for f in fields(counters)]
     deltas = {}
     for name in BACKENDS:
         before = {f: getattr(counters, f) for f in names}
@@ -139,15 +139,34 @@ def test_counter_deltas_identical_across_backends(run, n):
 
 
 @contextlib.contextmanager
-def no_gc():
-    """Collect once, then keep the collector off, so live_words moves only
-    with what the enclosed block allocates and drops."""
+def numpy_bytes():
+    """Yield a function giving the bytes of numpy buffers allocated since
+    entry and still alive: tracemalloc's numpy domain, measured exactly.
+    The collector is off inside, so buffers die only when dropped."""
     gc.collect()
     gc.disable()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def traced():
+        snapshot = tracemalloc.take_snapshot().filter_traces([domain])
+        return sum(trace.size for trace in snapshot.traces)
+
+    base = traced()
     try:
-        yield
+        yield lambda: traced() - base
     finally:
+        if started:
+            tracemalloc.stop()
         gc.enable()
+
+
+def buffer_bytes(c):
+    """Bytes of an owned matrix's buffer: its words, plus the 7 words
+    that line up rows of 8 words or more on a cache line."""
+    return 8 * (c.nrows * c.width + (7 if c.width >= 8 and c.nrows else 0))
 
 
 @pytest.mark.parametrize("run,levels", [
@@ -156,30 +175,32 @@ def no_gc():
     (lambda a, b: mul_strassen(a, b, MulParams(cutoff=64)), 2),
 ], ids=["m4rm", "cubic", "strassen"])
 def test_live_words_return_after_products(backend, run, levels):
-    a = core.random(256, 256, seed=13)
-    b = core.random(256, 256, seed=14)
-    with no_gc():
-        start = counters.live_words
-        temps = counters.temp_quadrants
-        c = run(a, b)
-        assert counters.temp_quadrants - temps == 2 * levels
-        assert counters.live_words == start + c.nrows * c.width
-        del c
-        assert counters.live_words == start
+    # Only C's buffer outlives a product: tables, Strassen temporaries and
+    # numpy temporaries are all gone. n=600 gives C rows of 10 words, which
+    # start on a cache line.
+    for n in (256, 600):
+        a = core.random(256, 256, seed=13)
+        b = core.random(256, n, seed=14)
+        with numpy_bytes() as live:
+            temps = counters.temp_quadrants
+            c = run(a, b)
+            assert counters.temp_quadrants - temps == 2 * levels
+            assert live() == buffer_bytes(c)
+            del c
+            assert live() == 0
 
 
 def test_flat_m4rm_peak_is_c_plus_tables(backend):
+    # A flat M4RM product allocates C and its t tables; only C outlives it.
     m, l, n, k, t = 150, 200, 170, 5, 3
     a = core.random(m, l, seed=15)
     b = core.random(l, n, seed=16)
     wn = core.words_per_row(n)
-    with no_gc():
-        start = counters.live_words
-        counters.rebase_peak()
+    start = counters.words_allocated
+    with numpy_bytes() as live:
         c = mul_m4rm_multitable(a, b, k, t, 17)
-        assert counters.peak_live_words - start == m * wn + (t << k) * wn
-        del c
-        assert counters.live_words == start
+        assert live() == buffer_bytes(c)
+    assert counters.words_allocated - start == m * wn + (t << k) * wn
 
 
 def test_flat_m4rm_peak_counts_padded_table_rows(backend):
@@ -188,24 +209,21 @@ def test_flat_m4rm_peak_counts_padded_table_rows(backend):
     a = core.random(m, l, seed=15)
     b = core.random(l, n, seed=16)
     wn = core.words_per_row(n)
-    with no_gc():
-        start = counters.live_words
-        counters.rebase_peak()
+    start = counters.words_allocated
+    with numpy_bytes() as live:
         c = mul_m4rm_multitable(a, b, k, t, 17)
-        assert counters.peak_live_words - start == m * wn + (t << k) * padded
-        del c
-        assert counters.live_words == start
+        assert live() == buffer_bytes(c)
+    assert counters.words_allocated - start == m * wn + (t << k) * padded
 
 
 def test_window_keeps_root_words_live():
-    with no_gc():
-        start = counters.live_words
+    with numpy_bytes() as live:
         root = core.create(10, 200)
         win = core.window(core.window(root, 2, 64, 5, 100), 1, 0, 2, 30)
         del root
-        assert counters.live_words == start + 10 * 4
+        assert live() == 10 * 4 * 8
         del win
-        assert counters.live_words == start
+        assert live() == 0
 
 
 def test_backend_reports_selection():

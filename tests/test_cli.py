@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -12,16 +13,18 @@ from gf2mat.strassen import MulParams, mul_strassen
 
 class TestParsing:
     def test_dims3(self):
-        assert cli._parse_dims3("100x200x300") == (100, 200, 300)
+        assert cli._parse_dims("100x200x300", 3) == (100, 200, 300)
         with pytest.raises(ParameterError):
-            cli._parse_dims3("100x200")
+            cli._parse_dims("100x200", 3)
         with pytest.raises(ParameterError):
-            cli._parse_dims3("axbxc")
+            cli._parse_dims("axbxc", 3)
 
     def test_dims2(self):
-        assert cli._parse_dims2("10X20") == (10, 20)
+        assert cli._parse_dims("10X20", 2) == (10, 20)
         with pytest.raises(ParameterError):
-            cli._parse_dims2("10x20x30")
+            cli._parse_dims("10x20x30", 2)
+        with pytest.raises(ParameterError):
+            cli._parse_dims("-3x5", 2)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ParameterError):
@@ -108,6 +111,27 @@ class TestBench:
             assert r.min_s <= r.mean_s
             assert r.wall_s >= r.min_s * r.reps
             assert r.peak_mem_bytes > 0
+
+    def test_peak_counts_numpy_temporaries(self):
+        # C has 300 rows of 5 words, and k=4 with t=8 gives 128 table rows
+        # of 5 words. Those matrices, plus the previous product's C, are
+        # (2 * 1500 + 640) words; the traced peak of one product also
+        # holds the numpy temporaries.
+        params = tuning.resolve_params()
+        assert params.effective_k(300, 8) == 4
+        with _kernel.using("numpy"):
+            rec = cli.run_benchmark("m4rm-t8", 300, 300, 300, 1, 2, params)
+        assert rec.peak_mem_bytes > (2 * 300 * 5 + (8 << 4) * 5) * 8
+
+    def test_peak_leaves_tracing_as_it_found_it(self):
+        tracemalloc.start()
+        try:
+            cli.run_benchmark("cubic", 64, 64, 64, 0, 1, None)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        cli.run_benchmark("cubic", 64, 64, 64, 0, 1, None)
+        assert not tracemalloc.is_tracing()
 
     def test_multiple_dims_rows(self, capsys):
         rc = cli.main(["bench", "--dims", "64x64x64", "--dims", "65x65x65",
@@ -260,7 +284,9 @@ class TestBenchAuto:
         assert cli.main(["bench", "--dims", "70x80x90", "--reps", "2",
                          "--algo", "auto", "--verify"]) == 0
         rec, = cli.parse_csv(io.StringIO(capsys.readouterr().out))
-        assert calls == [(2, {})] * 3  # warm-up and two repetitions
+        # warm-up, the untimed product peak memory is traced on, and two
+        # repetitions
+        assert calls == [(2, {})] * 4
         assert (rec.k, rec.t, rec.bs, rec.cutoff) == (0, 8, 8192, 8192)
 
     def test_tuning_flag_gives_explicit_params(self, capsys, monkeypatch):
