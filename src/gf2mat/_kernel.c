@@ -9,6 +9,14 @@
  * stride of its own: rows of 8 words or more are padded to whole cache
  * lines, so each table row starts on one.
  *
+ * The index step: on rows narrower than WIDE_ROW_WORDS, M4RM reads one
+ * 64-bit window of a row of a per group of t stripes and slices the t
+ * table indices out of it, in vector registers on AVX2 and AVX-512.
+ * Reading each index on its own costs a branch, one or two loads and
+ * variable shifts per lookup, which on narrow rows costs as much as the
+ * combine. Wider rows, and groups wider than 64 columns, keep the
+ * per-index read.
+ *
  * Built by _kernel.py with the system C compiler and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture.
  * On x86-64 the M4RM engine is also compiled for AVX2 and AVX-512, and
@@ -21,6 +29,15 @@
 typedef uint64_t word;
 
 #define MAX_TABLES 8
+/* Rows of c (and of the tables) of this many words or more read each
+ * stripe index on its own; narrower rows slice a group's indices from one
+ * window of a. Set by a kernel-only sweep over row widths, 4096 rows of a
+ * by 4096 columns, k=7, t=8 (BENCH_10.json), window time over per-index
+ * time: AVX-512 0.51-0.82 up to 32 words and 0.94-1.00 at 48-65; AVX2
+ * 0.65-0.97 up to 32 words, then 1.09 at 40 (and 1.03 on 4133 x 5000 x
+ * 4133); the plain copy 0.87 at 8 words, even at 16-32 and 1.05-1.13 at
+ * 48-65. */
+#define WIDE_ROW_WORDS 32
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GF2MAT_DISPATCH
@@ -35,6 +52,11 @@ typedef uint64_t word;
 typedef word v8 __attribute__((vector_size(64), aligned(8), may_alias));
 typedef word v4 __attribute__((vector_size(32), aligned(8), may_alias));
 typedef word v2 __attribute__((vector_size(16), aligned(8), may_alias));
+/* One word per table of a stripe group: a shift, a mask or an address,
+ * so a pointer must be one word wide. */
+typedef word lanes __attribute__((vector_size(8 * MAX_TABLES)));
+typedef char pointer_is_one_word[sizeof(const word *) == sizeof(word) ? 1
+                                                                     : -1];
 
 /* BODY on one chunk of NV registers of type V. */
 #define CHUNK(T, nv, BODY) { typedef T V; enum { NV = nv }; BODY }
@@ -135,14 +157,25 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
  * Gray tables from the matching rows of b into `tables` (t tables of 2^k
  * rows of ceil(n/64) words, t_stride >= ceil(n/64) words apart,
  * consecutive), then updates every row of the block once. `tail` masks the
- * used bits of a row's last word of b. */
+ * used bits of a row's last word of b.
+ *
+ * The index step: on rows narrower than WIDE_ROW_WORDS, when a group's
+ * columns span at most 64 bits, each row reads one 64-bit window of a's
+ * row from the group's first column (its second word only where the row
+ * has one) and slices all of the group's stripe indices, a narrower last
+ * stripe's included, from that window: one shift, mask and multiply-add
+ * to table row addresses per group, in one vector on AVX2 and AVX-512
+ * (a scalar loop in the plain copy, whose SSE2 has neither per-lane
+ * shifts nor 64-bit multiplies). Wider rows and groups (t * k > 64) read
+ * each index on its own (read_bits). */
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
                  int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
                  word tail, word *tables, int64_t t_stride)
 {
-    int64_t width = (n + 63) / 64;
+    int64_t width = (n + 63) / 64, wl = (l + 63) / 64;
     int64_t table_words = t_stride << k;
+    word row_bytes = (word)t_stride * sizeof(word);
     const word *rows[MAX_TABLES];
     int64_t sc[MAX_TABLES];
     int kw[MAX_TABLES];
@@ -158,12 +191,42 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                            b + sc[ng] * b_stride, b_stride, kw[ng], width,
                            tail);
             }
+            if (width >= WIDE_ROW_WORDS
+                || sc[ng - 1] + kw[ng - 1] - g0 > 64) {
+                for (int64_t r = r0; r < r1; r++) {
+                    const word *arow = a + r * a_stride;
+                    for (int g = 0; g < ng; g++)
+                        rows[g] = tables + g * table_words
+                                  + read_bits(arow, sc[g], kw[g]) * t_stride;
+                    combine(vw, c + r * c_stride, rows, ng, width);
+                }
+                continue;
+            }
+            /* Lane g: stripe g's shift and mask in the window and its
+             * table's address; lanes past ng stay unused. */
+            lanes shift = {0}, mask = {0}, base = {0};
+            for (int g = 0; g < ng; g++) {
+                shift[g] = (word)(64 - (sc[g] - g0) - kw[g]);
+                mask[g] = ((word)1 << kw[g]) - 1;
+                base[g] = (word)(uintptr_t)(tables + g * table_words);
+            }
+            int64_t wi = g0 >> 6;
+            int bit = (int)(g0 & 63);
+            int two = bit > 0 && wi + 1 < wl;
+            union { lanes v; const word *p[MAX_TABLES]; } at;
             for (int64_t r = r0; r < r1; r++) {
                 const word *arow = a + r * a_stride;
-                for (int g = 0; g < ng; g++)
-                    rows[g] = tables + g * table_words
-                              + read_bits(arow, sc[g], kw[g]) * t_stride;
-                combine(vw, c + r * c_stride, rows, ng, width);
+                word x = arow[wi] << bit;
+                if (two)
+                    x |= arow[wi + 1] >> (64 - bit);
+                if (vw == 2)
+                    for (int g = 0; g < ng; g++)
+                        at.v[g] = base[g] + (x >> shift[g] & mask[g])
+                                            * row_bytes;
+                else
+                    at.v = base + (((lanes){0} + x) >> shift & mask)
+                                  * row_bytes;
+                combine(vw, c + r * c_stride, at.p, ng, width);
             }
         }
     }

@@ -49,6 +49,12 @@ _COMPILE_TIMEOUT_S = 120
 # Gray width k) and `m4rm` keeps at most MAX_TABLES (8) tables.
 MAX_K = 16
 MAX_T = 8
+# Table scratch one M4RM product may allocate. The fitted parameters keep
+# a product's tables within half of a 2 MiB L2, and k=16 with t=8 fits
+# rows of up to 1024 columns here; a product that asks for more (k=16,
+# t=8 at 4096 columns would take 256 MiB) is a parameter mistake, and is
+# refused before anything is allocated rather than left to exhaust memory.
+MAX_TABLE_BYTES = 64 << 20
 
 
 class NumpyKernel:

@@ -82,7 +82,9 @@ def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
 def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
               t: int) -> None:
     """c += a @ b. c may be a window: bits beyond its right edge are kept,
-    because table rows are masked to B's width."""
+    because table rows are masked to B's width. Tables over
+    _kernel.MAX_TABLE_BYTES raise ParameterError before anything is
+    allocated."""
     m, l, n = a.nrows, a.ncols, b.ncols
     if c.nrows != m or c.ncols != n:
         raise DimensionError(
@@ -92,10 +94,16 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
     k = min(k, l)
     nstripes = -(-l // k)
     ntables = min(t, nstripes)
+    table_cols = core.padded_cols(n)
+    table_bytes = (ntables << k) * core.words_per_row(table_cols) * 8
+    if table_bytes > _kernel.MAX_TABLE_BYTES:
+        raise ParameterError(
+            f"k={k} t={t} tables for {n} columns take {table_bytes} bytes, "
+            f"over {_kernel.MAX_TABLE_BYTES}")
     kernel = _kernel.active()
     if kernel.compiled:
         kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n),
-                    core.create(ntables << k, core.padded_cols(n)))
+                    core.create(ntables << k, table_cols))
         # The deltas the table builds and row updates below record; a
         # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
         built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from gf2mat import core
 
@@ -15,3 +16,28 @@ def rows_of(a) -> list:
 def random_triple(rng, lo, hi):
     return (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)),
             int(rng.integers(lo, hi + 1)))
+
+
+@st.composite
+def nested_windows(draw, nrows=None, ncols=None):
+    """A random parent, a chain of 1..3 nested windows into it (64-aligned
+    column offsets, ragged widths) and the innermost one's offsets. Given
+    `nrows` or `ncols` (at most 300), the innermost window has that many
+    rows or columns."""
+    lo_r, lo_c = nrows or 0, ncols or 0
+    parent = core.random(draw(st.integers(lo_r, 300)),
+                         draw(st.integers(lo_c, 300)),
+                         seed=draw(st.integers(0, 2 ** 32)))
+    win, r0, c0 = parent, 0, 0
+    levels = draw(st.integers(1, 3))
+    for level in range(levels):
+        ro = draw(st.integers(0, win.nrows - lo_r))
+        co = 64 * draw(st.integers(0, (win.ncols - lo_c) // 64))
+        last = level == levels - 1
+        nr = nrows if last and nrows is not None else \
+            draw(st.integers(lo_r, win.nrows - ro))
+        nc = ncols if last and ncols is not None else \
+            draw(st.integers(lo_c, win.ncols - co))
+        win = core.window(win, ro, co, nr, nc)
+        r0, c0 = r0 + ro, c0 + co
+    return parent, win, r0, c0

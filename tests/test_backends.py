@@ -4,6 +4,7 @@ kernel's build cache, its fallback and concurrent use."""
 import contextlib
 import gc
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from gf2mat import _kernel, core
 from gf2mat import _reference as ref
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
-from gf2mat.errors import DimensionError
+from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
 from gf2mat.strassen import MulParams, _base_mul_into, mul_strassen
 
@@ -437,6 +438,35 @@ def test_short_padded_tables_raise_before_writing():
         assert np.array_equal(words, old)
 
 
+def test_oversized_tables_raise_before_allocating(backend):
+    """k=16, t=8 at 4096 columns asks for 8 << 16 table rows of 64 words,
+    256 MiB: refused before anything is allocated, with C unchanged."""
+    a = core.random(4, 128, seed=61)
+    b = core.random(128, 4096, seed=62)
+    c = core.random(4, 4096, seed=63)
+    before = c.words.copy()
+    allocated = counters.words_allocated
+    with pytest.raises(ParameterError):
+        mul_m4rm_into(c, a, b, 16, t=8)
+    assert counters.words_allocated == allocated
+    assert np.array_equal(c.words, before)
+
+
+def test_table_budget_counts_padded_scratch(backend, monkeypatch):
+    """The budget is compared with the scratch the product allocates: for
+    30 x 40 x 600 with k=5, t=3, 3 << 5 rows of 16 padded words."""
+    a = core.random(30, 40, seed=64)
+    b = core.random(40, 600, seed=65)
+    scratch = (3 << 5) * 16 * 8
+    monkeypatch.setattr(_kernel, "MAX_TABLE_BYTES", scratch)
+    c = core.create(30, 600)
+    mul_m4rm_into(c, a, b, 5, 17, 3)
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+    monkeypatch.setattr(_kernel, "MAX_TABLE_BYTES", scratch - 1)
+    with pytest.raises(ParameterError):
+        mul_m4rm_into(c, a, b, 5, 17, 3)
+
+
 # Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
 # AVX-512 never chosen, and the copies beyond the portable one compiled out.
 ISA_EDITS = {
@@ -467,12 +497,21 @@ def test_isa_names_the_engine_copy_in_use(isa_kernels):
     assert isa_kernels["portable"].isa == "default"
 
 
+# Row width from which the engine reads each stripe index on its own.
+WIDE_ROW_WORDS = int(re.search(r"#define WIDE_ROW_WORDS (\d+)",
+                               _kernel._SOURCE.read_text())[1])
+
 # Row widths of 1..40 words, so every remainder of the 8-, 4-, 2- and
-# 1-word chunks, ragged unless w % 3 == 0; k cycles 1..16 and t 1..8; l
-# spans two groups of t stripes and ends in a narrower stripe.
+# 1-word chunks, ragged unless w % 3 == 0, the widths around
+# WIDE_ROW_WORDS, and wide rows of 45, 48, 64 and 65 words; k cycles 1..16
+# and t 1..8; l spans two groups of t stripes and ends in a narrower
+# stripe. At w = 13, 29 and 45 a group is 8 stripes of 13 columns, wider
+# than the 64-bit window, so its indices are read one by one.
 ISA_CASES = [(37, 2 * ((w * 3) % 8 + 1) * ((w - 1) % 16 + 1) + 3,
               64 * w - (w % 3) * 21, (w - 1) % 16 + 1, (w * 3) % 8 + 1, 16)
-             for w in range(1, 41)]
+             for w in sorted({*range(1, 41), WIDE_ROW_WORDS - 1,
+                              WIDE_ROW_WORDS, WIDE_ROW_WORDS + 1,
+                              45, 48, 64, 65})]
 
 
 @needs_c
@@ -491,6 +530,80 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         parents[name] = c.parent.words
     for words in parents.values():
         assert np.array_equal(words, parents["shipped"])
+
+
+# Runs one M4RM product per engine copy (the binaries in argv[2:]) with
+# the operand named argv[1] ("a", "b", "tables" or "c") placed so that its
+# last word ends where a PROT_NONE guard page starts; a read or write past
+# it kills the process. A: 21 x 128 entries, so with k=5, t=3 its last
+# group starts at column 120, in its last word; B: 128 x n with n from
+# argv; tables for min(t, stripes) << k rows of B's width.
+GUARDED_PRODUCT = """
+import ctypes, mmap, sys
+from pathlib import Path
+import numpy as np
+from gf2mat import _kernel, core
+from gf2mat import _reference as ref
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mmap.restype = ctypes.c_void_p
+libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                      ctypes.c_int, ctypes.c_int, ctypes.c_long)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+PROT_NONE = 0
+
+
+class Guarded:
+    \"\"\"The words of `mat` copied to end at a PROT_NONE page: a duck-typed
+    kernel operand (nrows, width, addr, stride).\"\"\"
+
+    def __init__(self, mat):
+        page = mmap.PAGESIZE
+        nbytes = mat.nrows * mat.width * 8
+        span = -(-nbytes // page) * page
+        base = libc.mmap(None, span + page, mmap.PROT_READ | mmap.PROT_WRITE,
+                         mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
+        assert base not in (None, ctypes.c_void_p(-1).value)
+        assert libc.mprotect(base + span, page, PROT_NONE) == 0
+        self.nrows, self.width, self.stride = mat.nrows, mat.width, mat.width
+        self.addr = base + span - nbytes
+        self.words = np.ctypeslib.as_array(
+            (ctypes.c_uint64 * (mat.nrows * mat.width)).from_address(
+                self.addr)).reshape(mat.nrows, mat.width)
+        self.words[:] = mat.words
+
+
+which, n = sys.argv[1], int(sys.argv[2])
+m, l, k, t = 21, 128, 5, 3
+a = core.random(m, l, seed=51)
+b = core.random(l, n, seed=52)
+expected = ref.naive_product(a, b)
+for path in sys.argv[3:]:
+    kernel = _kernel.CKernel(_kernel._bind(Path(path)))
+    c = core.create(m, n)
+    ops = {"a": a, "b": b, "c": c,
+           "tables": core.create(min(t, -(-l // k)) << k, n)}
+    ops[which] = Guarded(ops[which])
+    kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
+                core.tail_mask(n), ops["tables"])
+    if which == "c":
+        c.words[:] = ops["c"].words
+    assert ref.first_mismatch(c, expected) is None, path
+print("ok")
+"""
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="maps a guard page with Linux mmap flags")
+@pytest.mark.parametrize("n", [100, 64 * 40 - 3])
+@pytest.mark.parametrize("which", ["a", "b", "tables", "c"])
+def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
+    """Every engine copy reads and writes only inside its operands, the
+    last word of A's last row included, which a stripe group starting
+    inside that word would overrun."""
+    paths = [kernel._lib._name for kernel in isa_kernels.values()]
+    assert run_python(GUARDED_PRODUCT, which, n, *paths).strip() == "ok"
 
 
 # Table row widths in words around one cache line (8 words) and two.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_rows, rows_of
+from conftest import from_rows, nested_windows, rows_of
 from gf2mat import _reference, core
 from gf2mat.errors import AlignmentError, DimensionError, FormatError
 
@@ -528,24 +528,6 @@ class TestScalarXorMode:
         expected = core.copy_out(a)
         core.row_add(expected, 2, b, 3)
         assert core.equal(m, expected)
-
-
-@st.composite
-def nested_windows(draw):
-    """A random parent, a chain of 1..3 nested windows into it (64-aligned
-    column offsets, ragged widths) and the innermost one's offsets."""
-    nrows = draw(st.integers(0, 300))
-    ncols = draw(st.integers(0, 300))
-    parent = core.random(nrows, ncols, seed=draw(st.integers(0, 2 ** 32)))
-    win, r0, c0 = parent, 0, 0
-    for _ in range(draw(st.integers(1, 3))):
-        ro = draw(st.integers(0, win.nrows))
-        co = 64 * draw(st.integers(0, win.ncols // 64))
-        nr = draw(st.integers(0, win.nrows - ro))
-        nc = draw(st.integers(0, win.ncols - co))
-        win = core.window(win, ro, co, nr, nc)
-        r0, c0 = r0 + ro, c0 + co
-    return parent, win, r0, c0
 
 
 class TestWindowAddressing:
