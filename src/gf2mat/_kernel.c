@@ -9,13 +9,12 @@
  * stride of its own: rows of 8 words or more are padded to whole cache
  * lines, so each table row starts on one.
  *
- * The index step: on rows narrower than WIDE_ROW_WORDS, M4RM reads one
- * 64-bit window of a row of a per group of t stripes and slices the t
- * table indices out of it, in vector registers on AVX2 and AVX-512.
- * Reading each index on its own costs a branch, one or two loads and
- * variable shifts per lookup, which on narrow rows costs as much as the
- * combine. Wider rows, and groups wider than 64 columns, keep the
- * per-index read.
+ * The index step: M4RM reads one 64-bit window of a row of a per group of
+ * t stripes and slices the t table indices out of it, in vector registers
+ * on AVX2 and AVX-512. Reading each index on its own costs a branch, one
+ * or two loads and variable shifts per lookup, which on narrow rows costs
+ * as much as the combine. Groups wider than 64 columns keep the per-index
+ * read.
  *
  * Built by _kernel.py with the system C compiler and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture.
@@ -29,15 +28,6 @@
 typedef uint64_t word;
 
 #define MAX_TABLES 8
-/* Rows of c (and of the tables) of this many words or more read each
- * stripe index on its own; narrower rows slice a group's indices from one
- * window of a. Set by a kernel-only sweep over row widths, 4096 rows of a
- * by 4096 columns, k=7, t=8 (BENCH_10.json), window time over per-index
- * time: AVX-512 0.51-0.82 up to 32 words and 0.94-1.00 at 48-65; AVX2
- * 0.65-0.97 up to 32 words, then 1.09 at 40 (and 1.03 on 4133 x 5000 x
- * 4133); the plain copy 0.87 at 8 words, even at 16-32 and 1.05-1.13 at
- * 48-65. */
-#define WIDE_ROW_WORDS 32
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GF2MAT_DISPATCH
@@ -159,15 +149,14 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
  * consecutive), then updates every row of the block once. `tail` masks the
  * used bits of a row's last word of b.
  *
- * The index step: on rows narrower than WIDE_ROW_WORDS, when a group's
- * columns span at most 64 bits, each row reads one 64-bit window of a's
- * row from the group's first column (its second word only where the row
- * has one) and slices all of the group's stripe indices, a narrower last
- * stripe's included, from that window: one shift, mask and multiply-add
- * to table row addresses per group, in one vector on AVX2 and AVX-512
- * (a scalar loop in the plain copy, whose SSE2 has neither per-lane
- * shifts nor 64-bit multiplies). Wider rows and groups (t * k > 64) read
- * each index on its own (read_bits). */
+ * The index step: when a group's columns span at most 64 bits, each row
+ * reads one 64-bit window of a's row from the group's first column (its
+ * second word only where the row has one) and slices all of the group's
+ * stripe indices, a narrower last stripe's included, from that window:
+ * one shift, mask and multiply-add to table row addresses per group, in
+ * one vector on AVX2 and AVX-512 (a scalar loop in the plain copy, whose
+ * SSE2 has neither per-lane shifts nor 64-bit multiplies). Wider groups
+ * (t * k > 64) read each index on its own (read_bits). */
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
                  int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
@@ -191,8 +180,7 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                            b + sc[ng] * b_stride, b_stride, kw[ng], width,
                            tail);
             }
-            if (width >= WIDE_ROW_WORDS
-                || sc[ng - 1] + kw[ng - 1] - g0 > 64) {
+            if (sc[ng - 1] + kw[ng - 1] - g0 > 64) {
                 for (int64_t r = r0; r < r1; r++) {
                     const word *arow = a + r * a_stride;
                     for (int g = 0; g < ng; g++)
@@ -359,7 +347,12 @@ static void transpose(word *bt, const word *b, int64_t b_stride, int64_t l,
  * written. `bt` is scratch for n rows of ceil(l/64) words; b is transposed
  * into it first, with bits beyond column l clear, so the AND drops
  * whatever a keeps beyond its edge. Full blocks of 64 output columns take
- * the transpose fold, the remainder popcount parity. */
+ * the transpose fold, the remainder popcount parity.
+ *
+ * It starts on a 64-byte boundary, so its loops sit where they sit however
+ * long the M4RM engine before it grows: started 48 bytes past one, the same
+ * code ran small-batch's cubic products 6-12% slower (BENCH_10.json). */
+__attribute__((aligned(64)))
 void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
                   const word *b, int64_t b_stride, int64_t m, int64_t l,
                   int64_t n, word *bt)

@@ -4,7 +4,6 @@ kernel's build cache, its fallback and concurrent use."""
 import contextlib
 import gc
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -497,21 +496,17 @@ def test_isa_names_the_engine_copy_in_use(isa_kernels):
     assert isa_kernels["portable"].isa == "default"
 
 
-# Row width from which the engine reads each stripe index on its own.
-WIDE_ROW_WORDS = int(re.search(r"#define WIDE_ROW_WORDS (\d+)",
-                               _kernel._SOURCE.read_text())[1])
-
 # Row widths of 1..40 words, so every remainder of the 8-, 4-, 2- and
-# 1-word chunks, ragged unless w % 3 == 0, the widths around
-# WIDE_ROW_WORDS, and wide rows of 45, 48, 64 and 65 words; k cycles 1..16
-# and t 1..8; l spans two groups of t stripes and ends in a narrower
-# stripe. At w = 13, 29 and 45 a group is 8 stripes of 13 columns, wider
-# than the 64-bit window, so its indices are read one by one.
+# 1-word chunks, ragged unless w % 3 == 0, and wide rows of 45, 48, 64 and
+# 65 words; k cycles 1..16 and t 1..8; l spans two groups of t stripes and
+# ends in a narrower stripe. At w = 13, 29 and 45 a group is 8 stripes of
+# 13 columns, wider than the 64-bit window, so its indices are read one by
+# one. The last cases slice full groups of 8 stripes of 5 columns, the
+# second starting at bit 40 of a's first word, on the widest rows.
 ISA_CASES = [(37, 2 * ((w * 3) % 8 + 1) * ((w - 1) % 16 + 1) + 3,
               64 * w - (w % 3) * 21, (w - 1) % 16 + 1, (w * 3) % 8 + 1, 16)
-             for w in sorted({*range(1, 41), WIDE_ROW_WORDS - 1,
-                              WIDE_ROW_WORDS, WIDE_ROW_WORDS + 1,
-                              45, 48, 64, 65})]
+             for w in [*range(1, 41), 45, 48, 64, 65]]
+ISA_CASES += [(37, 83, 64 * w - (w % 3) * 21, 5, 8, 16) for w in (64, 65)]
 
 
 @needs_c
