@@ -341,13 +341,15 @@ static void transpose(word *bt, const word *b, int64_t b_stride, int64_t l,
     }
 }
 
-/* c = a @ b by AND, XOR-accumulate and parity over b transposed.
+/* c += a @ b by AND, XOR-accumulate and parity over b transposed.
  *
- * a is m x l, b is l x n, c is m x n and owned: every word of its rows is
- * written. `bt` is scratch for n rows of ceil(l/64) words; b is transposed
- * into it first, with bits beyond column l clear, so the AND drops
- * whatever a keeps beyond its edge. Full blocks of 64 output columns take
- * the transpose fold, the remainder popcount parity.
+ * a is m x l, b is l x n, c is m x n and may be a window: each output word
+ * is XORed into c, and its bits past column n are zero, so c's bits beyond
+ * its right edge are kept, as in M4RM. `bt` is scratch for n rows of
+ * ceil(l/64) words; b is transposed into it first, with bits beyond column
+ * l clear, so the AND drops whatever a keeps beyond its edge. Full blocks
+ * of 64 output columns take the transpose fold, the remainder popcount
+ * parity.
  *
  * It starts on a 64-byte boundary, so its loops sit where they sit however
  * long the M4RM engine before it grows: started 48 bytes past one, the same
@@ -379,7 +381,7 @@ void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
                 for (int jj = 0; jj < cnt; jj++)
                     out |= (word)__builtin_parityll(sums[jj]) << (63 - jj);
             }
-            crow[j0 >> 6] = out;
+            crow[j0 >> 6] ^= out;
         }
     }
 }

@@ -173,8 +173,9 @@ class CKernel(NumpyKernel):
             *_operand(tables, ntables << k, width))
 
     def cubic(self, c, a, b, l: int, n: int, bt) -> None:
-        """c = a @ b (a: m x l, b: l x n entries) with c owned; `bt` is
-        scratch for b transposed, n rows of ceil(l / 64) words."""
+        """c += a @ b (a: m x l, b: l x n entries); c may be a window, and
+        its bits beyond column n are kept. `bt` is scratch for b
+        transposed, n rows of ceil(l / 64) words."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
         self._lib.gf2mat_cubic(*_operand(c, m, wn), *_operand(a, m, wl),
                                *_operand(b, l, wn), m, l, n,

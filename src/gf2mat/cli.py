@@ -206,8 +206,8 @@ def cmd_check(args, params: MulParams | None) -> int:
         b = core.random(l, n, args.seed + 1)
         oracle = _reference.naive_product(a, b)
         reference = mul_cubic(a, b)
-        if _reference.first_mismatch(reference, oracle) is not None:
-            where = _reference.first_mismatch(reference, oracle)
+        where = _reference.first_mismatch(reference, oracle)
+        if where is not None:
             print(f"{m}x{l}x{n}  cubic: FAIL at {where} (vs oracle)")
             status = 1
         cells = []

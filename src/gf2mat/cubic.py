@@ -4,7 +4,8 @@ With B stored transposed, entry C[i,j] is the parity of the AND of row i
 of A with row j of B^T, accumulated word-wise with XOR. The per-word
 parity step has no native instruction, so 64 accumulator words are
 transposed as a 64x64 bit matrix and folded, yielding 64 parities at once;
-narrow leftovers fall back to per-word popcount parity.
+narrow leftovers fall back to per-word popcount parity. As in M4RM, the
+product is XORed into its target, which may be a window.
 """
 
 from __future__ import annotations
@@ -73,13 +74,22 @@ def parity_accumulate(words) -> int:
     return acc.bit_count() & 1
 
 
-def mul_cubic(a: core.Mat, b: core.Mat) -> core.BitMatrix:
-    """Exact product over GF(2) by AND + XOR-accumulate + parity."""
+def mul_cubic(a: core.Mat, b: core.Mat,
+              c: core.Mat | None = None) -> core.Mat:
+    """c += a @ b over GF(2) by AND + XOR-accumulate + parity; returns c.
+
+    Without c, the product in a fresh matrix. c may be a window: bits
+    beyond its right edge are kept. c must not overlap a or b.
+    """
     if a.ncols != b.nrows:
         raise DimensionError(
             f"inner dimensions {a.ncols} and {b.nrows} differ")
     m, l, n = a.nrows, a.ncols, b.ncols
-    c = core.create(m, n)
+    if c is None:
+        c = core.create(m, n)
+    elif c.nrows != m or c.ncols != n:
+        raise DimensionError(
+            f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m == 0 or n == 0 or l == 0:
         return c
     kernel = _kernel.active()
@@ -99,8 +109,8 @@ def mul_cubic(a: core.Mat, b: core.Mat) -> core.BitMatrix:
         np.bitwise_and(bt.words, row, out=acc)
         sums = np.bitwise_xor.reduce(acc, axis=1)
         if nb:
-            c.words[i, :nb] = _parity64_blocks(sums[:nb * 64].reshape(nb, 64))
+            c.words[i, :nb] ^= _parity64_blocks(sums[:nb * 64].reshape(nb, 64))
         if rem:
             bits = _popcount_parity(sums[nb * 64:])
-            c.words[i, nb] = np.bitwise_or.reduce(bits << rem_shifts)
+            c.words[i, nb] ^= np.bitwise_or.reduce(bits << rem_shifts)
     return c

@@ -55,28 +55,26 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
 
 def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
                    params: MulParams, accumulate: bool) -> None:
-    """Base-case product into a window: M4RM, or cubic for narrow B.
+    """dst = a @ b, or dst += a @ b when accumulating, by cubic for B
+    narrower than a word and by M4RM otherwise.
 
-    M4RM writes straight into the window; cubic's product is computed in
-    owned storage and then copied (or XORed) into it.
+    The one route below the recursion: flat products, leaves and peeled
+    strips all come here. Both engines add into dst in place, so dst may
+    be a window and nothing is allocated beyond the engines' scratch.
     """
-    m, l, n = a.nrows, a.ncols, b.ncols
+    m, n = a.nrows, b.ncols
     if dst.nrows != m or dst.ncols != n:
         raise DimensionError(
             f"target {dst.nrows}x{dst.ncols} != product {m}x{n}")
     if m == 0 or n == 0:
         return
-    if l == 0 or n < _WORD:
-        owned = mul_cubic(a, b)
-        if accumulate:
-            core.add_into(dst, dst, owned)
-        else:
-            core.copy_into(dst, owned)
-        return
     if not accumulate:
         core.clear(dst)
-    _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
-              params.t)
+    if n < _WORD:
+        mul_cubic(a, b, dst)
+    else:
+        _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
+                  params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -207,7 +205,9 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
 
 def mul_strassen(a: core.Mat, b: core.Mat,
                  params: MulParams | None = None) -> core.BitMatrix:
-    """Full dispatch stack: recursion, then M4RM, then cubic for narrow B.
+    """Full dispatch stack: recursion with peeling above the cutoff, and
+    every product below it through _base_mul_into (M4RM, or cubic for
+    narrow B).
 
     Without params, tuning.auto_params() decides: the GF2MAT_CONFIG file,
     or the parameters fitted to the compiled kernel.
@@ -218,19 +218,12 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if params is None:
         params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
-    if m == 0 or n == 0 or l == 0:
-        return core.create(m, n)
-    if n < _WORD:
-        return mul_cubic(a, b)
     c = core.create(m, n)
     ps = _NO_SPLIT
     if min(m, l, n) > params.cutoff:  # else peel_split finds no level
         ps = peel_split(m, l, n, params.cutoff)
     if ps.depth == 0:
-        # Whole M4RM into the fresh zero C; the checks above leave
-        # nothing for _base_mul_into to decide.
-        _mul_into(c, a, b, params.effective_k(n, nrows=m), params.b_s,
-                  params.t)
+        _base_mul_into(c, a, b, params, accumulate=True)  # c is zero
         return c
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),

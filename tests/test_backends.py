@@ -83,9 +83,21 @@ def test_m4rm_windows(backend, m, l, n, k, t, b_s):
 def test_cubic_windows(backend, m, l, n):
     a = dirty_window(m, l, seed=4)
     b = dirty_window(l, n, seed=5)
+    expected = ref.naive_product(a, b)
     c = mul_cubic(a, b)
-    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+    assert ref.first_mismatch(c, expected) is None
     assert core.trailing_bits_clean(c)
+    # Into a window, cubic adds as M4RM does: bits around it are kept.
+    c = dirty_window(m, n, seed=17)
+    before = core.to_dense(c.parent)
+    assert mul_cubic(a, b, c) is c
+    expect_added(c, before, expected)
+    # A target of the wrong shape is refused before anything is written.
+    wrong = dirty_window(m, n + 1, seed=18)
+    before = wrong.parent.words.copy()
+    with pytest.raises(DimensionError):
+        mul_cubic(a, b, wrong)
+    assert np.array_equal(wrong.parent.words, before)
 
 
 @pytest.mark.parametrize("m,l,n", [
@@ -121,10 +133,11 @@ COUNTED_RUNS = {
 }
 
 
-# n=170 gives tables of 3 words a row; n=600 gives 10, padded to 16.
+# n=170 gives tables of 3 words a row; n=600 gives 10, padded to 16;
+# n=30 sends the Strassen product to cubic.
 @pytest.mark.parametrize("run,n", [
     pytest.param(run, n, id=name if n == 170 else f"{name}-n{n}")
-    for n in (170, 600) for name, run in COUNTED_RUNS.items()])
+    for n in (170, 600, 30) for name, run in COUNTED_RUNS.items()])
 def test_counter_deltas_identical_across_backends(run, n):
     a = core.random(150, 200, seed=11)
     b = core.random(200, n, seed=12)
@@ -527,12 +540,14 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         assert np.array_equal(words, parents["shipped"])
 
 
-# Runs one M4RM product per engine copy (the binaries in argv[2:]) with
-# the operand named argv[1] ("a", "b", "tables" or "c") placed so that its
-# last word ends where a PROT_NONE guard page starts; a read or write past
-# it kills the process. A: 21 x 128 entries, so with k=5, t=3 its last
-# group starts at column 120, in its last word; B: 128 x n with n from
-# argv; tables for min(t, stripes) << k rows of B's width.
+# Runs one product (argv[1]: "m4rm" or "cubic") per engine copy (the
+# binaries in argv[4:]) with the operand named argv[2] ("a", "b", "c",
+# and "tables" for M4RM or "bt" for cubic) placed so that its last word
+# ends where a PROT_NONE guard page starts; a read or write past it kills
+# the process. A: 21 x 128 entries, so with k=5, t=3 its last group
+# starts at column 120, in its last word; B: 128 x n with n = argv[3];
+# tables for min(t, stripes) << k rows of B's width; bt for n rows of
+# A's width. C starts random, since both products read it and add to it.
 GUARDED_PRODUCT = """
 import ctypes, mmap, sys
 from pathlib import Path
@@ -568,29 +583,37 @@ class Guarded:
         self.words[:] = mat.words
 
 
-which, n = sys.argv[1], int(sys.argv[2])
+product, which, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
 m, l, k, t = 21, 128, 5, 3
 a = core.random(m, l, seed=51)
 b = core.random(l, n, seed=52)
-expected = ref.naive_product(a, b)
-for path in sys.argv[3:]:
+start = core.random(m, n, seed=53)
+expected = core.to_dense(start) ^ ref.naive_product(a, b)
+for path in sys.argv[4:]:
     kernel = _kernel.CKernel(_kernel._bind(Path(path)))
-    c = core.create(m, n)
+    c = core.copy_out(start)
     ops = {"a": a, "b": b, "c": c,
-           "tables": core.create(min(t, -(-l // k)) << k, n)}
+           "tables": core.create(min(t, -(-l // k)) << k, n),
+           "bt": core.create(n, l)}
     ops[which] = Guarded(ops[which])
-    kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
-                core.tail_mask(n), ops["tables"])
+    if product == "m4rm":
+        kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
+                    core.tail_mask(n), ops["tables"])
+    else:
+        kernel.cubic(ops["c"], ops["a"], ops["b"], l, n, ops["bt"])
     if which == "c":
         c.words[:] = ops["c"].words
     assert ref.first_mismatch(c, expected) is None, path
 print("ok")
 """
 
+guard_page = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="maps a guard page with Linux mmap flags")
+
 
 @needs_c
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="maps a guard page with Linux mmap flags")
+@guard_page
 @pytest.mark.parametrize("n", [100, 64 * 40 - 3])
 @pytest.mark.parametrize("which", ["a", "b", "tables", "c"])
 def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
@@ -598,7 +621,20 @@ def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
     last word of A's last row included, which a stripe group starting
     inside that word would overrun."""
     paths = [kernel._lib._name for kernel in isa_kernels.values()]
-    assert run_python(GUARDED_PRODUCT, which, n, *paths).strip() == "ok"
+    assert run_python(GUARDED_PRODUCT, "m4rm", which, n, *paths).strip() \
+        == "ok"
+
+
+@needs_c
+@guard_page
+@pytest.mark.parametrize("n", [100, 64 * 40 - 3])
+@pytest.mark.parametrize("which", ["a", "b", "c", "bt"])
+def test_cubic_reads_stay_inside_operands(isa_kernels, which, n):
+    """Cubic reads and writes only inside its operands, C included, which
+    it reads to add the product into it."""
+    paths = [kernel._lib._name for kernel in isa_kernels.values()]
+    assert run_python(GUARDED_PRODUCT, "cubic", which, n, *paths).strip() \
+        == "ok"
 
 
 # Table row widths in words around one cache line (8 words) and two.

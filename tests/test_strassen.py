@@ -158,6 +158,27 @@ class TestPeelFixup:
         assert counters.strassen_entries == before
         assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 
+    @pytest.mark.parametrize("n2", [256, 192])
+    def test_column_strip_route(self, n2):
+        # Only the column strip is left: 44 columns go to cubic, which
+        # builds no Gray tables and allocates only its B^T scratch (no
+        # product of its own); 108 columns go to M4RM, which builds them.
+        m, l, n = 300, 300, 300
+        a = core.random(m, l, seed=21)
+        b = core.random(l, n, seed=22)
+        c = core.create(m, n)
+        core.copy_into(core.window(c, 0, 0, m, n2),
+                       mul_cubic(a, core.window(b, 0, 0, l, n2)))
+        adds, words = counters.table_adds, counters.words_allocated
+        peel_fixup(c, a, b, m, l, n2, MulParams(cutoff=64))
+        if n - n2 < 64:
+            assert counters.table_adds == adds
+            assert counters.words_allocated - words \
+                == (n - n2) * core.words_per_row(l)
+        else:
+            assert counters.table_adds > adds
+        assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+
     def test_inconsistent_primes_rejected(self):
         a = core.random(10, 10, seed=20)
         with pytest.raises(DimensionError):
@@ -185,10 +206,14 @@ class TestMulStrassen:
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_narrow_b_uses_cubic(self):
+        # Cubic builds no Gray tables; M4RM, from 64 columns of B, does.
         a = core.random(500, 500, seed=23)
-        b = core.random(500, 63, seed=24)
-        got = mul_strassen(a, b, MulParams(cutoff=128))
-        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+        for n, cubic in [(63, True), (64, False)]:
+            b = core.random(500, n, seed=24)
+            adds = counters.table_adds
+            got = mul_strassen(a, b, MulParams(cutoff=128))
+            assert (counters.table_adds == adds) == cubic, n
+            assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_small_dims_dispatch_to_m4rm(self):
         a = core.random(100, 100, seed=25)
