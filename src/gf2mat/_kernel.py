@@ -129,16 +129,6 @@ class ScalarKernel(NumpyKernel):
                 dst[r, i] = dst[r, i] ^ row[i]
 
 
-def _operand(mat, rows: int, cols: int) -> tuple[int, int]:
-    """Recorded address and row stride (in words) of a matrix or window,
-    after checking that it holds at least rows x cols words."""
-    if mat.nrows < rows or mat.width < cols:
-        raise DimensionError(
-            f"kernel operand {mat.nrows}x{mat.width} words does not cover "
-            f"{rows}x{cols} words")
-    return mat.addr, mat.stride
-
-
 class CKernel(NumpyKernel):
     """M4RM and cubic products whole in compiled C; additions as numpy.
 
@@ -156,30 +146,45 @@ class CKernel(NumpyKernel):
         self.isa = lib.gf2mat_isa().decode()
 
     def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
-             tail: np.uint64, tables) -> None:
+             tail: int, tables) -> None:
         """c += a @ b (a: m x l, b: l x n entries) with stripes of k <= l
         columns, row blocks of b_s and t tables; `tables` is scratch for
         min(t, stripes) tables of 2^k rows of ceil(n / 64) words, rows of
-        the operand's stride apart; `tail` masks b's last word."""
-        m, width = c.nrows, (n + 63) // 64
+        the operand's stride apart; `tail` masks b's last word. Operands
+        that do not cover these words raise before anything is written."""
+        m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
         if not (1 <= k <= min(l, MAX_K) and 1 <= t <= MAX_T
-                and b_s >= 1 and m >= 1 and width >= 1):
+                and b_s >= 1 and m >= 1 and wn >= 1):
             raise ParameterError(
                 f"kernel parameters k={k} t={t} b_s={b_s} for {m}x{l}x{n}")
-        ntables = min(t, -(-l // k))
-        self._lib.gf2mat_m4rm(
-            *_operand(c, m, width), *_operand(a, m, (l + 63) // 64),
-            *_operand(b, l, width), m, l, n, k, b_s, t, int(tail),
-            *_operand(tables, ntables << k, width))
+        if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
+                or b.width < wn or tables.width < wn
+                or tables.nrows < min(t, -(-l // k)) << k):
+            raise _short_operands(m, l, n, c=c, a=a, b=b, tables=tables)
+        self._lib.gf2mat_m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
+                              b.stride, m, l, n, k, b_s, t, tail,
+                              tables.addr, tables.stride)
 
     def cubic(self, c, a, b, l: int, n: int, bt) -> None:
         """c += a @ b (a: m x l, b: l x n entries); c may be a window, and
         its bits beyond column n are kept. `bt` is scratch for b
-        transposed, n rows of ceil(l / 64) words."""
+        transposed, n rows of ceil(l / 64) words. Operands that do not
+        cover these words raise before anything is written."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
-        self._lib.gf2mat_cubic(*_operand(c, m, wn), *_operand(a, m, wl),
-                               *_operand(b, l, wn), m, l, n,
-                               _operand(bt, n, wl)[0])
+        if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
+                or b.width < wn or bt.nrows < n or bt.width < wl):
+            raise _short_operands(m, l, n, c=c, a=a, b=b, bt=bt)
+        self._lib.gf2mat_cubic(c.addr, c.stride, a.addr, a.stride, b.addr,
+                               b.stride, m, l, n, bt.addr)
+
+
+def _short_operands(m: int, l: int, n: int, **operands) -> DimensionError:
+    """The error for kernel operands too small for an m x l x n product."""
+    sizes = ", ".join(f"{name} {mat.nrows}x{mat.width}"
+                      for name, mat in operands.items())
+    return DimensionError(
+        f"kernel operands ({sizes} words) do not cover a {m}x{l}x{n} "
+        f"product")
 
 
 def _compiler() -> str | None:

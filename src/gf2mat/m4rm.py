@@ -79,18 +79,19 @@ def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
     return StripeSpec(k, t, b_s)
 
 
-def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
-              t: int) -> None:
-    """c += a @ b. c may be a window: bits beyond its right edge are kept,
+def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
+              b_s: int, t: int) -> core.Mat:
+    """c += a @ b; returns c. Without c (None), the product in a fresh
+    matrix. c may be a window: bits beyond its right edge are kept,
     because table rows are masked to B's width. Tables over
-    _kernel.MAX_TABLE_BYTES raise ParameterError before anything is
-    allocated."""
+    _kernel.MAX_TABLE_BYTES raise ParameterError before anything, C
+    included, is allocated."""
     m, l, n = a.nrows, a.ncols, b.ncols
-    if c.nrows != m or c.ncols != n:
+    if c is not None and (c.nrows != m or c.ncols != n):
         raise DimensionError(
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m == 0 or n == 0 or l == 0:
-        return
+        return core.create(m, n) if c is None else c
     k = min(k, l)
     nstripes = -(-l // k)
     ntables = min(t, nstripes)
@@ -100,9 +101,12 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
         raise ParameterError(
             f"k={k} t={t} tables for {n} columns take {table_bytes} bytes, "
             f"over {_kernel.MAX_TABLE_BYTES}")
+    if c is None:
+        c = core.create(m, n)
     kernel = _kernel.active()
     if kernel.compiled:
-        kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n),
+        # B's last-word mask as a plain int: the top 64 - (-n % 64) bits.
+        kernel.m4rm(c, a, b, l, n, k, b_s, t, (1 << 64) - (1 << -n % 64),
                     core.create(ntables << k, table_cols))
         # The deltas the table builds and row updates below record; a
         # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
@@ -110,7 +114,7 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
         counters.table_adds += built
         counters.row_adds += built + m * nstripes
         counters.c_writes += m * -(-nstripes // t)
-        return
+        return c
     stripes = _stripes(l, k)
     tables = [CombinationTable(k, n) for _ in range(ntables)]
     table_words = [tbl.words for tbl in tables]
@@ -127,15 +131,14 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int, b_s: int,
                            acc)
             counters.c_writes += r1 - r0
             counters.row_adds += (r1 - r0) * len(group)
+    return c
 
 
 def _product(a: core.Mat, b: core.Mat, k: int, b_s: int,
              t: int) -> core.BitMatrix:
     """a @ b in fresh storage; every public M4RM product comes here."""
     _validate(a, b, k, t, b_s)
-    c = core.create(a.nrows, b.ncols)
-    _mul_into(c, a, b, k, b_s, t)
-    return c
+    return _mul_into(None, a, b, k, b_s, t)
 
 
 def mul_m4rm(a: core.Mat, b: core.Mat, k: int) -> core.BitMatrix:

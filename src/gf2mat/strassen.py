@@ -22,6 +22,15 @@ from .m4rm import _mul_into
 from .tuning import MulParams
 
 _WORD = core.WORD_BITS
+# The base route sends a product to cubic when B is narrower than a word
+# and m * n < _CUBIC_ROWS * 64 * ceil(l / 64): A is short against B's row
+# length, so M4RM's 2^k - 1 table row additions per stripe serve too few
+# rows of A. Fitted on the compiled kernel (AVX-512, fitted k, t=8,
+# b_s=8192) with a kernel-only sweep, min of 15 calls, over m in 16..1024,
+# ceil(l / 64) in 1..16 and n in 16..63: the total is flat within 0.3% for
+# 18..28 and 1.5% higher at 16; over small-batch's 200 shapes it is flat
+# within 0.3% for 12..32 (BENCH_13.json).
+_CUBIC_ROWS = 20
 
 
 class PeelSplit(NamedTuple):
@@ -53,28 +62,29 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
                      (n // unit) * unit, depth)
 
 
-def _base_mul_into(dst: core.Mat, a: core.Mat, b: core.Mat,
-                   params: MulParams, accumulate: bool) -> None:
+def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
+                   params: MulParams, accumulate: bool) -> core.Mat:
     """dst = a @ b, or dst += a @ b when accumulating, by cubic for B
-    narrower than a word and by M4RM otherwise.
+    narrower than a word and A short against B's rows (see _CUBIC_ROWS),
+    and by M4RM otherwise; returns dst. With dst None, the product in a
+    fresh matrix, which the engine allocates after its parameter checks.
 
     The one route below the recursion: flat products, leaves and peeled
-    strips all come here. Both engines add into dst in place, so dst may
-    be a window and nothing is allocated beyond the engines' scratch.
+    strips all come here. It depends on (m, l, n) only, never on the
+    backend. Both engines add into dst in place, so dst may be a window
+    and nothing is allocated beyond the engines' scratch.
     """
     m, n = a.nrows, b.ncols
-    if dst.nrows != m or dst.ncols != n:
-        raise DimensionError(
-            f"target {dst.nrows}x{dst.ncols} != product {m}x{n}")
-    if m == 0 or n == 0:
-        return
-    if not accumulate:
-        core.clear(dst)
-    if n < _WORD:
-        mul_cubic(a, b, dst)
-    else:
-        _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
-                  params.t)
+    if dst is not None:
+        if dst.nrows != m or dst.ncols != n:
+            raise DimensionError(
+                f"target {dst.nrows}x{dst.ncols} != product {m}x{n}")
+        if not accumulate:
+            core.clear(dst)
+    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * a.width:
+        return mul_cubic(a, b, dst)
+    return _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
+                     params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -206,11 +216,13 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
 def mul_strassen(a: core.Mat, b: core.Mat,
                  params: MulParams | None = None) -> core.BitMatrix:
     """Full dispatch stack: recursion with peeling above the cutoff, and
-    every product below it through _base_mul_into (M4RM, or cubic for
-    narrow B).
+    every product below it through _base_mul_into (M4RM, or cubic for B
+    narrower than a word when A is short against B's rows).
 
     Without params, tuning.auto_params() decides: the GF2MAT_CONFIG file,
-    or the parameters fitted to the compiled kernel.
+    or the parameters fitted to the compiled kernel. Below the cutoff,
+    parameters whose M4RM tables would exceed the kernel's bound raise
+    ParameterError before C is allocated.
     """
     if a.ncols != b.nrows:
         raise DimensionError(
@@ -218,13 +230,12 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if params is None:
         params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
-    c = core.create(m, n)
     ps = _NO_SPLIT
     if min(m, l, n) > params.cutoff:  # else peel_split finds no level
         ps = peel_split(m, l, n, params.cutoff)
     if ps.depth == 0:
-        _base_mul_into(c, a, b, params, accumulate=True)  # c is zero
-        return c
+        return _base_mul_into(None, a, b, params, accumulate=False)
+    c = core.create(m, n)
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),
              core.window(a, 0, 0, ps.m, ps.l),

@@ -134,12 +134,16 @@ COUNTED_RUNS = {
 
 
 # n=170 gives tables of 3 words a row; n=600 gives 10, padded to 16;
-# n=30 sends the Strassen product to cubic.
-@pytest.mark.parametrize("run,n", [
-    pytest.param(run, n, id=name if n == 170 else f"{name}-n{n}")
-    for n in (170, 600, 30) for name, run in COUNTED_RUNS.items()])
-def test_counter_deltas_identical_across_backends(run, n):
-    a = core.random(150, 200, seed=11)
+# n=30 sends the Strassen product to cubic. Over 200 inner columns (4
+# words) the route takes cubic for 63 columns up to 81 rows of A
+# (81 * 63 < 20 * 64 * 4) and M4RM from 82 rows on.
+@pytest.mark.parametrize("run,m,n", [
+    pytest.param(run, 150, n, id=name if n == 170 else f"{name}-n{n}")
+    for n in (170, 600, 30) for name, run in COUNTED_RUNS.items()] + [
+    pytest.param(COUNTED_RUNS["strassen"], m, 63, id=f"strassen-m{m}-n63")
+    for m in (81, 82)])
+def test_counter_deltas_identical_across_backends(run, m, n):
+    a = core.random(m, 200, seed=11)
     b = core.random(200, n, seed=12)
     names = [f.name for f in fields(counters)]
     deltas = {}
@@ -462,6 +466,22 @@ def test_oversized_tables_raise_before_allocating(backend):
         mul_m4rm_into(c, a, b, 16, t=8)
     assert counters.words_allocated == allocated
     assert np.array_equal(c.words, before)
+
+
+@pytest.mark.parametrize("product", [
+    lambda a, b: mul_strassen(a, b, MulParams(cutoff=8192, b_s=8192, k=16,
+                                              t=8)),
+    lambda a, b: mul_m4rm_multitable(a, b, 16, 8, 8192),
+], ids=["strassen", "m4rm-t8"])
+def test_oversized_product_raises_before_allocating_result(backend, product):
+    """The same tables asked for by a whole product: refused before its C
+    is allocated."""
+    a = core.random(10, 4096, seed=66)
+    b = core.random(4096, 4096, seed=67)
+    allocated = counters.words_allocated
+    with pytest.raises(ParameterError):
+        product(a, b)
+    assert counters.words_allocated == allocated
 
 
 def test_table_budget_counts_padded_scratch(backend, monkeypatch):

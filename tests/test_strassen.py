@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_triple
 from gf2mat import _reference as ref
@@ -9,6 +11,7 @@ from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.m4rm import mul_m4rm
 from gf2mat.strassen import (
+    _CUBIC_ROWS,
     MulParams,
     _temp_arena,
     mul_strassen,
@@ -160,10 +163,12 @@ class TestPeelFixup:
 
     @pytest.mark.parametrize("n2", [256, 192])
     def test_column_strip_route(self, n2):
-        # Only the column strip is left: 44 columns go to cubic, which
-        # builds no Gray tables and allocates only its B^T scratch (no
-        # product of its own); 108 columns go to M4RM, which builds them.
-        m, l, n = 300, 300, 300
+        # Only the column strip is left, 40 rows over 1000 inner columns
+        # (16 words). 44 columns go to cubic (40 * 44 < 20 * 64 * 16),
+        # which builds no Gray tables and allocates only its B^T scratch
+        # (no product of its own); 108 columns go to M4RM, which builds
+        # them.
+        m, l, n = 40, 1000, 300
         a = core.random(m, l, seed=21)
         b = core.random(l, n, seed=22)
         c = core.create(m, n)
@@ -206,14 +211,34 @@ class TestMulStrassen:
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_narrow_b_uses_cubic(self):
-        # Cubic builds no Gray tables; M4RM, from 64 columns of B, does.
-        a = core.random(500, 500, seed=23)
-        for n, cubic in [(63, True), (64, False)]:
-            b = core.random(500, n, seed=24)
+        # Cubic builds no Gray tables; M4RM does. Cubic takes B narrower
+        # than a word when A is short against B's rows, M4RM the rest.
+        for (m, l, n), cubic in [((22, 410, 24), True),
+                                 ((100, 436, 22), True),
+                                 ((500, 500, 63), False),
+                                 ((500, 500, 64), False),
+                                 ((18, 708, 455), False)]:
+            a = core.random(m, l, seed=23)
+            b = core.random(l, n, seed=24)
             adds = counters.table_adds
             got = mul_strassen(a, b, MulParams(cutoff=128))
-            assert (counters.table_adds == adds) == cubic, n
+            assert (counters.table_adds == adds) == cubic, (m, l, n)
             assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 400), l=st.integers(1, 900),
+           n=st.integers(1, 127))
+    def test_route_follows_shape(self, m, l, n):
+        # Only the product's shape picks the engine: cubic, which builds
+        # no Gray tables, exactly when B is narrower than a word and
+        # m * n < _CUBIC_ROWS * 64 * ceil(l / 64).
+        cubic = n < 64 and m * n < _CUBIC_ROWS * 64 * core.words_per_row(l)
+        a = core.random(m, l, seed=m)
+        b = core.random(l, n, seed=n)
+        adds = counters.table_adds
+        got = mul_strassen(a, b, MulParams(cutoff=1024))
+        assert (counters.table_adds == adds) == cubic
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_small_dims_dispatch_to_m4rm(self):
         a = core.random(100, 100, seed=25)
