@@ -1,21 +1,25 @@
-"""Row-combine kernels behind one seam: compiled C, numpy or scalar loops.
+"""Kernels behind one seam: compiled C, numpy or scalar loops.
 
-Every row XOR of the library goes through the kernel active in the
-current context: matrix and row additions (`add`), Gray table fills
-(`gray_fill`) and the M4RM combine C[r] ^= T0[i0] ^ ... ^ T{t-1}[i{t-1}]
-(`combine`). Three kernels exist, with bit-identical results and identical
-operation counts:
+A Python kernel is one function, `xor(x, y, out)`: out = x ^ y on word
+rows or blocks. Every row XOR of the library goes through the kernel
+active in the current context: the masked add behind matrix and row
+additions (`add`, written once on `xor`), the Gray table walk
+(graycode.make_table), the M4RM combine (m4rm._mul_into) and cubic's
+accumulate into C. Three kernels exist, with bit-identical results and
+identical operation counts:
 
-c       the whole M4RM engine (table builds, stripe index reads, fused
-        combine) and cubic (transpose of B, row loop) run in `_kernel.c`,
-        one call per product; additions use the numpy code.
-numpy   vectorised word-array XOR.
-scalar  plain per-word Python loops, for wide-vs-scalar comparisons.
+c       adds whole products: the M4RM engine (table builds, stripe index
+        reads, fused combine) and cubic (transpose of B, row loop) run in
+        `_kernel.c`, one call per product; `xor` and `add` are numpy's.
+numpy   `xor` is np.bitwise_xor.
+scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
+        comparisons.
 
 `_kernel.c` is compiled with the system `cc` the first time a product
 needs it and cached in this package's `__pycache__/`, under a name keyed
 by the source, the flags and `cc --version` and suffixed with a digest of
-the binary, so a stale or damaged file is rebuilt instead of loaded.
+the binary, so a stale or damaged file is rebuilt instead of loaded; a
+new build removes the builds of any other key.
 On x86-64 the binary holds the M4RM engine once per instruction set and
 each product runs on the widest one the CPU has (`isa()` names it).
 Without a compiler or a writable cache the default kernel is `numpy`.
@@ -55,82 +59,49 @@ MAX_T = 8
 # t=8 at 4096 columns would take 256 MiB) is a parameter mistake, and is
 # refused before anything is allocated rather than left to exhaust memory.
 MAX_TABLE_BYTES = 64 << 20
+_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class NumpyKernel:
-    """Vectorised word-array XOR; the reference for the other kernels."""
+    """Vectorised word-array XOR, and the masked add every kernel shares."""
 
     name = "numpy"
     compiled = False
+    # out = x ^ y on word rows or (rows, width) blocks; out may alias x or
+    # y. A ufunc is no descriptor, so this is np.bitwise_xor itself.
+    xor = np.bitwise_xor
 
     def add(self, out: np.ndarray, x: np.ndarray, y: np.ndarray,
             tail: np.uint64) -> None:
         """out = x ^ y on (rows, width) word arrays; bits of out's last
         column outside `tail` are kept. out may alias x or y."""
-        if tail == np.uint64(0xFFFFFFFFFFFFFFFF):
-            np.bitwise_xor(x, y, out=out)
+        if tail == _FULL:
+            self.xor(x, y, out)
             return
-        np.bitwise_xor(x[:, :-1], y[:, :-1], out=out[:, :-1])
-        last = (x[:, -1] ^ y[:, -1]) & tail
-        out[:, -1] = (out[:, -1] & ~tail) | last
-
-    def gray_fill(self, table: np.ndarray, src: np.ndarray,
-                  steps) -> None:
-        """table[0] = 0, then table[slot] = previous slot ^ src[row] for
-        each (slot, row) Gray step."""
-        table[0] = 0
-        rows = list(table)
-        src_rows = list(src)
-        prev = rows[0]
-        for slot, row in steps:
-            np.bitwise_xor(prev, src_rows[row], out=rows[slot])
-            prev = rows[slot]
-
-    def combine(self, dst: np.ndarray, tables, ids,
-                acc: np.ndarray) -> None:
-        """dst[r] ^= tables[0][ids[0][r]] ^ ... for every row r of dst;
-        acc is scratch of at least dst's shape."""
-        if len(tables) == 1:
-            dst ^= tables[0][ids[0]]
-            return
-        a0 = acc[:len(dst)]
-        np.take(tables[0], ids[0], axis=0, out=a0)
-        for table, idx in zip(tables[1:], ids[1:]):
-            a0 ^= table[idx]
-        dst ^= a0
+        kept = out[:, -1] & ~tail
+        self.xor(x, y, out)
+        out[:, -1] = (out[:, -1] & tail) | kept
 
 
 class ScalarKernel(NumpyKernel):
-    """Plain per-word Python loops (benchmark switch)."""
+    """`xor` as a plain per-word Python loop (benchmark switch); rows of a
+    2-D block one by one, so operands are never reshaped."""
 
     name = "scalar"
 
-    def add(self, out, x, y, tail) -> None:
-        for r in range(out.shape[0]):
-            dst, u, v = out[r], x[r], y[r]
-            for i in range(out.shape[1] - 1):
-                dst[i] = u[i] ^ v[i]
-            dst[-1] = (dst[-1] & ~tail) | ((u[-1] ^ v[-1]) & tail)
-
-    def gray_fill(self, table, src, steps) -> None:
-        table[0] = 0
-        prev = 0
-        for slot, row in steps:
-            for i in range(table.shape[1]):
-                table[slot, i] = table[prev, i] ^ src[row, i]
-            prev = slot
-
-    def combine(self, dst, tables, ids, acc) -> None:
-        for r in range(len(dst)):
-            row = tables[0][ids[0][r]].copy()
-            for table, idx in zip(tables[1:], ids[1:]):
-                row ^= table[idx[r]]
-            for i in range(dst.shape[1]):
-                dst[r, i] = dst[r, i] ^ row[i]
+    @staticmethod
+    def xor(x, y, out) -> None:
+        if out.ndim == 2:
+            for u, v, row in zip(x, y, out):
+                ScalarKernel.xor(u, v, row)
+            return
+        for i in range(len(out)):
+            out[i] = x[i] ^ y[i]
 
 
 class CKernel(NumpyKernel):
-    """M4RM and cubic products whole in compiled C; additions as numpy.
+    """M4RM and cubic products whole in compiled C; `xor` and `add` as
+    numpy.
 
     The products take matrices or windows (see core) and pass the kernel
     each one's recorded address and row stride. ctypes releases the
@@ -213,7 +184,9 @@ def _bind(path: Path) -> ctypes.CDLL:
 
 def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
     """Compile `source` and move the binary into place in one step, so a
-    concurrent reader never sees a partial file."""
+    concurrent reader never sees a partial file. Then remove the builds
+    of other keys, which no later load picks; builds of this key stay,
+    since a concurrent first build may be loading one."""
     cache_dir.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"gf2mat_kernel-{key}-",
                                suffix=".tmp", dir=cache_dir)
@@ -228,6 +201,10 @@ def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    for stale in cache_dir.glob("gf2mat_kernel-*.so"):
+        if not stale.name.startswith(f"gf2mat_kernel-{key}-"):
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return path
 
 

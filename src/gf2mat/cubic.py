@@ -96,21 +96,21 @@ def mul_cubic(a: core.Mat, b: core.Mat,
     if kernel.compiled:
         kernel.cubic(c, a, b, l, n, core.create(n, l))  # B^T scratch
         return c
-    bt = core.transpose(b)  # n x l, owned, clean tails
-    wl = bt.width
-    a_tail = core.tail_mask(l)
+    # B^T is owned, so its bits beyond column l are clear and the AND
+    # below drops whatever a window of A holds beyond its right edge.
+    bt = core.transpose(b)
     nb, rem = divmod(n, 64)
-    acc = np.empty((n, wl), dtype=np.uint64)
+    acc = np.empty((n, bt.width), dtype=np.uint64)
     rem_shifts = (63 - np.arange(rem, dtype=np.uint64)) if rem else None
-    row = np.empty(wl, dtype=np.uint64)
+    row = np.empty(c.width, dtype=np.uint64)
     for i in range(m):
-        np.copyto(row, a.words[i])
-        row[-1] &= a_tail
-        np.bitwise_and(bt.words, row, out=acc)
+        np.bitwise_and(bt.words, a.words[i], out=acc)
         sums = np.bitwise_xor.reduce(acc, axis=1)
         if nb:
-            c.words[i, :nb] ^= _parity64_blocks(sums[:nb * 64].reshape(nb, 64))
+            row[:nb] = _parity64_blocks(sums[:nb * 64].reshape(nb, 64))
         if rem:
             bits = _popcount_parity(sums[nb * 64:])
-            c.words[i, nb] ^= np.bitwise_or.reduce(bits << rem_shifts)
+            row[nb] = np.bitwise_or.reduce(bits << rem_shifts)
+        dst = c.words[i]
+        kernel.xor(dst, row, dst)
     return c

@@ -116,10 +116,9 @@ def make_table(b: core.Mat, start_row: int, k: int,
         raise DimensionError(
             f"table width {table.ncols} != source width {b.ncols}")
     table.k = k
-    tw = table.matrix.words
+    counters.table_adds += (1 << k) - 1
+    counters.row_adds += (1 << k) - 1
     if table.ncols == 0:
-        counters.table_adds += (1 << k) - 1
-        counters.row_adds += (1 << k) - 1
         return
     # Table rows must stay clean; window sources may carry live bits
     # beyond their right edge, so those rows are copied and masked.
@@ -129,6 +128,13 @@ def make_table(b: core.Mat, start_row: int, k: int,
     else:
         src = b.words[start_row:start_row + k].copy()
         src[:, -1] &= core.tail_mask(b.ncols)
-    _kernel.active().gray_fill(tw[:1 << k], src, _table_steps(k))
-    counters.table_adds += (1 << k) - 1
-    counters.row_adds += (1 << k) - 1
+    # One xor per Gray step, on 1-D row views: the walk makes one kernel
+    # call per step, and a row view is the cheapest operand to hand it.
+    xor = _kernel.active().xor
+    rows = list(table.rows)
+    src_rows = list(src)
+    prev = rows[0]
+    prev[:] = 0
+    for slot, row in _table_steps(k):
+        xor(prev, src_rows[row], rows[slot])
+        prev = rows[slot]

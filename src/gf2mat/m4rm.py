@@ -79,6 +79,22 @@ def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
     return StripeSpec(k, t, b_s)
 
 
+def _table_layout(l: int, n: int, k: int, t: int) -> tuple[int, int, int]:
+    """Gray tables of a product whose B has l x n entries (both >= 1):
+    the width, k capped at l, the table count and the columns of a table
+    row, padded as core.padded_cols pads them. Tables over
+    _kernel.MAX_TABLE_BYTES raise ParameterError."""
+    k = min(k, l)
+    ntables = min(t, -(-l // k))
+    table_cols = core.padded_cols(n)
+    table_bytes = (ntables << k) * core.words_per_row(table_cols) * 8
+    if table_bytes > _kernel.MAX_TABLE_BYTES:
+        raise ParameterError(
+            f"k={k} t={t} tables for {n} columns take {table_bytes} bytes, "
+            f"over {_kernel.MAX_TABLE_BYTES}")
+    return k, ntables, table_cols
+
+
 def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
               b_s: int, t: int) -> core.Mat:
     """c += a @ b; returns c. Without c (None), the product in a fresh
@@ -92,15 +108,8 @@ def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m == 0 or n == 0 or l == 0:
         return core.create(m, n) if c is None else c
-    k = min(k, l)
+    k, ntables, table_cols = _table_layout(l, n, k, t)
     nstripes = -(-l // k)
-    ntables = min(t, nstripes)
-    table_cols = core.padded_cols(n)
-    table_bytes = (ntables << k) * core.words_per_row(table_cols) * 8
-    if table_bytes > _kernel.MAX_TABLE_BYTES:
-        raise ParameterError(
-            f"k={k} t={t} tables for {n} columns take {table_bytes} bytes, "
-            f"over {_kernel.MAX_TABLE_BYTES}")
     if c is None:
         c = core.create(m, n)
     kernel = _kernel.active()
@@ -118,17 +127,21 @@ def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
     stripes = _stripes(l, k)
     tables = [CombinationTable(k, n) for _ in range(ntables)]
     table_words = [tbl.words for tbl in tables]
-    acc = np.empty((min(b_s, m), c.width), dtype=np.uint64)
     for r0 in range(0, m, b_s):
         r1 = min(r0 + b_s, m)
+        dst = c.words[r0:r1]
         for g0 in range(0, len(stripes), t):
             group = stripes[g0:g0 + t]
             for gi, (sc, kw) in enumerate(group):
                 make_table(b, sc, kw, tables[gi])
-            # All indices are read from A before any table lookups.
+            # All indices are read from A before any table lookups; the
+            # group's t lookups are gathered and summed, then added to C
+            # by one xor.
             ids = [_read_bits_rows(a, r0, r1, sc, kw) for sc, kw in group]
-            kernel.combine(c.words[r0:r1], table_words[:len(group)], ids,
-                           acc)
+            rows = table_words[0][ids[0]]
+            for words, idx in zip(table_words[1:], ids[1:]):
+                rows ^= words[idx]
+            kernel.xor(dst, rows, dst)
             counters.c_writes += r1 - r0
             counters.row_adds += (r1 - r0) * len(group)
     return c

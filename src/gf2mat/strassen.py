@@ -18,7 +18,7 @@ from . import core, tuning
 from .counters import counters
 from .cubic import mul_cubic
 from .errors import DimensionError
-from .m4rm import _mul_into
+from .m4rm import _mul_into, _table_layout
 from .tuning import MulParams
 
 _WORD = core.WORD_BITS
@@ -62,29 +62,43 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
                      (n // unit) * unit, depth)
 
 
+def _m4rm_k(m: int, l: int, n: int, params: MulParams) -> int:
+    """The base route's decision for an m x l x n product: 0 for cubic,
+    when B is narrower than a word and A short against B's rows (see
+    _CUBIC_ROWS), else the Gray width M4RM runs it with."""
+    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
+        return 0
+    return params.effective_k(n, nrows=m)
+
+
+def _check_tables(shapes, params: MulParams) -> None:
+    """Raise ParameterError if a base product (m, l, n) of `shapes` would
+    ask for M4RM tables over the kernel's budget, as _mul_into would, so
+    a plan is refused before anything is allocated or written."""
+    for m, l, n in shapes:
+        k = _m4rm_k(m, l, n, params)
+        if k and m and l and n:
+            _table_layout(l, n, k, params.t)
+
+
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
                    params: MulParams, accumulate: bool) -> core.Mat:
-    """dst = a @ b, or dst += a @ b when accumulating, by cubic for B
-    narrower than a word and A short against B's rows (see _CUBIC_ROWS),
-    and by M4RM otherwise; returns dst. With dst None, the product in a
-    fresh matrix, which the engine allocates after its parameter checks.
+    """dst = a @ b, or dst += a @ b when accumulating, by the engine
+    _m4rm_k picks; returns dst. With dst None, the product in a fresh
+    matrix, which the engine allocates after its parameter checks.
 
     The one route below the recursion: flat products, leaves and peeled
     strips all come here. It depends on (m, l, n) only, never on the
     backend. Both engines add into dst in place, so dst may be a window
-    and nothing is allocated beyond the engines' scratch.
+    and nothing is allocated beyond the engines' scratch. Callers size
+    dst to the product.
     """
-    m, n = a.nrows, b.ncols
-    if dst is not None:
-        if dst.nrows != m or dst.ncols != n:
-            raise DimensionError(
-                f"target {dst.nrows}x{dst.ncols} != product {m}x{n}")
-        if not accumulate:
-            core.clear(dst)
-    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * a.width:
+    if dst is not None and not accumulate:
+        core.clear(dst)
+    k = _m4rm_k(a.nrows, a.ncols, b.ncols, params)
+    if not k:
         return mul_cubic(a, b, dst)
-    return _mul_into(dst, a, b, params.effective_k(n, nrows=m), params.b_s,
-                     params.t)
+    return _mul_into(dst, a, b, k, params.b_s, params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -187,6 +201,7 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
     Three corrections, each via the base-case multipliers (never the
     recursion): the inner-dimension remainder accumulates into the done
     block, then the remaining rows of C, then the remaining columns.
+    Oversize M4RM tables in any of them raise before c is written.
     """
     if params is None:
         params = tuning.auto_params()
@@ -196,21 +211,29 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
     if not (0 <= m2 <= m and 0 <= l2 <= l and 0 <= n2 <= n):
         raise DimensionError(
             f"peel dims ({m2},{l2},{n2}) exceed ({m},{l},{n})")
+    strips = _fixup_strips(m, l, n, m2, l2, n2)
+    _check_tables([shape for shape, *_ in strips], params)
+    for (rows, inner, cols), r0, c0, i0, accumulate in strips:
+        _base_mul_into(core.window(c, r0, c0, rows, cols),
+                       core.window(a, r0, i0, rows, inner),
+                       core.window(b, i0, c0, inner, cols),
+                       params, accumulate)
+
+
+def _fixup_strips(m: int, l: int, n: int, m2: int, l2: int,
+                  n2: int) -> list[tuple]:
+    """peel_fixup's base products in order, each as ((rows, inner,
+    columns), first row of C and A, first column of C and B, first inner
+    index, accumulate): the inner-dimension remainder into the done
+    block, then the remaining rows of C, then the remaining columns."""
+    strips = []
     if l2 < l and m2 and n2:
-        _base_mul_into(core.window(c, 0, 0, m2, n2),
-                       core.window(a, 0, l2, m2, l - l2),
-                       core.window(b, l2, 0, l - l2, n2),
-                       params, accumulate=True)
+        strips.append(((m2, l - l2, n2), 0, 0, l2, True))
     if m2 < m:
-        _base_mul_into(core.window(c, m2, 0, m - m2, n),
-                       core.window(a, m2, 0, m - m2, l),
-                       core.window(b, 0, 0, l, n),
-                       params, accumulate=False)
+        strips.append(((m - m2, l, n), m2, 0, 0, False))
     if n2 < n:
-        _base_mul_into(core.window(c, 0, n2, m2, n - n2),
-                       core.window(a, 0, 0, m2, l),
-                       core.window(b, 0, n2, l, n - n2),
-                       params, accumulate=False)
+        strips.append(((m2, l, n - n2), 0, n2, 0, False))
+    return strips
 
 
 def mul_strassen(a: core.Mat, b: core.Mat,
@@ -220,8 +243,9 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     narrower than a word when A is short against B's rows).
 
     Without params, tuning.auto_params() decides: the GF2MAT_CONFIG file,
-    or the parameters fitted to the compiled kernel. Below the cutoff,
-    parameters whose M4RM tables would exceed the kernel's bound raise
+    or the parameters fitted to the compiled kernel. Parameters whose
+    M4RM tables in any base product of the plan (the flat product, the
+    leaves or a peeled strip) would exceed the kernel's bound raise
     ParameterError before C is allocated.
     """
     if a.ncols != b.nrows:
@@ -235,6 +259,9 @@ def mul_strassen(a: core.Mat, b: core.Mat,
         ps = peel_split(m, l, n, params.cutoff)
     if ps.depth == 0:
         return _base_mul_into(None, a, b, params, accumulate=False)
+    strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
+    _check_tables([(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),
+                   *(shape for shape, *_ in strips)], params)
     c = core.create(m, n)
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),

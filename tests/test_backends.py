@@ -23,7 +23,8 @@ from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
-from gf2mat.strassen import MulParams, _base_mul_into, mul_strassen
+from gf2mat.strassen import (MulParams, _base_mul_into, mul_strassen,
+                             peel_fixup)
 
 BACKENDS = _kernel.available()
 SRC = Path(gf2mat.__file__).resolve().parent.parent
@@ -123,6 +124,40 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     if not accumulate:
         before[2:42, 64:64 + n] = 0
     expect_added(c, before, ref.naive_product(a, b))
+
+
+@pytest.mark.parametrize("operands", ["rows", "window-blocks"])
+def test_xor_is_bitwise_xor(backend, operands):
+    """A Python kernel's one primitive, on 1-D rows and on the 2-D words
+    of windows (rows the parent's stride apart), with out aliasing x, then
+    y."""
+    xor = _kernel.active().xor
+    parent = core.random(12, 64 * 7, seed=19)
+    if operands == "rows":
+        x, y = parent.words[0], parent.words[11]
+    else:
+        x = core.window(parent, 1, 64, 5, 192).words
+        y = core.window(parent, 6, 192, 5, 192).words
+        assert not x.flags.c_contiguous
+    for out in (x, y):
+        expected = np.bitwise_xor(x, y)
+        xor(x, y, out)
+        assert np.array_equal(out, expected)
+
+
+def test_add_keeps_bits_beyond_the_tail(backend):
+    """The masked add into a window whose last word holds 36 of its
+    columns, with the target as either operand: bits around the window,
+    beyond its right edge included, are kept."""
+    c = dirty_window(5, 100, seed=24)
+    a = dirty_window(5, 100, seed=25)
+    b = core.random(5, 100, seed=26)
+    before = core.to_dense(c.parent)
+    core.add_into(c, c, b)
+    expect_added(c, before, core.to_dense(b))
+    before = core.to_dense(c.parent)
+    core.add_into(c, a, c)
+    expect_added(c, before, core.to_dense(a))
 
 
 COUNTED_RUNS = {
@@ -354,8 +389,9 @@ def test_stale_cache_is_not_loaded(tmp_path):
     run_python(LOAD_FROM_CACHE, cache, old)
     [stale] = cache.glob("*.so")
     run_python(LOAD_FROM_CACHE, cache)
-    current = set(cache.glob("*.so")) - {stale}
-    assert len(current) == 1 and intact(current.pop())
+    # The new build removed the stale one.
+    [current] = cache.glob("*.so")
+    assert current != stale and intact(current)
 
 
 @needs_c
@@ -468,20 +504,49 @@ def test_oversized_tables_raise_before_allocating(backend):
     assert np.array_equal(c.words, before)
 
 
-@pytest.mark.parametrize("product", [
-    lambda a, b: mul_strassen(a, b, MulParams(cutoff=8192, b_s=8192, k=16,
-                                              t=8)),
-    lambda a, b: mul_m4rm_multitable(a, b, 16, 8, 8192),
-], ids=["strassen", "m4rm-t8"])
-def test_oversized_product_raises_before_allocating_result(backend, product):
-    """The same tables asked for by a whole product: refused before its C
-    is allocated."""
-    a = core.random(10, 4096, seed=66)
-    b = core.random(4096, 4096, seed=67)
+# Leaves of 64 x 64 x 64 need 128 bytes of k=4 tables, a 1-row or
+# 128-row strip over B of 128 columns 256 bytes.
+PEELED = MulParams(cutoff=64, k=4, t=1)
+
+
+# id -> (product of a, b into c, m, l, n, table budget in bytes or None).
+# The whole products ask for k=16, t=8 tables of 4096 columns, 256 MiB;
+# the recursive product's leaves fit a 200-byte budget but its 128-column
+# row strip does not, and peel_fixup's first strip clears c's last row
+# before its tables would be checked unless the plan is checked first.
+OVERSIZED = {
+    "strassen": (lambda a, b, c: mul_strassen(
+        a, b, MulParams(cutoff=8192, b_s=8192, k=16, t=8)),
+        10, 4096, 4096, None),
+    "m4rm-t8": (lambda a, b, c: mul_m4rm_multitable(a, b, 16, 8, 8192),
+                10, 4096, 4096, None),
+    "strassen-peeled": (lambda a, b, c: mul_strassen(a, b, PEELED),
+                        129, 128, 128, 200),
+    "peel-fixup": (lambda a, b, c: peel_fixup(c, a, b, 128, 128, 0, PEELED),
+                   129, 128, 128, 200),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_product_raises_before_allocating_result(backend, case,
+                                                           monkeypatch):
+    """The same tables asked for by a whole product, or by one base
+    product of a recursive plan: refused before C or a temporary is
+    allocated and before any product or write."""
+    product, m, l, n, budget = OVERSIZED[case]
+    a = core.random(m, l, seed=66)
+    b = core.random(l, n, seed=67)
+    c = core.random(m, n, seed=68)
+    before = c.words.copy()
+    if budget is not None:
+        monkeypatch.setattr(_kernel, "MAX_TABLE_BYTES", budget)
     allocated = counters.words_allocated
+    products = counters.strassen_products
     with pytest.raises(ParameterError):
-        product(a, b)
+        product(a, b, c)
     assert counters.words_allocated == allocated
+    assert counters.strassen_products == products
+    assert np.array_equal(c.words, before)
 
 
 def test_table_budget_counts_padded_scratch(backend, monkeypatch):
