@@ -16,11 +16,17 @@
  * as much as the combine. Groups wider than 64 columns keep the per-index
  * read.
  *
- * Built by _kernel.py with the system C compiler and plain -O3 (no
- * -march), so a cached binary runs on any CPU of the same architecture.
- * On x86-64 the M4RM engine is also compiled for AVX2 and AVX-512, and
- * each product runs on the widest one the CPU supports.
+ * Built by _kernel.py as a CPython extension module with the system C
+ * compiler, the interpreter's headers and plain -O3 (no -march), so a
+ * cached binary runs on any CPU of the same architecture. On x86-64 the
+ * M4RM engine is also compiled for AVX2 and AVX-512, and each product
+ * runs on the widest one the CPU supports. The module's entries, at the
+ * end of this file, take integer arguments and release the interpreter
+ * lock around the engines.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <stdint.h>
 #include <string.h>
@@ -384,4 +390,83 @@ void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
             crow[j0 >> 6] ^= out;
         }
     }
+}
+
+/* The module: one METH_FASTCALL entry per engine. Every argument is a
+ * Python int (or an object with __index__) read as one 64-bit word:
+ * addresses, row strides in words, sizes, parameters and the tail mask,
+ * in the order of the engine's parameters. _kernel.py has checked that
+ * the operands cover the product and the parameters are in range. */
+
+/* The nargs words of args into w; -1 with an exception set if the count
+ * is wrong or an argument is not an integer. */
+static int words_of(const char *name, PyObject *const *args,
+                    Py_ssize_t nargs, Py_ssize_t want, word *w)
+{
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        w[i] = PyLong_AsUnsignedLongLongMask(args[i]);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+#define PTR(x) ((word *)(uintptr_t)(x))
+
+static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    word w[15];
+    (void)self;
+    if (words_of("m4rm", args, nargs, 15, w) < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    gf2mat_m4rm(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3],
+                PTR(w[4]), (int64_t)w[5], (int64_t)w[6], (int64_t)w[7],
+                (int64_t)w[8], (int)w[9], (int64_t)w[10], (int)w[11], w[12],
+                PTR(w[13]), (int64_t)w[14]);
+    Py_END_ALLOW_THREADS
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_cubic(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    word w[10];
+    (void)self;
+    if (words_of("cubic", args, nargs, 10, w) < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    gf2mat_cubic(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3],
+                 PTR(w[4]), (int64_t)w[5], (int64_t)w[6], (int64_t)w[7],
+                 (int64_t)w[8], PTR(w[9]));
+    Py_END_ALLOW_THREADS
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef methods[] = {
+    {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
+     "m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t, "
+     "tail, tables, t_stride): c += a @ b by M4RM."},
+    {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
+     "cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n, bt): "
+     "c += a @ b by cubic."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "gf2mat_kernel", .m_size = -1,
+    .m_methods = methods,
+};
+
+/* `isa` names the copy of the M4RM engine gf2mat_m4rm runs here. */
+PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
+{
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && PyModule_AddStringConstant(mod, "isa",
+                                                  gf2mat_isa()) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

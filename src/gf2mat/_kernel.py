@@ -15,25 +15,33 @@ numpy   `xor` is np.bitwise_xor.
 scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
         comparisons.
 
-`_kernel.c` is compiled with the system `cc` the first time a product
-needs it and cached in this package's `__pycache__/`, under a name keyed
-by the source, the flags and `cc --version` and suffixed with a digest of
-the binary, so a stale or damaged file is rebuilt instead of loaded; a
-new build removes the builds of any other key.
-On x86-64 the binary holds the M4RM engine once per instruction set and
-each product runs on the widest one the CPU has (`isa()` names it).
-Without a compiler or a writable cache the default kernel is `numpy`.
+`_kernel.c` is built as a CPython extension module the first time a
+product needs it, with the system `cc` and the interpreter's headers
+(`Python.h`, from sysconfig's include path). The binary is cached in this
+package's `__pycache__/` and loaded with importlib. Its name holds a key
+(the source, the flags with the include path, `cc --version` and the
+interpreter's extension suffix), a digest of the binary, and that suffix.
+So a stale or damaged file is rebuilt instead of loaded, and a new build
+removes this interpreter's builds of any other key. The module's `m4rm`
+and `cubic` are METH_FASTCALL functions of plain integers that release
+the interpreter lock around the engine. On x86-64 the binary holds the
+M4RM engine once per instruction set and each product runs on the widest
+one the CPU has (`isa()` names it). Without a compiler, without the
+Python headers or without a writable cache the default kernel is `numpy`;
+there is no second binding.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
@@ -48,6 +56,13 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # wider instruction sets are reached through per-function target
 # attributes in the source, chosen at run time.
 _CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
+# The extension's name: its init function is PyInit_gf2mat_kernel.
+_MODULE = "gf2mat_kernel"
+# This interpreter's C header directory (it holds Python.h) and the file
+# suffix of its extension modules. Read at import: sysconfig's data take
+# about 130 KB that the first product would otherwise allocate.
+_INCLUDE_DIR = sysconfig.get_paths()["include"]
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _COMPILE_TIMEOUT_S = 120
 # Hard limits of `_kernel.c`: `read_bits` reads at most 16 entries (the
 # Gray width k) and `m4rm` keeps at most MAX_TABLES (8) tables.
@@ -104,17 +119,17 @@ class CKernel(NumpyKernel):
     numpy.
 
     The products take matrices or windows (see core) and pass the kernel
-    each one's recorded address and row stride. ctypes releases the
-    interpreter lock for each call, so products on distinct outputs run
-    in parallel threads.
+    each one's recorded address and row stride. The extension's entries
+    release the interpreter lock for the engine, so products on distinct
+    outputs run in parallel threads.
     """
 
     name = "c"
     compiled = True
 
-    def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib
-        self.isa = lib.gf2mat_isa().decode()
+    def __init__(self, mod):
+        self._mod = mod
+        self.isa = mod.isa
 
     def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
              tail: int, tables) -> None:
@@ -132,9 +147,9 @@ class CKernel(NumpyKernel):
                 or b.width < wn or tables.width < wn
                 or tables.nrows < min(t, -(-l // k)) << k):
             raise _short_operands(m, l, n, c=c, a=a, b=b, tables=tables)
-        self._lib.gf2mat_m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
-                              b.stride, m, l, n, k, b_s, t, tail,
-                              tables.addr, tables.stride)
+        self._mod.m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
+                       b.stride, m, l, n, k, b_s, t, tail, tables.addr,
+                       tables.stride)
 
     def cubic(self, c, a, b, l: int, n: int, bt) -> None:
         """c += a @ b (a: m x l, b: l x n entries); c may be a window, and
@@ -145,8 +160,8 @@ class CKernel(NumpyKernel):
         if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
                 or b.width < wn or bt.nrows < n or bt.width < wl):
             raise _short_operands(m, l, n, c=c, a=a, b=b, bt=bt)
-        self._lib.gf2mat_cubic(c.addr, c.stride, a.addr, a.stride, b.addr,
-                               b.stride, m, l, n, bt.addr)
+        self._mod.cubic(c.addr, c.stride, a.addr, a.stride, b.addr,
+                        b.stride, m, l, n, bt.addr)
 
 
 def _short_operands(m: int, l: int, n: int, **operands) -> DimensionError:
@@ -167,67 +182,76 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _bind(path: Path) -> ctypes.CDLL:
-    lib = ctypes.CDLL(str(path))
-    i64, ptr, u64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64
-    lib.gf2mat_m4rm.argtypes = (ptr, i64, ptr, i64, ptr, i64, i64, i64, i64,
-                                ctypes.c_int, i64, ctypes.c_int, u64, ptr,
-                                i64)
-    lib.gf2mat_m4rm.restype = None
-    lib.gf2mat_cubic.argtypes = (ptr, i64, ptr, i64, ptr, i64, i64, i64,
-                                 i64, ptr)
-    lib.gf2mat_cubic.restype = None
-    lib.gf2mat_isa.argtypes = ()
-    lib.gf2mat_isa.restype = ctypes.c_char_p
-    return lib
+def _flags(include: str) -> list[str]:
+    return [*_CFLAGS, f"-I{include}"]
+
+
+def _key(source: bytes, include: str, version: bytes, suffix: str) -> str:
+    """Cache key of a build: the source, the flags with the include path,
+    the compiler's `--version` and the interpreter's extension suffix."""
+    return _digest(b"\0".join((source, " ".join(_flags(include)).encode(),
+                                version, suffix.encode())))
+
+
+def _load(path: Path):
+    """The extension module built at `path`, imported without entering
+    sys.modules, so builds of several sources may be loaded at once."""
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(path))
+    spec = importlib.util.spec_from_loader(_MODULE, loader)
+    mod = importlib.util.module_from_spec(spec)
+    loader.exec_module(mod)
+    return mod
 
 
 def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
-    """Compile `source` and move the binary into place in one step, so a
-    concurrent reader never sees a partial file. Then remove the builds
-    of other keys, which no later load picks; builds of this key stay,
-    since a concurrent first build may be loading one."""
+    """Compile `source` as an extension module for this interpreter and
+    move the binary into place in one step, so a concurrent reader never
+    sees a partial file. Then remove this interpreter's builds of other
+    keys, which no later load picks; builds of this key stay, since a
+    concurrent first build may be loading one."""
     cache_dir.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"gf2mat_kernel-{key}-",
-                               suffix=".tmp", dir=cache_dir)
+    fd, tmp = tempfile.mkstemp(prefix=f"{_MODULE}-{key}-", suffix=".tmp",
+                               dir=cache_dir)
     os.close(fd)
     try:
-        subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
-                       input=source, capture_output=True, check=True,
+        subprocess.run([cc, *_flags(_INCLUDE_DIR), "-o", tmp, "-x", "c",
+                        "-"], input=source, capture_output=True, check=True,
                        timeout=_COMPILE_TIMEOUT_S)
-        path = cache_dir / f"gf2mat_kernel-{key}-" \
-                           f"{_digest(Path(tmp).read_bytes())}.so"
+        digest = _digest(Path(tmp).read_bytes())
+        path = cache_dir / f"{_MODULE}-{key}-{digest}{_EXT_SUFFIX}"
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-    for stale in cache_dir.glob("gf2mat_kernel-*.so"):
-        if not stale.name.startswith(f"gf2mat_kernel-{key}-"):
+    for stale in cache_dir.glob(f"{_MODULE}-*{_EXT_SUFFIX}"):
+        if not stale.name.startswith(f"{_MODULE}-{key}-"):
             with contextlib.suppress(OSError):
                 stale.unlink()
     return path
 
 
-def load_library(cache_dir: Path = _CACHE_DIR) -> ctypes.CDLL | None:
-    """The compiled kernel from `cache_dir`, built there first unless an
-    intact copy for this source, these flags and this compiler exists.
-    None when there is no compiler, the build fails or nothing can be
-    written."""
-    cc = _compiler()
-    if cc is None:
+def load_library(cache_dir: Path = _CACHE_DIR):
+    """The compiled kernel module from `cache_dir`, built there first
+    unless an intact copy for this source, these flags, this compiler and
+    this interpreter exists. None when there is no compiler, no Python.h,
+    the build fails or nothing can be written."""
+    cc, include, suffix = _compiler(), _INCLUDE_DIR, _EXT_SUFFIX
+    if cc is None or not Path(include, "Python.h").is_file():
         return None
     try:
         source = _SOURCE.read_bytes()
         version = subprocess.run([cc, "--version"], capture_output=True,
                                  check=True,
                                  timeout=_COMPILE_TIMEOUT_S).stdout
-        key = _digest(source + " ".join(_CFLAGS).encode() + version)
-        for path in cache_dir.glob(f"gf2mat_kernel-{key}-*.so"):
-            if path.stem.rsplit("-", 1)[1] == _digest(path.read_bytes()):
-                return _bind(path)
+        key = _key(source, include, version, suffix)
+        prefix = f"{_MODULE}-{key}-"
+        for path in cache_dir.glob(f"{prefix}*{suffix}"):
+            if path.name[len(prefix):-len(suffix)] == \
+                    _digest(path.read_bytes()):
+                return _load(path)
             path.unlink()  # truncated or overwritten
-        return _bind(_build(cc, source, cache_dir, key))
-    except (OSError, subprocess.SubprocessError):
+        return _load(_build(cc, source, cache_dir, key))
+    except (ImportError, OSError, subprocess.SubprocessError):
         return None
 
 
@@ -245,8 +269,8 @@ def _compiled() -> CKernel | None:
         return _c_kernel
     with _load_lock:
         if not _c_loaded:
-            lib = load_library()
-            _c_kernel = CKernel(lib) if lib is not None else None
+            mod = load_library()
+            _c_kernel = CKernel(mod) if mod is not None else None
             _c_loaded = True
     return _c_kernel
 

@@ -19,7 +19,9 @@ loop below serves the numpy and scalar kernels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,20 +81,39 @@ def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
     return StripeSpec(k, t, b_s)
 
 
-def _table_layout(l: int, n: int, k: int, t: int) -> tuple[int, int, int]:
-    """Gray tables of a product whose B has l x n entries (both >= 1):
-    the width, k capped at l, the table count and the columns of a table
-    row, padded as core.padded_cols pads them. Tables over
-    _kernel.MAX_TABLE_BYTES raise ParameterError."""
+class TableLayout(NamedTuple):
+    """The M4RM tables of a product: Gray width k (at most l), ntables
+    tables of 2^k rows of table_cols columns, padded as core.padded_cols
+    pads them, table_bytes in all."""
+
+    k: int
+    ntables: int
+    table_cols: int
+    table_bytes: int
+
+
+@functools.lru_cache(maxsize=4096)
+def _table_layout(l: int, n: int, k: int, t: int) -> TableLayout:
+    """The tables of a product whose B has l x n entries (both >= 1) at
+    Gray width k with t tables. Memoized, since every product asks; shape
+    arithmetic only: _fit_budget compares the bytes with the kernel's
+    budget, which may change."""
     k = min(k, l)
     ntables = min(t, -(-l // k))
     table_cols = core.padded_cols(n)
-    table_bytes = (ntables << k) * core.words_per_row(table_cols) * 8
-    if table_bytes > _kernel.MAX_TABLE_BYTES:
+    return TableLayout(k, ntables, table_cols,
+                       (ntables << k) * core.words_per_row(table_cols) * 8)
+
+
+def _fit_budget(layout: TableLayout) -> TableLayout:
+    """layout, unless its tables exceed _kernel.MAX_TABLE_BYTES: then
+    ParameterError. The budget is read on every call."""
+    if layout.table_bytes > _kernel.MAX_TABLE_BYTES:
         raise ParameterError(
-            f"k={k} t={t} tables for {n} columns take {table_bytes} bytes, "
+            f"{layout.ntables} tables of 2^{layout.k} rows of "
+            f"{layout.table_cols} columns take {layout.table_bytes} bytes, "
             f"over {_kernel.MAX_TABLE_BYTES}")
-    return k, ntables, table_cols
+    return layout
 
 
 def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
@@ -108,7 +129,7 @@ def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m == 0 or n == 0 or l == 0:
         return core.create(m, n) if c is None else c
-    k, ntables, table_cols = _table_layout(l, n, k, t)
+    k, ntables, table_cols, _ = _fit_budget(_table_layout(l, n, k, t))
     nstripes = -(-l // k)
     if c is None:
         c = core.create(m, n)

@@ -12,13 +12,14 @@ additions and touches two scratch quadrant buffers beyond the output.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 from . import core, tuning
 from .counters import counters
 from .cubic import mul_cubic
 from .errors import DimensionError
-from .m4rm import _mul_into, _table_layout
+from .m4rm import TableLayout, _fit_budget, _mul_into, _table_layout
 from .tuning import MulParams
 
 _WORD = core.WORD_BITS
@@ -71,20 +72,35 @@ def _m4rm_k(m: int, l: int, n: int, params: MulParams) -> int:
     return params.effective_k(n, nrows=m)
 
 
+@functools.lru_cache(maxsize=4096)
+def _base_route(m: int, l: int, n: int,
+                params: MulParams) -> TableLayout | None:
+    """The engine of an m x l x n base product: None for cubic, which
+    also takes the empty products (they need no tables), else M4RM's
+    table layout at the Gray width _m4rm_k picks. Memoized, since every
+    base product asks: it holds shape arithmetic only, and the caller
+    compares the table bytes with the kernel's budget
+    (m4rm._fit_budget), which may change."""
+    k = _m4rm_k(m, l, n, params)
+    if not (k and m and l and n):
+        return None
+    return _table_layout(l, n, k, params.t)
+
+
 def _check_tables(shapes, params: MulParams) -> None:
     """Raise ParameterError if a base product (m, l, n) of `shapes` would
     ask for M4RM tables over the kernel's budget, as _mul_into would, so
     a plan is refused before anything is allocated or written."""
     for m, l, n in shapes:
-        k = _m4rm_k(m, l, n, params)
-        if k and m and l and n:
-            _table_layout(l, n, k, params.t)
+        route = _base_route(m, l, n, params)
+        if route is not None:
+            _fit_budget(route)
 
 
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
                    params: MulParams, accumulate: bool) -> core.Mat:
     """dst = a @ b, or dst += a @ b when accumulating, by the engine
-    _m4rm_k picks; returns dst. With dst None, the product in a fresh
+    _base_route picks; returns dst. With dst None, the product in a fresh
     matrix, which the engine allocates after its parameter checks.
 
     The one route below the recursion: flat products, leaves and peeled
@@ -95,10 +111,10 @@ def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
     """
     if dst is not None and not accumulate:
         core.clear(dst)
-    k = _m4rm_k(a.nrows, a.ncols, b.ncols, params)
-    if not k:
+    route = _base_route(a.nrows, a.ncols, b.ncols, params)
+    if route is None:
         return mul_cubic(a, b, dst)
-    return _mul_into(dst, a, b, k, params.b_s, params.t)
+    return _mul_into(dst, a, b, route.k, params.b_s, params.t)
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:

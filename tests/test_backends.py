@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -314,11 +315,13 @@ def run_python(script, *args):
     return finish(start_python(script, *args))
 
 
-def test_no_compiler_falls_back_to_numpy():
-    out = run_python("""
-from gf2mat import _kernel
-_kernel._compiler = lambda: None
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler")
+
+
+# Products checked against the oracle; then the backend's name.
+PRODUCTS_ON_DEFAULT = """
 import gf2mat
+from gf2mat import _kernel
 from gf2mat import _reference as ref
 assert _kernel.available() == ("numpy", "scalar")
 for m, l, n in [(70, 130, 90), (300, 300, 300), (50, 40, 20)]:
@@ -327,14 +330,67 @@ for m, l, n in [(70, 130, 90), (300, 300, 300), (50, 40, 20)]:
     c = gf2mat.mul_strassen(a, b, gf2mat.MulParams(cutoff=64))
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 print(gf2mat.backend())
-""")
+"""
+
+
+def test_no_compiler_falls_back_to_numpy():
+    out = run_python("""
+from gf2mat import _kernel
+_kernel._compiler = lambda: None
+""" + PRODUCTS_ON_DEFAULT)
     assert out.strip() == "numpy"
+
+
+def test_no_python_headers_falls_back_to_numpy(tmp_path):
+    """An include path without Python.h: no build is tried, and products
+    run on numpy."""
+    out = run_python("""
+import sys
+from gf2mat import _kernel
+_kernel._INCLUDE_DIR = sys.argv[1]
+_kernel._build = lambda *args: sys.exit("a build was tried")
+""" + PRODUCTS_ON_DEFAULT, tmp_path)
+    assert out.strip() == "numpy"
+
+
+def test_cache_key_covers_the_interpreter():
+    """The key changes with the extension suffix and with the include
+    path, so another interpreter never loads this one's build."""
+    base = (b"source", "/usr/include/python3.11", b"cc 12",
+            ".cpython-311-x86_64-linux-gnu.so")
+    key = _kernel._key(*base)
+    assert key == _kernel._key(*base)
+    assert _kernel._key(base[0], base[1], base[2],
+                        ".cpython-312-x86_64-linux-gnu.so") != key
+    assert _kernel._key(base[0], "/usr/local/include/python3.11", base[2],
+                        base[3]) != key
+    assert _kernel._key(b"source2", *base[1:]) != key
+    assert _kernel._key(base[0], base[1], b"cc 13", base[3]) != key
 
 
 def test_unwritable_cache_gives_no_library(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_bytes(b"")
     assert _kernel.load_library(blocker / "cache") is None
+
+
+@needs_c
+def test_builds_of_another_interpreter_are_kept(tmp_path):
+    """A build removes older builds for its own interpreter only: one
+    made under another extension suffix stays beside it."""
+    other = ".cpython-399-other.so"
+    run_python("""
+import sys
+from pathlib import Path
+from gf2mat import _kernel
+_kernel._EXT_SUFFIX = sys.argv[2]
+assert _kernel.load_library(Path(sys.argv[1])).isa == _kernel.isa()
+""", tmp_path, other)
+    run_python(LOAD_FROM_CACHE, tmp_path)
+    built = sorted(path.name for path in tmp_path.iterdir())
+    assert len(built) == 2
+    assert any(name.endswith(other) for name in built)
+    assert any(name.endswith(_kernel._EXT_SUFFIX) for name in built)
 
 
 # Loads the kernel from the cache directory argv[1] (a source file in
@@ -347,23 +403,21 @@ from gf2mat import _kernel, core
 from gf2mat import _reference as ref
 if len(sys.argv) > 2:
     _kernel._SOURCE = Path(sys.argv[2])
-lib = _kernel.load_library(Path(sys.argv[1]))
-assert lib is not None
+mod = _kernel.load_library(Path(sys.argv[1]))
+assert mod is not None
 a = core.random(40, 100, seed=1)
 b = core.random(100, 70, seed=2)
 c = core.create(40, 70)
 tables = core.create(2 << 4, 70)
-_kernel.CKernel(lib).m4rm(c, a, b, 100, 70, 4, 16, 2,
+_kernel.CKernel(mod).m4rm(c, a, b, 100, 70, 4, 16, 2,
                           core.tail_mask(70), tables)
 if len(sys.argv) == 2:
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 """
 
-needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler")
-
-
 def intact(path):
-    return path.stem.rsplit("-", 1)[1] == _kernel._digest(path.read_bytes())
+    stem = path.name[:-len(_kernel._EXT_SUFFIX)]
+    return stem.rsplit("-", 1)[1] == _kernel._digest(path.read_bytes())
 
 
 @needs_c
@@ -435,6 +489,64 @@ def test_concurrent_products_on_c_backend():
     for (a, b, expected), got in zip(jobs, results):
         assert got is not None
         assert ref.first_mismatch(got, expected) is None
+
+
+# One engine call per case that runs for 50 ms or more: M4RM at k=1,
+# t=1 over 4096 x 2048 x 2048 (70 ms on a 2-vCPU AVX-512 Xeon), and
+# cubic over 4096 x 4096 x 1024 (70 ms there too). The scratch is made
+# beforehand, since numpy may release the lock to zero a large array.
+ENGINE_CALLS = {
+    "m4rm": ((4096, 2048, 2048), lambda l, n: core.create(2, n),
+             lambda kernel, c, a, b, l, n, scratch: kernel.m4rm(
+                 c, a, b, l, n, 1, 4096, 1, core.tail_mask(n), scratch)),
+    "cubic": ((4096, 4096, 1024), lambda l, n: core.create(n, l),
+              lambda kernel, c, a, b, l, n, scratch: kernel.cubic(
+                  c, a, b, l, n, scratch)),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("engine", ENGINE_CALLS)
+def test_engines_release_the_interpreter_lock(engine):
+    """A pure-Python thread advances while one engine call runs on the
+    main thread. The switch interval is far longer than the call, so the
+    thread gets no forced turn: it can only run while the call has
+    released the lock. It yields the lock on every step, so the main
+    thread takes it back as soon as the call returns."""
+    (m, l, n), make_scratch, call = ENGINE_CALLS[engine]
+    kernel = _kernel.get("c")
+    a = core.random(m, l, seed=81)
+    b = core.random(l, n, seed=82)
+    c = core.create(m, n)
+    scratch = make_scratch(l, n)
+    ticks = [0]
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            ticks[0] += 1
+            time.sleep(0)
+
+    spinner = threading.Thread(target=spin)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(2.0)
+    try:
+        spinner.start()
+        deadline = time.monotonic() + 10
+        while not ticks[0] and time.monotonic() < deadline:
+            time.sleep(0)
+        assert ticks[0], "the spinner never ran"
+        before, begun = ticks[0], time.perf_counter()
+        call(kernel, c, a, b, l, n, scratch)
+        took = time.perf_counter() - begun
+        advanced = ticks[0] - before
+    finally:
+        stop.set()
+        spinner.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not spinner.is_alive()
+    assert advanced > 0, (engine, took)
+    assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 
 
 # (operand, rows, columns) of one too small for its stated role: c, a
@@ -582,7 +694,7 @@ def isa_kernels(tmp_path_factory):
         assert edited != source, name
         path = _kernel._build(_kernel._compiler(), edited.encode(),
                               tmp_path_factory.mktemp(name), name)
-        kernels[name] = _kernel.CKernel(_kernel._bind(path))
+        kernels[name] = _kernel.CKernel(_kernel._load(path))
     return kernels
 
 
@@ -675,7 +787,7 @@ b = core.random(l, n, seed=52)
 start = core.random(m, n, seed=53)
 expected = core.to_dense(start) ^ ref.naive_product(a, b)
 for path in sys.argv[4:]:
-    kernel = _kernel.CKernel(_kernel._bind(Path(path)))
+    kernel = _kernel.CKernel(_kernel._load(Path(path)))
     c = core.copy_out(start)
     ops = {"a": a, "b": b, "c": c,
            "tables": core.create(min(t, -(-l // k)) << k, n),
@@ -705,7 +817,7 @@ def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
     """Every engine copy reads and writes only inside its operands, the
     last word of A's last row included, which a stripe group starting
     inside that word would overrun."""
-    paths = [kernel._lib._name for kernel in isa_kernels.values()]
+    paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
     assert run_python(GUARDED_PRODUCT, "m4rm", which, n, *paths).strip() \
         == "ok"
 
@@ -717,7 +829,7 @@ def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
 def test_cubic_reads_stay_inside_operands(isa_kernels, which, n):
     """Cubic reads and writes only inside its operands, C included, which
     it reads to add the product into it."""
-    paths = [kernel._lib._name for kernel in isa_kernels.values()]
+    paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
     assert run_python(GUARDED_PRODUCT, "cubic", which, n, *paths).strip() \
         == "ok"
 

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triple
+from gf2mat import _kernel, core, tuning
 from gf2mat import _reference as ref
-from gf2mat import core
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
-from gf2mat.m4rm import mul_m4rm
+from gf2mat.m4rm import _table_layout, mul_m4rm
 from gf2mat.strassen import (
     _CUBIC_ROWS,
     MulParams,
+    _base_route,
+    _m4rm_k,
     _temp_arena,
     mul_strassen,
     peel_fixup,
@@ -269,6 +271,58 @@ class TestMulStrassen:
             got = mul_strassen(a, b, params)
             assert ref.first_mismatch(got, ref.naive_product(a, b)) is None, \
                 (m, l, n)
+
+
+# Dimensions around word and table-row boundaries, up to 1100.
+ROUTE_DIMS = (1, 2, 3, 5, 8, 13, 20, 31, 32, 33, 47, 63, 64, 65, 100, 127,
+              128, 129, 200, 255, 256, 257, 400, 511, 512, 513, 700, 1000,
+              1023, 1024, 1025, 1100)
+
+
+class TestBaseRoute:
+    @pytest.mark.parametrize("params", [
+        tuning.auto_params(), MulParams(cutoff=1024, b_s=100, t=3)],
+        ids=["fitted", "paper-t3"])
+    def test_memo_equals_the_rule(self, params):
+        """The memoized route, computed and then recalled, is the rule:
+        cubic where _m4rm_k says 0, else the tables _table_layout
+        computes, unmemoized, at its k."""
+        layout = _table_layout.__wrapped__
+        for m in ROUTE_DIMS:
+            for l in ROUTE_DIMS:
+                for n in ROUTE_DIMS:
+                    k = _m4rm_k(m, l, n, params)
+                    rule = layout(l, n, k, params.t) if k else None
+                    for _ in range(2):
+                        assert _base_route(m, l, n, params) == rule, \
+                            (m, l, n)
+
+    def test_memo_is_shared_by_equal_params(self):
+        route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5))
+        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=5)) \
+            is route
+        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=4)) \
+            != route
+
+    @pytest.mark.parametrize("shape,params", [
+        ((40, 300, 200), MulParams(cutoff=1024, k=6, t=3)),
+        ((129, 128, 128), MulParams(cutoff=64, k=4, t=1)),
+    ], ids=["flat", "peeled"])
+    def test_smaller_budget_refuses_a_cached_shape(self, shape, params,
+                                                   monkeypatch):
+        """The memo holds no verdict on the budget: after a product of a
+        shape succeeds, a smaller _kernel.MAX_TABLE_BYTES still refuses
+        it before anything is allocated."""
+        m, l, n = shape
+        a = core.random(m, l, seed=71)
+        b = core.random(l, n, seed=72)
+        got = mul_strassen(a, b, params)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+        monkeypatch.setattr(_kernel, "MAX_TABLE_BYTES", 100)
+        allocated = counters.words_allocated
+        with pytest.raises(ParameterError):
+            mul_strassen(a, b, params)
+        assert counters.words_allocated == allocated
 
 
 class TestStructuralCounts:
