@@ -19,10 +19,11 @@
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's headers and plain -O3 (no -march), so a
  * cached binary runs on any CPU of the same architecture. On x86-64 the
- * M4RM engine is also compiled for AVX2 and AVX-512, and each product
- * runs on the widest one the CPU supports. The module's entries, at the
- * end of this file, take integer arguments and release the interpreter
- * lock around the engines.
+ * M4RM engine is also compiled for AVX2 and AVX-512; the module's init
+ * function picks the widest copy the CPU supports, once. That function
+ * is the only exported symbol. The module's entries, at the end of this
+ * file, take integer arguments and release the interpreter lock around
+ * the engines.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -152,8 +153,7 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
  * columns of a (the last stripe may be narrower). Each group builds its t
  * Gray tables from the matching rows of b into `tables` (t tables of 2^k
  * rows of ceil(n/64) words, t_stride >= ceil(n/64) words apart,
- * consecutive), then updates every row of the block once. `tail` masks the
- * used bits of a row's last word of b.
+ * consecutive), then updates every row of the block once.
  *
  * The index step: when a group's columns span at most 64 bits, each row
  * reads one 64-bit window of a's row from the group's first column (its
@@ -166,9 +166,11 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
                  int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
-                 word tail, word *tables, int64_t t_stride)
+                 word *tables, int64_t t_stride)
 {
     int64_t width = (n + 63) / 64, wl = (l + 63) / 64;
+    /* The used bits of a row's last word of b. */
+    word tail = ~(word)0 << (-(word)n & 63);
     int64_t table_words = t_stride << k;
     word row_bytes = (word)t_stride * sizeof(word);
     const word *rows[MAX_TABLES];
@@ -229,9 +231,9 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
 #define M4RM_PARAMS                                                       \
     word *c, int64_t c_stride, const word *a, int64_t a_stride,           \
     const word *b, int64_t b_stride, int64_t m, int64_t l, int64_t n,     \
-    int k, int64_t b_s, int t, word tail, word *tables, int64_t t_stride
+    int k, int64_t b_s, int t, word *tables, int64_t t_stride
 #define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, \
-    t, tail, tables, t_stride
+    t, tables, t_stride
 
 /* One copy of the engine per instruction set. */
 static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }
@@ -242,46 +244,9 @@ __attribute__((target("avx512f")))
 static void m4rm_avx512f(M4RM_PARAMS) { m4rm(8, M4RM_ARGS); }
 #endif
 
-enum isa { ISA_DEFAULT, ISA_AVX2, ISA_AVX512F };
-
-/* The widest instruction set with a copy of the engine that this CPU
- * runs. The CPU's features are read once, at load; each query is a load
- * and a bit test. */
-static enum isa host_isa(void)
-{
-#ifdef GF2MAT_DISPATCH
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        return ISA_AVX512F;
-    if (__builtin_cpu_supports("avx2"))
-        return ISA_AVX2;
-#endif
-    return ISA_DEFAULT;
-}
-
-/* Name of the instruction set gf2mat_m4rm runs on this CPU. */
-const char *gf2mat_isa(void)
-{
-    static const char *const names[] = {"default", "avx2", "avx512f"};
-    return names[host_isa()];
-}
-
-/* c += a @ b by M4RM on the widest copy of the engine this CPU runs. */
-void gf2mat_m4rm(M4RM_PARAMS)
-{
-    switch (host_isa()) {
-#ifdef GF2MAT_DISPATCH
-    case ISA_AVX512F:
-        m4rm_avx512f(M4RM_ARGS);
-        return;
-    case ISA_AVX2:
-        m4rm_avx2(M4RM_ARGS);
-        return;
-#endif
-    default:
-        m4rm_default(M4RM_ARGS);
-    }
-}
+/* The copy of the engine products run on: the widest this CPU supports,
+ * chosen once by PyInit_gf2mat_kernel. */
+static void (*engine)(M4RM_PARAMS) = m4rm_default;
 
 /* Low-half masks of the 64x64 bit transpose's six rounds, for swaps of
  * 32, 16, 8, 4, 2 and 1 bits. */
@@ -359,11 +324,12 @@ static void transpose(word *bt, const word *b, int64_t b_stride, int64_t l,
  *
  * It starts on a 64-byte boundary, so its loops sit where they sit however
  * long the M4RM engine before it grows: started 48 bytes past one, the same
- * code ran small-batch's cubic products 6-12% slower (BENCH_10.json). */
-__attribute__((aligned(64)))
-void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
-                  const word *b, int64_t b_stride, int64_t m, int64_t l,
-                  int64_t n, word *bt)
+ * code ran small-batch's cubic products 6-12% slower (BENCH_10.json). It is
+ * never inlined, so its caller cannot undo that placement. */
+__attribute__((aligned(64), noinline))
+static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
+                         int64_t a_stride, const word *b, int64_t b_stride,
+                         int64_t m, int64_t l, int64_t n, word *bt)
 {
     int64_t wl = (l + 63) / 64;
     word sums[64];
@@ -394,9 +360,11 @@ void gf2mat_cubic(word *c, int64_t c_stride, const word *a, int64_t a_stride,
 
 /* The module: one METH_FASTCALL entry per engine. Every argument is a
  * Python int (or an object with __index__) read as one 64-bit word:
- * addresses, row strides in words, sizes, parameters and the tail mask,
- * in the order of the engine's parameters. _kernel.py has checked that
- * the operands cover the product and the parameters are in range. */
+ * addresses, row strides in words, sizes and parameters, in the order of
+ * the engine's parameters. _kernel.py has checked that the operands cover
+ * the product. The parameters come validated by the callers (StripeSpec,
+ * MulParams): 1 <= k <= min(l, 16), 1 <= t <= 8, b_s >= 1, and the
+ * product is not empty. */
 
 /* The nargs words of args into w; -1 with an exception set if the count
  * is wrong or an argument is not an integer. */
@@ -418,15 +386,15 @@ static int words_of(const char *name, PyObject *const *args,
 static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    word w[15];
+    word w[14];
     (void)self;
-    if (words_of("m4rm", args, nargs, 15, w) < 0)
+    if (words_of("m4rm", args, nargs, 14, w) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
-    gf2mat_m4rm(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3],
-                PTR(w[4]), (int64_t)w[5], (int64_t)w[6], (int64_t)w[7],
-                (int64_t)w[8], (int)w[9], (int64_t)w[10], (int)w[11], w[12],
-                PTR(w[13]), (int64_t)w[14]);
+    engine(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3], PTR(w[4]),
+           (int64_t)w[5], (int64_t)w[6], (int64_t)w[7], (int64_t)w[8],
+           (int)w[9], (int64_t)w[10], (int)w[11], PTR(w[12]),
+           (int64_t)w[13]);
     Py_END_ALLOW_THREADS
     Py_RETURN_NONE;
 }
@@ -449,7 +417,7 @@ static PyObject *py_cubic(PyObject *self, PyObject *const *args,
 static PyMethodDef methods[] = {
     {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
      "m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t, "
-     "tail, tables, t_stride): c += a @ b by M4RM."},
+     "tables, t_stride): c += a @ b by M4RM."},
     {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
      "cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n, bt): "
      "c += a @ b by cubic."},
@@ -461,12 +429,22 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* `isa` names the copy of the M4RM engine gf2mat_m4rm runs here. */
+/* Picks the engine copy for this CPU; `isa` names it. */
 PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
 {
+    const char *isa = "default";
+#ifdef GF2MAT_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+        engine = m4rm_avx512f;
+        isa = "avx512f";
+    } else if (__builtin_cpu_supports("avx2")) {
+        engine = m4rm_avx2;
+        isa = "avx2";
+    }
+#endif
     PyObject *mod = PyModule_Create(&module);
-    if (mod != NULL && PyModule_AddStringConstant(mod, "isa",
-                                                  gf2mat_isa()) < 0)
+    if (mod != NULL && PyModule_AddStringConstant(mod, "isa", isa) < 0)
         Py_CLEAR(mod);
     return mod;
 }

@@ -17,18 +17,20 @@ scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
 
 `_kernel.c` is built as a CPython extension module the first time a
 product needs it, with the system `cc` and the interpreter's headers
-(`Python.h`, from sysconfig's include path). The binary is cached in this
-package's `__pycache__/` and loaded with importlib. Its name holds a key
-(the source, the flags with the include path, `cc --version` and the
-interpreter's extension suffix), a digest of the binary, and that suffix.
-So a stale or damaged file is rebuilt instead of loaded, and a new build
-removes this interpreter's builds of any other key. The module's `m4rm`
-and `cubic` are METH_FASTCALL functions of plain integers that release
-the interpreter lock around the engine. On x86-64 the binary holds the
-M4RM engine once per instruction set and each product runs on the widest
-one the CPU has (`isa()` names it). Without a compiler, without the
-Python headers or without a writable cache the default kernel is `numpy`;
-there is no second binding.
+(`Python.h`, from sysconfig's include path). The binary is cached in
+this package's `__pycache__/` and loaded with importlib. Its name holds
+a key (the source, the flags with the include path, `cc --version` and
+the interpreter's extension suffix), a digest of the binary, and that
+suffix. So a stale or damaged file is rebuilt instead of loaded, and a
+new build removes this interpreter's builds of any other key (and the
+suffixless builds of the old ctypes binding). The module's `m4rm` and
+`cubic` are METH_FASTCALL functions of plain integers that release the
+interpreter lock around the engine; its init function is the one symbol
+the binary exports. On x86-64 the binary holds the M4RM engine once per
+instruction set, and the module picks the widest one the CPU has when it
+loads (`isa()` names it). Without a compiler, without the Python headers
+or without a writable cache the default kernel is `numpy`; there is no
+second binding.
 """
 
 from __future__ import annotations
@@ -132,23 +134,21 @@ class CKernel(NumpyKernel):
         self.isa = mod.isa
 
     def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
-             tail: int, tables) -> None:
-        """c += a @ b (a: m x l, b: l x n entries) with stripes of k <= l
-        columns, row blocks of b_s and t tables; `tables` is scratch for
-        min(t, stripes) tables of 2^k rows of ceil(n / 64) words, rows of
-        the operand's stride apart; `tail` masks b's last word. Operands
-        that do not cover these words raise before anything is written."""
+             tables) -> None:
+        """c += a @ b (a: m x l, b: l x n entries, none of them 0) with
+        stripes of k <= l columns, row blocks of b_s and t tables; `tables`
+        is scratch for min(t, stripes) tables of 2^k rows of ceil(n / 64)
+        words, rows of the operand's stride apart. k, t and b_s must be in
+        range (StripeSpec and MulParams check them; this does not).
+        Operands that do not cover these words raise before anything is
+        written."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
-        if not (1 <= k <= min(l, MAX_K) and 1 <= t <= MAX_T
-                and b_s >= 1 and m >= 1 and wn >= 1):
-            raise ParameterError(
-                f"kernel parameters k={k} t={t} b_s={b_s} for {m}x{l}x{n}")
         if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
                 or b.width < wn or tables.width < wn
                 or tables.nrows < min(t, -(-l // k)) << k):
             raise _short_operands(m, l, n, c=c, a=a, b=b, tables=tables)
         self._mod.m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
-                       b.stride, m, l, n, k, b_s, t, tail, tables.addr,
+                       b.stride, m, l, n, k, b_s, t, tables.addr,
                        tables.stride)
 
     def cubic(self, c, a, b, l: int, n: int, bt) -> None:
@@ -207,8 +207,9 @@ def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
     """Compile `source` as an extension module for this interpreter and
     move the binary into place in one step, so a concurrent reader never
     sees a partial file. Then remove this interpreter's builds of other
-    keys, which no later load picks; builds of this key stay, since a
-    concurrent first build may be loading one."""
+    keys, which no later load picks, and builds of the ctypes binding the
+    extension replaced, which had no interpreter suffix; builds of this
+    key stay, since a concurrent first build may be loading one."""
     cache_dir.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{_MODULE}-{key}-", suffix=".tmp",
                                dir=cache_dir)
@@ -223,7 +224,9 @@ def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-    for stale in cache_dir.glob(f"{_MODULE}-*{_EXT_SUFFIX}"):
+    hex16 = "[0-9a-f]" * 16
+    for stale in [*cache_dir.glob(f"{_MODULE}-*{_EXT_SUFFIX}"),
+                  *cache_dir.glob(f"{_MODULE}-{hex16}-{hex16}.so")]:
         if not stale.name.startswith(f"{_MODULE}-{key}-"):
             with contextlib.suppress(OSError):
                 stale.unlink()

@@ -135,8 +135,7 @@ def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
         c = core.create(m, n)
     kernel = _kernel.active()
     if kernel.compiled:
-        # B's last-word mask as a plain int: the top 64 - (-n % 64) bits.
-        kernel.m4rm(c, a, b, l, n, k, b_s, t, (1 << 64) - (1 << -n % 64),
+        kernel.m4rm(c, a, b, l, n, k, b_s, t,
                     core.create(ntables << k, table_cols))
         # The deltas the table builds and row updates below record; a
         # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.

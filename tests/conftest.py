@@ -1,7 +1,26 @@
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from gf2mat import core
+from gf2mat import _kernel, core
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_stray_kernel_builds():
+    """Errors at the end of the session if the package's kernel cache
+    gained a file that this interpreter never loads: a build under
+    another interpreter's suffix, or a build's temporary file. Tests that
+    build for other interpreters must build into their own cache."""
+    def listed():
+        return set(_kernel._CACHE_DIR.glob("gf2mat_kernel-*"))
+
+    before = listed()
+    yield
+    stray = sorted(path.name for path in listed() - before
+                   if path.suffix == ".tmp"
+                   or not path.name.endswith(_kernel._EXT_SUFFIX))
+    if stray:
+        pytest.fail(f"stray files in {_kernel._CACHE_DIR}: {stray}")
 
 
 def from_rows(rows) -> core.BitMatrix:

@@ -2,8 +2,10 @@
 kernel's build cache, its fallback and concurrent use."""
 
 import contextlib
+import ctypes
 import gc
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import gf2mat
 from gf2mat import _kernel, core
 from gf2mat import _reference as ref
-from gf2mat.counters import counters
+from gf2mat.counters import Counters, counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
@@ -189,6 +191,12 @@ def test_counter_deltas_identical_across_backends(run, m, n):
             run(a, b)
         deltas[name] = {f: getattr(counters, f) - before[f] for f in names}
     assert all(d == deltas["numpy"] for d in deltas.values()), deltas
+
+
+def test_counters_reset():
+    tally = Counters(row_adds=3, c_writes=2, words_allocated=5)
+    tally.reset()
+    assert tally == Counters()
 
 
 @contextlib.contextmanager
@@ -377,20 +385,37 @@ def test_unwritable_cache_gives_no_library(tmp_path):
 @needs_c
 def test_builds_of_another_interpreter_are_kept(tmp_path):
     """A build removes older builds for its own interpreter only: one
-    made under another extension suffix stays beside it."""
+    made under another extension suffix stays beside it. The child
+    builds into the test's cache only, not the package's."""
     other = ".cpython-399-other.so"
+    before = set(_kernel._CACHE_DIR.glob(f"*{other}"))
     run_python("""
 import sys
 from pathlib import Path
 from gf2mat import _kernel
 _kernel._EXT_SUFFIX = sys.argv[2]
-assert _kernel.load_library(Path(sys.argv[1])).isa == _kernel.isa()
-""", tmp_path, other)
+assert _kernel.load_library(Path(sys.argv[1])).isa == sys.argv[3]
+""", tmp_path, other, _kernel.isa())
+    assert set(_kernel._CACHE_DIR.glob(f"*{other}")) == before
     run_python(LOAD_FROM_CACHE, tmp_path)
     built = sorted(path.name for path in tmp_path.iterdir())
     assert len(built) == 2
     assert any(name.endswith(other) for name in built)
     assert any(name.endswith(_kernel._EXT_SUFFIX) for name in built)
+
+
+@needs_c
+def test_build_sweeps_ctypes_builds(tmp_path):
+    """A build removes a build of the old ctypes binding (no interpreter
+    suffix) and keeps builds of its own key and of other interpreters."""
+    key, hex16 = "0123456789abcdef", "fedcba9876543210"
+    kept = {f"gf2mat_kernel-{key}-{hex16}{_kernel._EXT_SUFFIX}",
+            f"gf2mat_kernel-{hex16}-{key}.cpython-399-other.so"}
+    for name in (*kept, f"gf2mat_kernel-{hex16}-{key}.so"):
+        (tmp_path / name).write_bytes(b"")
+    path = _kernel._build(_kernel._compiler(), _kernel._SOURCE.read_bytes(),
+                          tmp_path, key)
+    assert {p.name for p in tmp_path.iterdir()} == kept | {path.name}
 
 
 # Loads the kernel from the cache directory argv[1] (a source file in
@@ -409,8 +434,7 @@ a = core.random(40, 100, seed=1)
 b = core.random(100, 70, seed=2)
 c = core.create(40, 70)
 tables = core.create(2 << 4, 70)
-_kernel.CKernel(mod).m4rm(c, a, b, 100, 70, 4, 16, 2,
-                          core.tail_mask(70), tables)
+_kernel.CKernel(mod).m4rm(c, a, b, 100, 70, 4, 16, 2, tables)
 if len(sys.argv) == 2:
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 """
@@ -498,7 +522,7 @@ def test_concurrent_products_on_c_backend():
 ENGINE_CALLS = {
     "m4rm": ((4096, 2048, 2048), lambda l, n: core.create(2, n),
              lambda kernel, c, a, b, l, n, scratch: kernel.m4rm(
-                 c, a, b, l, n, 1, 4096, 1, core.tail_mask(n), scratch)),
+                 c, a, b, l, n, 1, 4096, 1, scratch)),
     "cubic": ((4096, 4096, 1024), lambda l, n: core.create(n, l),
               lambda kernel, c, a, b, l, n, scratch: kernel.cubic(
                   c, a, b, l, n, scratch)),
@@ -577,7 +601,7 @@ def test_short_kernel_operand_raises_before_writing(product, which, rows,
     with pytest.raises(DimensionError):
         if product == "m4rm":
             kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 70, 4, 16, 2,
-                        core.tail_mask(70), ops["tables"])
+                        ops["tables"])
         else:
             kernel.cubic(ops["c"], ops["a"], ops["b"], 100, 70, ops["bt"])
     for name, words in roots.items():
@@ -597,9 +621,25 @@ def test_short_padded_tables_raise_before_writing():
     before = [words.copy() for words in roots]
     with pytest.raises(DimensionError):
         _kernel.get("c").m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16,
-                              2, core.tail_mask(600), ops["tables"])
+                              2, ops["tables"])
     for words, old in zip(roots, before):
         assert np.array_equal(words, old)
+
+
+@pytest.mark.parametrize("k,t,b_s", [(0, 1, 8), (17, 1, 8), (4, 0, 8),
+                                     (4, 9, 8), (4, 2, 0)])
+def test_bad_parameters_raise_before_allocating(backend, k, t, b_s):
+    """k, t and b_s are checked once, before the kernel: out of range,
+    they raise before anything is allocated, with C unchanged."""
+    a = core.random(40, 100, seed=69)
+    b = core.random(100, 70, seed=70)
+    c = core.random(40, 70, seed=71)
+    before = c.words.copy()
+    allocated = counters.words_allocated
+    with pytest.raises(ParameterError):
+        mul_m4rm_into(c, a, b, k, b_s, t)
+    assert counters.words_allocated == allocated
+    assert np.array_equal(c.words, before)
 
 
 def test_oversized_tables_raise_before_allocating(backend):
@@ -706,6 +746,27 @@ def test_isa_names_the_engine_copy_in_use(isa_kernels):
     assert isa_kernels["portable"].isa == "default"
 
 
+@needs_c
+def test_binary_exports_only_its_init(isa_kernels):
+    """Every build exports the module's init function and no kernel
+    symbol; cubic starts on a 64-byte boundary (read with nm, where
+    there is one)."""
+    nm = shutil.which("nm")
+    for kernel in isa_kernels.values():
+        path = kernel._mod.__file__
+        lib = ctypes.CDLL(path)
+        assert hasattr(lib, "PyInit_gf2mat_kernel")
+        for name in ("gf2mat_m4rm", "gf2mat_cubic", "gf2mat_isa"):
+            assert not hasattr(lib, name), name
+        if nm:
+            symbols = subprocess.run([nm, path], capture_output=True,
+                                     text=True, check=True).stdout
+            [cubic] = [int(line.split()[0], 16)
+                       for line in symbols.splitlines()
+                       if line.endswith(" gf2mat_cubic")]
+            assert cubic % 64 == 0
+
+
 # Row widths of 1..40 words, so every remainder of the 8-, 4-, 2- and
 # 1-word chunks, ragged unless w % 3 == 0, and wide rows of 45, 48, 64 and
 # 65 words; k cycles 1..16 and t 1..8; l spans two groups of t stripes and
@@ -730,7 +791,7 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         c = dirty_window(m, n, seed=23)
         before = core.to_dense(c.parent)
         tables = core.create(min(t, -(-l // k)) << k, n)
-        kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n), tables)
+        kernel.m4rm(c, a, b, l, n, k, b_s, t, tables)
         expect_added(c, before, expected)
         parents[name] = c.parent.words
     for words in parents.values():
@@ -795,7 +856,7 @@ for path in sys.argv[4:]:
     ops[which] = Guarded(ops[which])
     if product == "m4rm":
         kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
-                    core.tail_mask(n), ops["tables"])
+                    ops["tables"])
     else:
         kernel.cubic(ops["c"], ops["a"], ops["b"], l, n, ops["bt"])
     if which == "c":
@@ -871,7 +932,7 @@ def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
             assert tables.stride == (stride if layout == "padded" else width)
             c = dirty_window(m, n, seed=43)
             before = core.to_dense(c.parent)
-            kernel.m4rm(c, a, b, l, n, k, b_s, t, core.tail_mask(n), tables)
+            kernel.m4rm(c, a, b, l, n, k, b_s, t, tables)
             expect_added(c, before, expected)
             parents.append(c.parent.words)
     for words in parents:

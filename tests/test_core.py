@@ -363,6 +363,26 @@ class TestEqualRandom:
         a = core.random(5, 70, seed=32)
         assert core.first_difference(a, core.copy_out(a)) is None
 
+    def test_operators(self):
+        # ==, hash, m[r, c] and repr on matrices and windows.
+        a = core.random(5, 130, seed=33)
+        w = core.window(a, 1, 64, 3, 66)
+        copy = core.copy_out(w)
+        assert w == copy and copy == w and a != w
+        assert (a == "a") is False
+        keys = {a: "a", w: "w"}
+        hashed = hash(w)
+        assert w[2, 65] == core.get_bit(a, 3, 129)
+        w[2, 65] = 1 - w[2, 65]
+        assert core.get_bit(a, 3, 129) == w[2, 65] and w != copy
+        # Matrices are mutable and hash by identity, so a write keeps them
+        # usable as keys.
+        assert hash(w) == hashed and keys[w] == "w" and keys[a] == "a"
+        with pytest.raises(IndexError):
+            w[3, 0]
+        assert repr(a) == "BitMatrix(5x130)"
+        assert repr(w) == "MatrixWindow(3x66@(1,64))"
+
 
 class TestTrailingCleanliness:
     def test_fuzz_all_ops(self):

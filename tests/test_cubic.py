@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import from_rows, random_triple
+from gf2mat import _kernel, core, cubic
 from gf2mat import _reference as ref
-from gf2mat import core
 from gf2mat.cubic import mul_cubic, parity64, parity_accumulate
 from gf2mat.errors import DimensionError
 
@@ -27,6 +27,19 @@ class TestParity:
         for i in range(64):
             expected = int(words[i]).bit_count() & 1
             assert (packed >> (63 - i)) & 1 == expected, i
+
+    def test_parity_without_bitwise_count(self, monkeypatch):
+        # numpy before 2.0 has no bitwise_count; the shift-fold fallback
+        # gives the same parities and numpy-kernel products.
+        monkeypatch.setattr(cubic, "_HAS_BITWISE_COUNT", False)
+        words = core.random(1, 64 * 200, seed=16).words[0]
+        expected = [int(w).bit_count() & 1 for w in words]
+        assert cubic._popcount_parity(words).tolist() == expected
+        a = core.random(37, 130, seed=17)
+        b = core.random(130, 100, seed=18)
+        with _kernel.using("numpy"):
+            got = mul_cubic(a, b)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_parity64_wrong_length(self):
         with pytest.raises(DimensionError):

@@ -133,6 +133,9 @@ class TestMakeTable:
         make_table(b, 0, 3, t)
         assert t.rows.shape == (8, 1)
         assert np.array_equal(t.rows, t.matrix.words[:8])
+        for x in range(8):
+            packed = core.from_dense(combination_oracle(b, 0, 3, x)[None])
+            assert np.array_equal(t.row(x), packed.words[0])
 
     def test_source_window_with_live_right_edge(self):
         parent = core.random(6, 192, seed=8)
