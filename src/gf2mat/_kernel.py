@@ -138,10 +138,13 @@ class CKernel(NumpyKernel):
         """c += a @ b (a: m x l, b: l x n entries, none of them 0) with
         stripes of k <= l columns, row blocks of b_s and t tables; `tables`
         is scratch for min(t, stripes) tables of 2^k rows of ceil(n / 64)
-        words, rows of the operand's stride apart. k, t and b_s must be in
-        range (StripeSpec and MulParams check them; this does not).
-        Operands that do not cover these words raise before anything is
-        written."""
+        words, rows of the operand's stride apart. m4rm._mul_into calls
+        this with the k and scratch of the plan m4rm._table_layout made;
+        k, t and b_s were checked, and the plan's tables passed the budget,
+        once at the public entry. The one check kept here is independent
+        of those: operands that do not cover these words raise before
+        anything is written, since a short operand would otherwise be
+        read or written out of bounds."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
         if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
                 or b.width < wn or tables.width < wn

@@ -56,8 +56,9 @@ def tail_mask(ncols: int) -> np.uint64:
 
 
 class _Matrix:
-    """Shape, equality, hashing, bit indexing and repr, shared by owned
-    matrices and windows; row r of either is `words[r]`."""
+    """Shape, equality, bit indexing and repr, shared by owned matrices
+    and windows; row r of either is `words[r]`. Matrices are mutable and
+    compare by entries, so they are unhashable, like numpy arrays."""
 
     __slots__ = ()
 
@@ -70,8 +71,7 @@ class _Matrix:
             return NotImplemented
         return equal(self, other)
 
-    def __hash__(self):
-        return id(self)
+    __hash__ = None
 
     def __getitem__(self, rc) -> int:
         return get_bit(self, rc[0], rc[1])

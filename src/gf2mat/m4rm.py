@@ -19,7 +19,6 @@ loop below serves the numpy and scalar kernels.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,79 +72,71 @@ def _read_bits_rows(a: core.Mat, r0: int, r1: int, sc: int,
     return ids.astype(np.intp)
 
 
-def _validate(a: core.Mat, b: core.Mat, k: int, t: int,
-              b_s: int) -> StripeSpec:
-    if a.ncols != b.nrows:
-        raise DimensionError(
-            f"inner dimensions {a.ncols} and {b.nrows} differ")
-    return StripeSpec(k, t, b_s)
-
-
-class TableLayout(NamedTuple):
-    """The M4RM tables of a product: Gray width k (at most l), ntables
-    tables of 2^k rows of table_cols columns, padded as core.padded_cols
-    pads them, table_bytes in all."""
+class Plan(NamedTuple):
+    """An M4RM product's plan: Gray width k (at most l); ntables tables of
+    2^k rows of table_cols columns, padded as core.padded_cols pads them,
+    table_bytes in all; and the counter deltas the Python engine records
+    for it (table_adds, row_adds, c_writes), which _mul_into adds in one
+    step on the compiled kernel."""
 
     k: int
     ntables: int
     table_cols: int
     table_bytes: int
+    table_adds: int
+    row_adds: int
+    c_writes: int
 
 
-@functools.lru_cache(maxsize=4096)
-def _table_layout(l: int, n: int, k: int, t: int) -> TableLayout:
-    """The tables of a product whose B has l x n entries (both >= 1) at
-    Gray width k with t tables. Memoized, since every product asks; shape
-    arithmetic only: _fit_budget compares the bytes with the kernel's
-    budget, which may change."""
+def _table_layout(m: int, l: int, n: int, k: int, b_s: int,
+                  t: int) -> Plan | None:
+    """The plan of an m x l x n product at Gray width k, row blocks of b_s
+    and t tables; None when the product is empty. Shape arithmetic only:
+    _fit_budget compares the bytes with the kernel's budget, which may
+    change."""
+    if not (m and l and n):
+        return None
     k = min(k, l)
-    ntables = min(t, -(-l // k))
-    table_cols = core.padded_cols(n)
-    return TableLayout(k, ntables, table_cols,
-                       (ntables << k) * core.words_per_row(table_cols) * 8)
-
-
-def _fit_budget(layout: TableLayout) -> TableLayout:
-    """layout, unless its tables exceed _kernel.MAX_TABLE_BYTES: then
-    ParameterError. The budget is read on every call."""
-    if layout.table_bytes > _kernel.MAX_TABLE_BYTES:
-        raise ParameterError(
-            f"{layout.ntables} tables of 2^{layout.k} rows of "
-            f"{layout.table_cols} columns take {layout.table_bytes} bytes, "
-            f"over {_kernel.MAX_TABLE_BYTES}")
-    return layout
-
-
-def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
-              b_s: int, t: int) -> core.Mat:
-    """c += a @ b; returns c. Without c (None), the product in a fresh
-    matrix. c may be a window: bits beyond its right edge are kept,
-    because table rows are masked to B's width. Tables over
-    _kernel.MAX_TABLE_BYTES raise ParameterError before anything, C
-    included, is allocated."""
-    m, l, n = a.nrows, a.ncols, b.ncols
-    if c is not None and (c.nrows != m or c.ncols != n):
-        raise DimensionError(
-            f"target {c.nrows}x{c.ncols} != product {m}x{n}")
-    if m == 0 or n == 0 or l == 0:
-        return core.create(m, n) if c is None else c
-    k, ntables, table_cols, _ = _fit_budget(_table_layout(l, n, k, t))
     nstripes = -(-l // k)
-    if c is None:
-        c = core.create(m, n)
+    ntables = min(t, nstripes)
+    table_cols = core.padded_cols(n)
+    # A ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
+    built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
+    return Plan(k, ntables, table_cols,
+                (ntables << k) * core.words_per_row(table_cols) * 8,
+                built, built + m * nstripes, m * -(-nstripes // t))
+
+
+def _fit_budget(plan: Plan | None) -> Plan | None:
+    """plan, unless its tables exceed _kernel.MAX_TABLE_BYTES: then
+    ParameterError. The budget is read on every call."""
+    if plan is not None and plan.table_bytes > _kernel.MAX_TABLE_BYTES:
+        raise ParameterError(
+            f"{plan.ntables} tables of 2^{plan.k} rows of "
+            f"{plan.table_cols} columns take {plan.table_bytes} bytes, "
+            f"over {_kernel.MAX_TABLE_BYTES}")
+    return plan
+
+
+def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
+              t: int) -> None:
+    """c += a @ b by `plan`, which _table_layout made for this non-empty
+    product and _fit_budget passed; c is sized to the product and may be
+    a window: bits beyond its right edge are kept, because table rows are
+    masked to B's width. Nothing is checked here; only the table scratch
+    is allocated."""
+    m, l, n = a.nrows, a.ncols, b.ncols
+    k = plan.k
     kernel = _kernel.active()
     if kernel.compiled:
         kernel.m4rm(c, a, b, l, n, k, b_s, t,
-                    core.create(ntables << k, table_cols))
-        # The deltas the table builds and row updates below record; a
-        # ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
-        built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
-        counters.table_adds += built
-        counters.row_adds += built + m * nstripes
-        counters.c_writes += m * -(-nstripes // t)
-        return c
+                    core.create(plan.ntables << k, plan.table_cols))
+        counters.table_adds += plan.table_adds
+        counters.row_adds += plan.row_adds
+        counters.c_writes += plan.c_writes
+        return
     stripes = _stripes(l, k)
-    tables = [CombinationTable(k, n) for _ in range(ntables)]
+    tables = [CombinationTable(k, n) for _ in range(plan.ntables)]
     table_words = [tbl.words for tbl in tables]
     for r0 in range(0, m, b_s):
         r1 = min(r0 + b_s, m)
@@ -164,31 +155,43 @@ def _mul_into(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
             kernel.xor(dst, rows, dst)
             counters.c_writes += r1 - r0
             counters.row_adds += (r1 - r0) * len(group)
+
+
+def _m4rm_entry(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
+                b_s: int, t: int) -> core.Mat:
+    """c += a @ b, or without c (None) the product in a fresh matrix;
+    returns c. Every public M4RM product comes here, and every check is
+    made here, before anything is allocated or written."""
+    m, l, n = a.nrows, a.ncols, b.ncols
+    if l != b.nrows:
+        raise DimensionError(f"inner dimensions {l} and {b.nrows} differ")
+    StripeSpec(k, t, b_s)
+    if c is not None and (c.nrows != m or c.ncols != n):
+        raise DimensionError(
+            f"target {c.nrows}x{c.ncols} != product {m}x{n}")
+    plan = _fit_budget(_table_layout(m, l, n, k, b_s, t))
+    if c is None:
+        c = core.create(m, n)
+    if plan is not None:
+        _mul_into(c, a, b, plan, b_s, t)
     return c
-
-
-def _product(a: core.Mat, b: core.Mat, k: int, b_s: int,
-             t: int) -> core.BitMatrix:
-    """a @ b in fresh storage; every public M4RM product comes here."""
-    _validate(a, b, k, t, b_s)
-    return _mul_into(None, a, b, k, b_s, t)
 
 
 def mul_m4rm(a: core.Mat, b: core.Mat, k: int) -> core.BitMatrix:
     """Basic Four-Russians product: one table per stripe, all rows inner."""
-    return _product(a, b, k, max(a.nrows, 1), 1)
+    return _m4rm_entry(None, a, b, k, max(a.nrows, 1), 1)
 
 
 def mul_m4rm_blocked(a: core.Mat, b: core.Mat, k: int,
                      b_s: int) -> core.BitMatrix:
     """Cache-friendly variant: row blocks outer, tables rebuilt per block."""
-    return _product(a, b, k, b_s, 1)
+    return _m4rm_entry(None, a, b, k, b_s, 1)
 
 
 def mul_m4rm_multitable(a: core.Mat, b: core.Mat, k: int, t: int,
                         b_s: int) -> core.BitMatrix:
     """t tables over t*k consecutive rows of B, fused into one update."""
-    return _product(a, b, k, b_s, t)
+    return _m4rm_entry(None, a, b, k, b_s, t)
 
 
 def mul_m4rm_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int,
@@ -197,6 +200,4 @@ def mul_m4rm_into(c: core.Mat, a: core.Mat, b: core.Mat, k: int,
 
     c may be a window; bits beyond its right edge are left as they are.
     """
-    b_s = max(a.nrows, 1) if b_s is None else b_s
-    _validate(a, b, k, t, b_s)
-    _mul_into(c, a, b, k, b_s, t)
+    _m4rm_entry(c, a, b, k, max(a.nrows, 1) if b_s is None else b_s, t)

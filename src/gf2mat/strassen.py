@@ -19,7 +19,7 @@ from . import core, tuning
 from .counters import counters
 from .cubic import mul_cubic
 from .errors import DimensionError
-from .m4rm import TableLayout, _fit_budget, _mul_into, _table_layout
+from .m4rm import Plan, _fit_budget, _mul_into, _table_layout
 from .tuning import MulParams
 
 _WORD = core.WORD_BITS
@@ -63,58 +63,54 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
                      (n // unit) * unit, depth)
 
 
-def _m4rm_k(m: int, l: int, n: int, params: MulParams) -> int:
-    """The base route's decision for an m x l x n product: 0 for cubic,
-    when B is narrower than a word and A short against B's rows (see
-    _CUBIC_ROWS), else the Gray width M4RM runs it with."""
-    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
-        return 0
-    return params.effective_k(n, nrows=m)
-
-
 @functools.lru_cache(maxsize=4096)
-def _base_route(m: int, l: int, n: int,
-                params: MulParams) -> TableLayout | None:
-    """The engine of an m x l x n base product: None for cubic, which
-    also takes the empty products (they need no tables), else M4RM's
-    table layout at the Gray width _m4rm_k picks. Memoized, since every
-    base product asks: it holds shape arithmetic only, and the caller
-    compares the table bytes with the kernel's budget
-    (m4rm._fit_budget), which may change."""
-    k = _m4rm_k(m, l, n, params)
-    if not (k and m and l and n):
+def _base_route(m: int, l: int, n: int, params: MulParams) -> Plan | None:
+    """The engine of an m x l x n base product: None for cubic, when B is
+    narrower than a word and A short against B's rows (see _CUBIC_ROWS),
+    and for the empty products, else the whole M4RM plan
+    (m4rm._table_layout) at the Gray width params give for m rows and n
+    columns. Memoized, since every base product asks: the route memo is
+    the only memo on the product path. It holds shape arithmetic only;
+    each public entry compares the table bytes with the kernel's budget
+    (_check_tables), which may change."""
+    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
         return None
-    return _table_layout(l, n, k, params.t)
+    return _table_layout(m, l, n, params.effective_k(n, nrows=m),
+                         params.b_s, params.t)
 
 
 def _check_tables(shapes, params: MulParams) -> None:
     """Raise ParameterError if a base product (m, l, n) of `shapes` would
-    ask for M4RM tables over the kernel's budget, as _mul_into would, so
-    a plan is refused before anything is allocated or written."""
+    ask for M4RM tables over the kernel's budget, so a plan is refused
+    before anything is allocated or written."""
     for m, l, n in shapes:
-        route = _base_route(m, l, n, params)
-        if route is not None:
-            _fit_budget(route)
+        _fit_budget(_base_route(m, l, n, params))
 
 
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
                    params: MulParams, accumulate: bool) -> core.Mat:
     """dst = a @ b, or dst += a @ b when accumulating, by the engine
     _base_route picks; returns dst. With dst None, the product in a fresh
-    matrix, which the engine allocates after its parameter checks.
+    matrix.
 
     The one route below the recursion: flat products, leaves and peeled
     strips all come here. It depends on (m, l, n) only, never on the
-    backend. Both engines add into dst in place, so dst may be a window
-    and nothing is allocated beyond the engines' scratch. Callers size
-    dst to the product.
+    backend, and is the one place that allocates or clears C for either
+    engine. Both engines add into dst in place, so dst may be a window
+    and nothing is allocated beyond C and the engines' scratch. Nothing
+    is checked here: callers size dst to the product, and the public
+    entry has passed the route's tables through _check_tables.
     """
-    if dst is not None and not accumulate:
+    plan = _base_route(a.nrows, a.ncols, b.ncols, params)
+    if dst is None:
+        dst = core.create(a.nrows, b.ncols)
+    elif not accumulate:
         core.clear(dst)
-    route = _base_route(a.nrows, a.ncols, b.ncols, params)
-    if route is None:
-        return mul_cubic(a, b, dst)
-    return _mul_into(dst, a, b, route.k, params.b_s, params.t)
+    if plan is None:
+        mul_cubic(a, b, dst)
+    else:
+        _mul_into(dst, a, b, plan, params.b_s, params.t)
+    return dst
 
 
 def _temp_arena(m: int, l: int, n: int, depth: int) -> list[tuple]:
@@ -274,6 +270,7 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if min(m, l, n) > params.cutoff:  # else peel_split finds no level
         ps = peel_split(m, l, n, params.cutoff)
     if ps.depth == 0:
+        _check_tables([(m, l, n)], params)
         return _base_mul_into(None, a, b, params, accumulate=False)
     strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
     _check_tables([(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),

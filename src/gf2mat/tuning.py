@@ -25,7 +25,6 @@ config file, or conservative defaults (32 KiB L1, 1 MiB L2).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -92,7 +91,6 @@ class MulParams:
                         self.l2_bytes)
 
 
-@functools.lru_cache(maxsize=1024)
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,
              ncols: int | None = None, nrows: int | None = None,
              l2_bytes: int = DEFAULT_L2_BYTES) -> int:
@@ -102,7 +100,8 @@ def choose_k(b_s: int, l1_bytes: int, t: int = 8,
     ncols), the rule fitted to the compiled kernel: the largest k with
     t * 2^k <= min(nrows, b_s) / 4 (the t tables span at most a quarter
     of the rows they serve) and t * 2^k * row_bytes <= l2_bytes / 2, but
-    never below 4. Results are memoized, since every product asks.
+    never below 4. Not memoized: mul_strassen's products ask through
+    strassen._base_route, whose memo holds the answer.
     """
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")

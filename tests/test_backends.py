@@ -193,6 +193,49 @@ def test_counter_deltas_identical_across_backends(run, m, n):
     assert all(d == deltas["numpy"] for d in deltas.values()), deltas
 
 
+# Row additions one drawn product may cost a Python engine, table builds
+# and C row updates together; a single k=16 table goes beyond it.
+COUNTED_WORK = 1 << 14
+
+
+@st.composite
+def counted_products(draw):
+    """(m, l, n, k, t, b_s): m, l, n in 1..300; k in 1..16, k > l and a
+    ragged l % k included; t in 1..8, t above the stripe count included;
+    b_s = 1, above m, or between. l and m are capped so that the Python
+    engines' work stays near COUNTED_WORK."""
+    k = draw(st.integers(1, 16))
+    l = draw(st.integers(1, min(300, k * max(1, COUNTED_WORK >> k))))
+    kk = min(k, l)
+    nstripes = -(-l // kk)
+    per_block = (l // kk) * ((1 << kk) - 1) + (1 << l % kk) - 1
+    blocks = max(1, COUNTED_WORK // per_block)
+    m = draw(st.integers(1, min(300, max(1, COUNTED_WORK // nstripes))))
+    b_s = draw(st.one_of(st.just(1) if m <= blocks else st.nothing(),
+                         st.integers(m + 1, m + 64),
+                         st.integers(-(-m // blocks), m)))
+    return m, l, draw(st.integers(1, 300)), k, draw(st.integers(1, 8)), b_s
+
+
+@settings(max_examples=100, deadline=None)
+@given(counted_products())
+def test_counted_cost_identical_across_backends(product):
+    """Every backend records the deltas the Python engines count, the
+    words of C and the table scratch included: on the compiled kernel
+    they are the plan's, booked in one step."""
+    m, l, n, k, t, b_s = product
+    a = core.random(m, l, seed=m + l)
+    b = core.random(l, n, seed=l + n)
+    names = [f.name for f in fields(counters)]
+    deltas = {}
+    for name in BACKENDS:
+        before = {f: getattr(counters, f) for f in names}
+        with _kernel.using(name):
+            mul_m4rm_multitable(a, b, k, t, b_s)
+        deltas[name] = {f: getattr(counters, f) - before[f] for f in names}
+    assert all(d == deltas["numpy"] for d in deltas.values()), deltas
+
+
 def test_counters_reset():
     tally = Counters(row_adds=3, c_writes=2, words_allocated=5)
     tally.reset()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triple
-from gf2mat import _kernel, core, tuning
+from gf2mat import _kernel, core, m4rm, strassen, tuning
 from gf2mat import _reference as ref
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
@@ -14,7 +14,6 @@ from gf2mat.strassen import (
     _CUBIC_ROWS,
     MulParams,
     _base_route,
-    _m4rm_k,
     _temp_arena,
     mul_strassen,
     peel_fixup,
@@ -285,17 +284,38 @@ class TestBaseRoute:
         ids=["fitted", "paper-t3"])
     def test_memo_equals_the_rule(self, params):
         """The memoized route, computed and then recalled, is the rule:
-        cubic where _m4rm_k says 0, else the tables _table_layout
-        computes, unmemoized, at its k."""
-        layout = _table_layout.__wrapped__
+        cubic (None) where B is narrower than a word and m * n <
+        _CUBIC_ROWS * 64 * ceil(l / 64), else the M4RM plan _table_layout
+        makes at the Gray width params give for m rows and n columns."""
         for m in ROUTE_DIMS:
             for l in ROUTE_DIMS:
                 for n in ROUTE_DIMS:
-                    k = _m4rm_k(m, l, n, params)
-                    rule = layout(l, n, k, params.t) if k else None
+                    cubic = n < 64 and m * n < _CUBIC_ROWS * 64 * -(-l // 64)
+                    rule = None if cubic else _table_layout(
+                        m, l, n, params.effective_k(n, nrows=m), params.b_s,
+                        params.t)
                     for _ in range(2):
                         assert _base_route(m, l, n, params) == rule, \
                             (m, l, n)
+
+    def test_repeated_flat_product_plans_once(self, monkeypatch):
+        """A repeated flat mul_strassen of one shape takes its whole plan
+        from the route memo, so _table_layout is not called, and compares
+        the table budget once, at its entry."""
+        params = MulParams(cutoff=1024, t=3)
+        a = core.random(70, 300, seed=73)
+        b = core.random(300, 200, seed=74)
+        mul_strassen(a, b, params)
+        calls = {"_table_layout": 0, "_fit_budget": 0}
+        for module in (m4rm, strassen):
+            for name in calls:
+                def spy(*args, _real=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+                monkeypatch.setattr(module, name, spy)
+        got = mul_strassen(a, b, params)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+        assert calls == {"_table_layout": 0, "_fit_budget": 1}
 
     def test_memo_is_shared_by_equal_params(self):
         route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5))

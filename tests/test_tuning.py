@@ -241,9 +241,9 @@ class TestAutoParams:
         monkeypatch.delenv(CONFIG_ENV, raising=False)
         calls = []
 
-        def record(c, a, b, k, b_s, t):
-            calls.append((k, b_s, t))
-            real(c, a, b, k, b_s, t)
+        def record(c, a, b, plan, b_s, t):
+            calls.append((plan.k, b_s, t))
+            real(c, a, b, plan, b_s, t)
 
         real = strassen._mul_into
         monkeypatch.setattr(strassen, "_mul_into", record)
