@@ -5,9 +5,13 @@
  * first word plus a row stride in words, so windows of a larger parent are
  * passed without a copy. Bits beyond a matrix's last column may be live
  * (window parents); the kernels neither read them as entries nor change
- * them in C. The M4RM table scratch is passed the same way, with a row
- * stride of its own: rows of 8 words or more are padded to whole cache
- * lines, so each table row starts on one.
+ * them in C. Each product's scratch (the M4RM tables, cubic's B
+ * transposed) is the extension's own: taken from the interpreter's raw
+ * allocator, which tracemalloc traces, before the interpreter lock is
+ * released, started on a 64-byte cache line, never zeroed, and freed when
+ * the engine returns. M4RM table rows are the caller's row stride apart:
+ * rows of 8 words or more are padded to whole cache lines, so each table
+ * row starts on one.
  *
  * The index step: M4RM reads one 64-bit window of a row of a per group of
  * t stripes and slices the t table indices out of it, in vector registers
@@ -361,10 +365,11 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
 /* The module: one METH_FASTCALL entry per engine. Every argument is a
  * Python int (or an object with __index__) read as one 64-bit word:
  * addresses, row strides in words, sizes and parameters, in the order of
- * the engine's parameters. _kernel.py has checked that the operands cover
- * the product. The parameters come validated by the callers (StripeSpec,
- * MulParams): 1 <= k <= min(l, 16), 1 <= t <= 8, b_s >= 1, and the
- * product is not empty. */
+ * the engine's parameters, scratch left out. _kernel.py has checked that
+ * the operands cover the product and that M4RM's table row stride covers
+ * a row of B. The parameters come validated by the callers (StripeSpec,
+ * MulParams, the table budget): 1 <= k <= min(l, 16), 1 <= t <= 8,
+ * b_s >= 1, and the product is not empty. */
 
 /* The nargs words of args into w; -1 with an exception set if the count
  * is wrong or an argument is not an integer. */
@@ -381,45 +386,75 @@ static int words_of(const char *name, PyObject *const *args,
     return PyErr_Occurred() ? -1 : 0;
 }
 
+/* Scratch of `words` words from the raw domain, starting on a 64-byte
+ * line; *block gets what PyMem_RawFree takes back. Not zeroed: each
+ * engine writes every scratch word it reads. NULL with MemoryError set
+ * when the allocation fails. Called with the interpreter lock held. */
+static word *scratch(word words, void **block)
+{
+    *block = PyMem_RawMalloc(words * sizeof(word) + 63);
+    if (*block == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return (word *)(((uintptr_t)*block + 63) & ~(uintptr_t)63);
+}
+
 #define PTR(x) ((word *)(uintptr_t)(x))
 
+/* m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t,
+ * t_stride): tables for min(t, ceil(l / k)) stripes of 2^k rows,
+ * t_stride words apart. */
 static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    word w[14];
+    word w[13];
+    void *block;
     (void)self;
-    if (words_of("m4rm", args, nargs, 14, w) < 0)
+    if (words_of("m4rm", args, nargs, 13, w) < 0)
+        return NULL;
+    word l = w[7], k = w[9], t = w[11], stripes = (l + k - 1) / k;
+    word *tables = scratch(((t < stripes ? t : stripes) << k) * w[12],
+                           &block);
+    if (tables == NULL)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
     engine(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3], PTR(w[4]),
-           (int64_t)w[5], (int64_t)w[6], (int64_t)w[7], (int64_t)w[8],
-           (int)w[9], (int64_t)w[10], (int)w[11], PTR(w[12]),
-           (int64_t)w[13]);
+           (int64_t)w[5], (int64_t)w[6], (int64_t)l, (int64_t)w[8], (int)k,
+           (int64_t)w[10], (int)t, tables, (int64_t)w[12]);
     Py_END_ALLOW_THREADS
+    PyMem_RawFree(block);
     Py_RETURN_NONE;
 }
 
+/* cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n): B transposed
+ * in n rows of ceil(l / 64) words. */
 static PyObject *py_cubic(PyObject *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
-    word w[10];
+    word w[9];
+    void *block;
     (void)self;
-    if (words_of("cubic", args, nargs, 10, w) < 0)
+    if (words_of("cubic", args, nargs, 9, w) < 0)
+        return NULL;
+    word *bt = scratch(w[8] * ((w[7] + 63) / 64), &block);
+    if (bt == NULL)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
     gf2mat_cubic(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3],
                  PTR(w[4]), (int64_t)w[5], (int64_t)w[6], (int64_t)w[7],
-                 (int64_t)w[8], PTR(w[9]));
+                 (int64_t)w[8], bt);
     Py_END_ALLOW_THREADS
+    PyMem_RawFree(block);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
      "m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t, "
-     "tables, t_stride): c += a @ b by M4RM."},
+     "t_stride): c += a @ b by M4RM."},
     {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
-     "cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n, bt): "
+     "cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n): "
      "c += a @ b by cubic."},
     {NULL, NULL, 0, NULL},
 };

@@ -24,7 +24,9 @@ the interpreter's extension suffix), a digest of the binary, and that
 suffix. So a stale or damaged file is rebuilt instead of loaded, and a
 new build removes this interpreter's builds of any other key (and the
 suffixless builds of the old ctypes binding). The module's `m4rm` and
-`cubic` are METH_FASTCALL functions of plain integers that release the
+`cubic` are METH_FASTCALL functions of plain integers that allocate the
+product's scratch (M4RM's tables, cubic's B transposed) from the
+interpreter's raw allocator, which tracemalloc traces, and release the
 interpreter lock around the engine; its init function is the one symbol
 the binary exports. On x86-64 the binary holds the M4RM engine once per
 instruction set, and the module picks the widest one the CPU has when it
@@ -134,45 +136,47 @@ class CKernel(NumpyKernel):
         self.isa = mod.isa
 
     def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
-             tables) -> None:
+             t_stride: int) -> None:
         """c += a @ b (a: m x l, b: l x n entries, none of them 0) with
-        stripes of k <= l columns, row blocks of b_s and t tables; `tables`
-        is scratch for min(t, stripes) tables of 2^k rows of ceil(n / 64)
-        words, rows of the operand's stride apart. m4rm._mul_into calls
-        this with the k and scratch of the plan m4rm._table_layout made;
-        k, t and b_s were checked, and the plan's tables passed the budget,
-        once at the public entry. The one check kept here is independent
-        of those: operands that do not cover these words raise before
-        anything is written, since a short operand would otherwise be
-        read or written out of bounds."""
+        stripes of k <= l columns, row blocks of b_s and t tables whose
+        rows are t_stride words apart; the extension allocates the
+        min(t, stripes) tables of 2^k rows for the call. m4rm._mul_into
+        calls this with the k and stride of the plan m4rm._table_layout
+        made; k, t and b_s were checked, and the plan's tables passed the
+        budget, once at the public entry. The one check kept here is
+        independent of those: operands that do not cover these words, or
+        table rows closer than a row of b, raise before anything is
+        allocated or written, since the engine would otherwise read or
+        write out of bounds."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
         if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
-                or b.width < wn or tables.width < wn
-                or tables.nrows < min(t, -(-l // k)) << k):
-            raise _short_operands(m, l, n, c=c, a=a, b=b, tables=tables)
+                or b.width < wn or t_stride < wn):
+            raise _short_operands(m, l, n, f", table rows {t_stride} apart",
+                                  c=c, a=a, b=b)
         self._mod.m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
-                       b.stride, m, l, n, k, b_s, t, tables.addr,
-                       tables.stride)
+                       b.stride, m, l, n, k, b_s, t, t_stride)
 
-    def cubic(self, c, a, b, l: int, n: int, bt) -> None:
+    def cubic(self, c, a, b, l: int, n: int) -> None:
         """c += a @ b (a: m x l, b: l x n entries); c may be a window, and
-        its bits beyond column n are kept. `bt` is scratch for b
-        transposed, n rows of ceil(l / 64) words. Operands that do not
-        cover these words raise before anything is written."""
+        its bits beyond column n are kept. The extension allocates the
+        scratch for b transposed for the call. Operands that do not cover
+        these words raise before anything is allocated or written."""
         m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
         if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
-                or b.width < wn or bt.nrows < n or bt.width < wl):
-            raise _short_operands(m, l, n, c=c, a=a, b=b, bt=bt)
+                or b.width < wn):
+            raise _short_operands(m, l, n, "", c=c, a=a, b=b)
         self._mod.cubic(c.addr, c.stride, a.addr, a.stride, b.addr,
-                        b.stride, m, l, n, bt.addr)
+                        b.stride, m, l, n)
 
 
-def _short_operands(m: int, l: int, n: int, **operands) -> DimensionError:
-    """The error for kernel operands too small for an m x l x n product."""
+def _short_operands(m: int, l: int, n: int, more: str,
+                    **operands) -> DimensionError:
+    """The error for kernel operands too small for an m x l x n product;
+    `more` is appended to their sizes."""
     sizes = ", ".join(f"{name} {mat.nrows}x{mat.width}"
                       for name, mat in operands.items())
     return DimensionError(
-        f"kernel operands ({sizes} words) do not cover a {m}x{l}x{n} "
+        f"kernel operands ({sizes} words{more}) do not cover a {m}x{l}x{n} "
         f"product")
 
 

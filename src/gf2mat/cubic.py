@@ -15,6 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import _kernel, core
+from .counters import counters
 from .errors import DimensionError
 
 _TRANSPOSE_ROUNDS = (
@@ -94,7 +95,10 @@ def mul_cubic(a: core.Mat, b: core.Mat,
         return c
     kernel = _kernel.active()
     if kernel.compiled:
-        kernel.cubic(c, a, b, l, n, core.create(n, l))  # B^T scratch
+        # The kernel allocates B^T itself; its words are booked as
+        # core.transpose books them below.
+        kernel.cubic(c, a, b, l, n)
+        counters.words_allocated += n * core.words_per_row(l)
         return c
     # B^T is owned, so its bits beyond column l are clear and the AND
     # below drops whatever a window of A holds beyond its right edge.

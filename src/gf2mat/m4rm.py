@@ -13,8 +13,9 @@ Ragged edges are handled throughout: a final stripe of width l mod k uses
 a smaller table, and trailing stripe groups use fewer than t tables.
 
 On the compiled kernel (see _kernel) the whole engine, table builds and
-index reads included, runs in one native call per product; the Python
-loop below serves the numpy and scalar kernels.
+index reads included, runs in one native call per product, which also
+allocates the tables; the Python loop below serves the numpy and scalar
+kernels.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ def _read_bits_rows(a: core.Mat, r0: int, r1: int, sc: int,
 
 class Plan(NamedTuple):
     """An M4RM product's plan: Gray width k (at most l); ntables tables of
-    2^k rows of table_cols columns, padded as core.padded_cols pads them,
+    2^k rows, table_stride words apart as core.padded_cols pads them,
     table_bytes in all; and the counter deltas the Python engine records
     for it (table_adds, row_adds, c_writes), which _mul_into adds in one
     step on the compiled kernel."""
 
     k: int
     ntables: int
-    table_cols: int
+    table_stride: int
     table_bytes: int
     table_adds: int
     row_adds: int
@@ -99,11 +100,10 @@ def _table_layout(m: int, l: int, n: int, k: int, b_s: int,
     k = min(k, l)
     nstripes = -(-l // k)
     ntables = min(t, nstripes)
-    table_cols = core.padded_cols(n)
+    stride = core.words_per_row(core.padded_cols(n))
     # A ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
     built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
-    return Plan(k, ntables, table_cols,
-                (ntables << k) * core.words_per_row(table_cols) * 8,
+    return Plan(k, ntables, stride, (ntables << k) * stride * 8,
                 built, built + m * nstripes, m * -(-nstripes // t))
 
 
@@ -113,7 +113,7 @@ def _fit_budget(plan: Plan | None) -> Plan | None:
     if plan is not None and plan.table_bytes > _kernel.MAX_TABLE_BYTES:
         raise ParameterError(
             f"{plan.ntables} tables of 2^{plan.k} rows of "
-            f"{plan.table_cols} columns take {plan.table_bytes} bytes, "
+            f"{plan.table_stride} words take {plan.table_bytes} bytes, "
             f"over {_kernel.MAX_TABLE_BYTES}")
     return plan
 
@@ -124,13 +124,14 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
     product and _fit_budget passed; c is sized to the product and may be
     a window: bits beyond its right edge are kept, because table rows are
     masked to B's width. Nothing is checked here; only the table scratch
-    is allocated."""
+    is allocated: by the extension itself on the compiled kernel, which
+    books its words as core.create books the Python engine's tables."""
     m, l, n = a.nrows, a.ncols, b.ncols
     k = plan.k
     kernel = _kernel.active()
     if kernel.compiled:
-        kernel.m4rm(c, a, b, l, n, k, b_s, t,
-                    core.create(plan.ntables << k, plan.table_cols))
+        kernel.m4rm(c, a, b, l, n, k, b_s, t, plan.table_stride)
+        counters.words_allocated += plan.table_bytes >> 3
         counters.table_adds += plan.table_adds
         counters.row_adds += plan.row_adds
         counters.c_writes += plan.c_writes

@@ -69,39 +69,40 @@ def _base_route(m: int, l: int, n: int, params: MulParams) -> Plan | None:
     narrower than a word and A short against B's rows (see _CUBIC_ROWS),
     and for the empty products, else the whole M4RM plan
     (m4rm._table_layout) at the Gray width params give for m rows and n
-    columns. Memoized, since every base product asks: the route memo is
-    the only memo on the product path. It holds shape arithmetic only;
-    each public entry compares the table bytes with the kernel's budget
-    (_check_tables), which may change."""
+    columns. Memoized, since every public entry asks once per base shape
+    of its plan: the route memo is the only memo on the product path. It
+    holds shape arithmetic only; each public entry compares the table
+    bytes with the kernel's budget (_check_tables), which may change."""
     if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
         return None
     return _table_layout(m, l, n, params.effective_k(n, nrows=m),
                          params.b_s, params.t)
 
 
-def _check_tables(shapes, params: MulParams) -> None:
-    """Raise ParameterError if a base product (m, l, n) of `shapes` would
-    ask for M4RM tables over the kernel's budget, so a plan is refused
-    before anything is allocated or written."""
-    for m, l, n in shapes:
-        _fit_budget(_base_route(m, l, n, params))
+def _check_tables(shapes, params: MulParams) -> list[Plan | None]:
+    """The routes of the base products (m, l, n) of `shapes`; raises
+    ParameterError if one would ask for M4RM tables over the kernel's
+    budget, so a plan is refused before anything is allocated or
+    written."""
+    return [_fit_budget(_base_route(m, l, n, params)) for m, l, n in shapes]
 
 
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
-                   params: MulParams, accumulate: bool) -> core.Mat:
-    """dst = a @ b, or dst += a @ b when accumulating, by the engine
-    _base_route picks; returns dst. With dst None, the product in a fresh
-    matrix.
+                   plan: Plan | None, params: MulParams,
+                   accumulate: bool) -> core.Mat:
+    """dst = a @ b, or dst += a @ b when accumulating, by `plan`, the
+    route _base_route gives this product's shape (None: cubic); returns
+    dst. With dst None, the product in a fresh matrix.
 
     The one route below the recursion: flat products, leaves and peeled
     strips all come here. It depends on (m, l, n) only, never on the
     backend, and is the one place that allocates or clears C for either
     engine. Both engines add into dst in place, so dst may be a window
     and nothing is allocated beyond C and the engines' scratch. Nothing
-    is checked here: callers size dst to the product, and the public
-    entry has passed the route's tables through _check_tables.
+    is checked or looked up here: callers size dst to the product, and
+    the public entry took the route, once per shape, from _check_tables
+    or _fit_budget.
     """
-    plan = _base_route(a.nrows, a.ncols, b.ncols, params)
     if dst is None:
         dst = core.create(a.nrows, b.ncols)
     elif not accumulate:
@@ -195,15 +196,17 @@ def schedule_winograd(a: core.Mat, b: core.Mat, c: core.Mat, temps: tuple,
 
 
 def _mul_rec(c: core.Mat, a: core.Mat, b: core.Mat, depth: int,
-             params: MulParams, arena: list, max_depth: int) -> None:
+             params: MulParams, arena: list, leaf: Plan | None) -> None:
+    """c = a @ b over len(arena) levels; every leaf has one shape, whose
+    route is `leaf`."""
     counters.strassen_entries += 1
-    if depth == max_depth:
-        _base_mul_into(c, a, b, params, accumulate=False)
+    if depth == len(arena):
+        _base_mul_into(c, a, b, leaf, params, accumulate=False)
         return
     schedule_winograd(
         a, b, c, arena[depth],
         lambda cc, aa, bb: _mul_rec(cc, aa, bb, depth + 1, params, arena,
-                                    max_depth))
+                                    leaf))
 
 
 def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
@@ -224,12 +227,13 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
         raise DimensionError(
             f"peel dims ({m2},{l2},{n2}) exceed ({m},{l},{n})")
     strips = _fixup_strips(m, l, n, m2, l2, n2)
-    _check_tables([shape for shape, *_ in strips], params)
-    for (rows, inner, cols), r0, c0, i0, accumulate in strips:
+    plans = _check_tables([shape for shape, *_ in strips], params)
+    for ((rows, inner, cols), r0, c0, i0, accumulate), plan in zip(strips,
+                                                                  plans):
         _base_mul_into(core.window(c, r0, c0, rows, cols),
                        core.window(a, r0, i0, rows, inner),
                        core.window(b, i0, c0, inner, cols),
-                       params, accumulate)
+                       plan, params, accumulate)
 
 
 def _fixup_strips(m: int, l: int, n: int, m2: int, l2: int,
@@ -270,16 +274,17 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if min(m, l, n) > params.cutoff:  # else peel_split finds no level
         ps = peel_split(m, l, n, params.cutoff)
     if ps.depth == 0:
-        _check_tables([(m, l, n)], params)
-        return _base_mul_into(None, a, b, params, accumulate=False)
+        plan = _fit_budget(_base_route(m, l, n, params))
+        return _base_mul_into(None, a, b, plan, params, accumulate=False)
     strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
-    _check_tables([(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),
-                   *(shape for shape, *_ in strips)], params)
+    leaf, *_ = _check_tables(
+        [(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),
+         *(shape for shape, *_ in strips)], params)
     c = core.create(m, n)
     arena = _temp_arena(ps.m, ps.l, ps.n, ps.depth)
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),
              core.window(a, 0, 0, ps.m, ps.l),
              core.window(b, 0, 0, ps.l, ps.n),
-             0, params, arena, ps.depth)
+             0, params, arena, leaf)
     peel_fixup(c, a, b, ps.m, ps.l, ps.n, params)
     return c

@@ -46,7 +46,8 @@ _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
 @dataclass(frozen=True)
 class MulParams:
     """Tuning bundle for the full dispatch stack; immutable, so one
-    instance can be shared by every product.
+    instance can be shared by every product. Its hash, the one every
+    route memo lookup takes, is computed once, in __post_init__.
 
     cutoff: dimension at or below which recursion hands over to M4RM.
     b_s: row block size inside M4RM (defaults to cutoff / 2).
@@ -78,6 +79,12 @@ class MulParams:
             raise ParameterError(
                 f"cache sizes must be positive, got L1={self.l1_bytes} "
                 f"L2={self.l2_bytes}")
+        object.__setattr__(self, "_hash", hash((
+            self.cutoff, self.b_s, self.k, self.t, self.l1_bytes,
+            self.l2_bytes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def effective_k(self, ncols: int, t: int | None = None,
                     nrows: int | None = None) -> int:
@@ -173,10 +180,17 @@ def load_config(path) -> dict[str, int]:
         raise ParameterError(f"{path}: {exc}") from None
 
 
+# GF2MAT_CONFIG as a key of os.environ's own store. env_config looks it up
+# there: os.environ.get raises and catches a KeyError when the variable is
+# unset, about 1 us of every automatic product.
+_CONFIG_KEY = os.environ.encodekey(CONFIG_ENV)
+
+
 def env_config() -> dict[str, int] | None:
-    """The config file GF2MAT_CONFIG names, parsed; None when unset."""
-    path = os.environ.get(CONFIG_ENV)
-    return load_config(path) if path else None
+    """The config file GF2MAT_CONFIG names, parsed; None when unset or
+    empty. The variable is read on every call."""
+    path = os.environ._data.get(_CONFIG_KEY)
+    return load_config(os.environ.decodevalue(path)) if path else None
 
 
 # The fitted rule: cutoff and row block FITTED_CUTOFF, k chosen per

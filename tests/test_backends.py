@@ -20,14 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gf2mat
-from gf2mat import _kernel, core
+from gf2mat import _kernel, cli, core
 from gf2mat import _reference as ref
 from gf2mat.counters import Counters, counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
-from gf2mat.m4rm import mul_m4rm, mul_m4rm_into, mul_m4rm_multitable
-from gf2mat.strassen import (MulParams, _base_mul_into, mul_strassen,
-                             peel_fixup)
+from gf2mat.m4rm import (_table_layout, mul_m4rm, mul_m4rm_into,
+                         mul_m4rm_multitable)
+from gf2mat.strassen import (MulParams, _base_mul_into, _base_route,
+                             mul_strassen, peel_fixup)
 
 BACKENDS = _kernel.available()
 SRC = Path(gf2mat.__file__).resolve().parent.parent
@@ -123,7 +124,9 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     b = dirty_window(100, n, seed=9)
     c = dirty_window(40, n, seed=10)
     before = core.to_dense(c.parent)
-    _base_mul_into(c, a, b, MulParams(cutoff=64, k=5), accumulate)
+    params = MulParams(cutoff=64, k=5)
+    _base_mul_into(c, a, b, _base_route(40, 100, n, params), params,
+                   accumulate)
     if not accumulate:
         before[2:42, 64:64 + n] = 0
     expect_added(c, before, ref.naive_product(a, b))
@@ -343,8 +346,10 @@ def test_backend_reports_selection():
     assert gf2mat.backend() == BACKENDS[0]
 
 
-def start_python(script, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def start_python(script, *args, **env):
+    """A child interpreter running `script` with this checkout first on
+    its path and the variables `env` added to its environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -362,8 +367,8 @@ def finish(proc):
     return out
 
 
-def run_python(script, *args):
-    return finish(start_python(script, *args))
+def run_python(script, *args, **env):
+    return finish(start_python(script, *args, **env))
 
 
 needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler")
@@ -476,8 +481,7 @@ assert mod is not None
 a = core.random(40, 100, seed=1)
 b = core.random(100, 70, seed=2)
 c = core.create(40, 70)
-tables = core.create(2 << 4, 70)
-_kernel.CKernel(mod).m4rm(c, a, b, 100, 70, 4, 16, 2, tables)
+_kernel.CKernel(mod).m4rm(c, a, b, 100, 70, 4, 16, 2, 2)
 if len(sys.argv) == 2:
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 """
@@ -560,15 +564,13 @@ def test_concurrent_products_on_c_backend():
 
 # One engine call per case that runs for 50 ms or more: M4RM at k=1,
 # t=1 over 4096 x 2048 x 2048 (70 ms on a 2-vCPU AVX-512 Xeon), and
-# cubic over 4096 x 4096 x 1024 (70 ms there too). The scratch is made
-# beforehand, since numpy may release the lock to zero a large array.
+# cubic over 4096 x 4096 x 1024 (70 ms there too).
 ENGINE_CALLS = {
-    "m4rm": ((4096, 2048, 2048), lambda l, n: core.create(2, n),
-             lambda kernel, c, a, b, l, n, scratch: kernel.m4rm(
-                 c, a, b, l, n, 1, 4096, 1, scratch)),
-    "cubic": ((4096, 4096, 1024), lambda l, n: core.create(n, l),
-              lambda kernel, c, a, b, l, n, scratch: kernel.cubic(
-                  c, a, b, l, n, scratch)),
+    "m4rm": ((4096, 2048, 2048),
+             lambda kernel, c, a, b, l, n: kernel.m4rm(
+                 c, a, b, l, n, 1, 4096, 1, n // 64)),
+    "cubic": ((4096, 4096, 1024),
+              lambda kernel, c, a, b, l, n: kernel.cubic(c, a, b, l, n)),
 }
 
 
@@ -580,12 +582,11 @@ def test_engines_release_the_interpreter_lock(engine):
     thread gets no forced turn: it can only run while the call has
     released the lock. It yields the lock on every step, so the main
     thread takes it back as soon as the call returns."""
-    (m, l, n), make_scratch, call = ENGINE_CALLS[engine]
+    (m, l, n), call = ENGINE_CALLS[engine]
     kernel = _kernel.get("c")
     a = core.random(m, l, seed=81)
     b = core.random(l, n, seed=82)
     c = core.create(m, n)
-    scratch = make_scratch(l, n)
     ticks = [0]
     stop = threading.Event()
 
@@ -604,7 +605,7 @@ def test_engines_release_the_interpreter_lock(engine):
             time.sleep(0)
         assert ticks[0], "the spinner never ran"
         before, begun = ticks[0], time.perf_counter()
-        call(kernel, c, a, b, l, n, scratch)
+        call(kernel, c, a, b, l, n)
         took = time.perf_counter() - begun
         advanced = ticks[0] - before
     finally:
@@ -617,13 +618,13 @@ def test_engines_release_the_interpreter_lock(engine):
 
 
 # (operand, rows, columns) of one too small for its stated role: c, a
-# and b sized for 40 x 100 x 70, tables for 2 << 4 rows of 70 columns
-# (m4rm with k=4, t=2) and bt for B transposed (cubic). c's rows set m.
+# and b sized for 40 x 100 x 70 (m4rm with k=4, t=2; cubic). c's rows
+# set m. The engines' scratch is their own (see test_scratch_is_safe).
 SHORT_OPERANDS = {
     "m4rm": [("c", 40, 64), ("a", 39, 100), ("a", 40, 64), ("b", 99, 70),
-             ("b", 100, 64), ("tables", 31, 70), ("tables", 32, 64)],
+             ("b", 100, 64)],
     "cubic": [("c", 40, 64), ("a", 39, 100), ("a", 40, 64), ("b", 99, 70),
-              ("b", 100, 64), ("bt", 69, 100), ("bt", 70, 64)],
+              ("b", 100, 64)],
 }
 
 
@@ -634,39 +635,39 @@ def test_short_kernel_operand_raises_before_writing(product, which, rows,
                                                     cols):
     ops = {"c": core.random(40, 70, seed=31),
            "a": core.random(40, 100, seed=32),
-           "b": core.random(100, 70, seed=33),
-           "tables": core.create(2 << 4, 70),
-           "bt": core.create(70, 100)}
+           "b": core.random(100, 70, seed=33)}
     roots = {name: mat.words for name, mat in ops.items()}
     before = {name: words.copy() for name, words in roots.items()}
     ops[which] = core.window(ops[which], 0, 0, rows, cols)
     kernel = _kernel.get("c")
     with pytest.raises(DimensionError):
         if product == "m4rm":
-            kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 70, 4, 16, 2,
-                        ops["tables"])
+            kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 70, 4, 16, 2, 2)
         else:
-            kernel.cubic(ops["c"], ops["a"], ops["b"], 100, 70, ops["bt"])
+            kernel.cubic(ops["c"], ops["a"], ops["b"], 100, 70)
     for name, words in roots.items():
         assert np.array_equal(words, before[name]), name
 
 
 @needs_c
 def test_short_padded_tables_raise_before_writing():
-    # Table scratch for 40 x 100 x 600 with k=4, t=2 needs 2 << 4 rows of
-    # 10 words; these rows are 16 words apart, but one row short.
+    # Table rows for 40 x 100 x 600 are 10 words wide; rows padded to one
+    # cache line, 8 words apart, would overlap, and are refused before
+    # anything is allocated or written. 16 words apart they are not.
     ops = {"c": core.random(40, 600, seed=34),
            "a": core.random(40, 100, seed=35),
-           "b": core.random(100, 600, seed=36),
-           "tables": core.create(31, core.padded_cols(600))}
-    assert ops["tables"].stride == 16
+           "b": core.random(100, 600, seed=36)}
     roots = [mat.words for mat in ops.values()]
     before = [words.copy() for words in roots]
-    with pytest.raises(DimensionError):
-        _kernel.get("c").m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16,
-                              2, ops["tables"])
+    kernel = _kernel.get("c")
+    with pytest.raises(DimensionError, match="table rows 8 apart"):
+        kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16, 2, 8)
     for words, old in zip(roots, before):
         assert np.array_equal(words, old)
+    kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16, 2, 16)
+    assert np.array_equal(core.to_dense(ops["c"]), core.to_dense(
+        core.random(40, 600, seed=34)) ^ ref.naive_product(ops["a"],
+                                                           ops["b"]))
 
 
 @pytest.mark.parametrize("k,t,b_s", [(0, 1, 8), (17, 1, 8), (4, 0, 8),
@@ -833,8 +834,7 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
     for name, kernel in isa_kernels.items():
         c = dirty_window(m, n, seed=23)
         before = core.to_dense(c.parent)
-        tables = core.create(min(t, -(-l // k)) << k, n)
-        kernel.m4rm(c, a, b, l, n, k, b_s, t, tables)
+        kernel.m4rm(c, a, b, l, n, k, b_s, t, core.words_per_row(n))
         expect_added(c, before, expected)
         parents[name] = c.parent.words
     for words in parents.values():
@@ -842,13 +842,15 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
 
 
 # Runs one product (argv[1]: "m4rm" or "cubic") per engine copy (the
-# binaries in argv[4:]) with the operand named argv[2] ("a", "b", "c",
-# and "tables" for M4RM or "bt" for cubic) placed so that its last word
-# ends where a PROT_NONE guard page starts; a read or write past it kills
-# the process. A: 21 x 128 entries, so with k=5, t=3 its last group
-# starts at column 120, in its last word; B: 128 x n with n = argv[3];
-# tables for min(t, stripes) << k rows of B's width; bt for n rows of
-# A's width. C starts random, since both products read it and add to it.
+# binaries in argv[4:]) with the operand named argv[2] ("a", "b" or "c")
+# placed so that its last word ends where a PROT_NONE guard page starts;
+# a read or write past it kills the process. argv[2] "tables" (M4RM) or
+# "bt" (cubic) names the engine's own scratch instead, which no page can
+# guard: those runs go under PYTHONMALLOC=debug, whose pads around every
+# raw block are checked when it is freed. A: 21 x 128 entries, so with
+# k=5, t=3 its last group starts at column 120, in its last word; B: 128
+# x n with n = argv[3]. C starts random, since both products read it and
+# add to it.
 GUARDED_PRODUCT = """
 import ctypes, mmap, sys
 from pathlib import Path
@@ -893,15 +895,14 @@ expected = core.to_dense(start) ^ ref.naive_product(a, b)
 for path in sys.argv[4:]:
     kernel = _kernel.CKernel(_kernel._load(Path(path)))
     c = core.copy_out(start)
-    ops = {"a": a, "b": b, "c": c,
-           "tables": core.create(min(t, -(-l // k)) << k, n),
-           "bt": core.create(n, l)}
-    ops[which] = Guarded(ops[which])
+    ops = {"a": a, "b": b, "c": c}
+    if which in ops:
+        ops[which] = Guarded(ops[which])
     if product == "m4rm":
         kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
-                    ops["tables"])
+                    core.words_per_row(core.padded_cols(n)))
     else:
-        kernel.cubic(ops["c"], ops["a"], ops["b"], l, n, ops["bt"])
+        kernel.cubic(ops["c"], ops["a"], ops["b"], l, n)
     if which == "c":
         c.words[:] = ops["c"].words
     assert ref.first_mismatch(c, expected) is None, path
@@ -913,6 +914,12 @@ guard_page = pytest.mark.skipif(
     reason="maps a guard page with Linux mmap flags")
 
 
+def scratch_guard(which):
+    """The child's environment for GUARDED_PRODUCT's operand `which`: the
+    debug allocator for the engine's own scratch."""
+    return {"PYTHONMALLOC": "debug"} if which in ("tables", "bt") else {}
+
+
 @needs_c
 @guard_page
 @pytest.mark.parametrize("n", [100, 64 * 40 - 3])
@@ -922,8 +929,8 @@ def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
     last word of A's last row included, which a stripe group starting
     inside that word would overrun."""
     paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
-    assert run_python(GUARDED_PRODUCT, "m4rm", which, n, *paths).strip() \
-        == "ok"
+    assert run_python(GUARDED_PRODUCT, "m4rm", which, n, *paths,
+                      **scratch_guard(which)).strip() == "ok"
 
 
 @needs_c
@@ -934,8 +941,98 @@ def test_cubic_reads_stay_inside_operands(isa_kernels, which, n):
     """Cubic reads and writes only inside its operands, C included, which
     it reads to add the product into it."""
     paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
-    assert run_python(GUARDED_PRODUCT, "cubic", which, n, *paths).strip() \
-        == "ok"
+    assert run_python(GUARDED_PRODUCT, "cubic", which, n, *paths,
+                      **scratch_guard(which)).strip() == "ok"
+
+
+# Runs products on every engine copy (the binaries in argv[1:]) under
+# PYTHONMALLOC=debug, which fills each fresh raw block with 0xCD and checks
+# the pads around it when it is freed: a scratch word read before it is
+# written shows as a wrong product, and a write past the block as a fatal
+# error. M4RM: k = 1..16, each with two t that together cover 1..8, one
+# odd and one even, and l of t stripes and a narrower one (k > 1), so a
+# row's lookups are odd in number for one of them and the same unwritten
+# row read in every table cannot cancel; groups wider than the 64-bit
+# window among them (t * k > 64); n of 1 word, 1 word ragged, 8 words and
+# 9 and 10 words (rows padded to 16); t lowered, to one table at most,
+# to keep the tables near 2^19 words. Cubic: n below, at and above 64
+# columns, over l of one word, ragged and several. A, B and C are windows
+# with live bits around them.
+SCRATCH_PRODUCTS = """
+import os, sys
+from pathlib import Path
+import numpy as np
+from gf2mat import _kernel, core
+from gf2mat import _reference as ref
+from gf2mat.m4rm import _table_layout
+
+assert os.environ["PYTHONMALLOC"] == "debug"
+
+
+def dirty_window(nrows, ncols, seed):
+    parent = core.random(nrows + 4, 64 + ncols + 70, seed)
+    return core.window(parent, 2, 64, nrows, ncols)
+
+
+def check(run, m, l, n, seed):
+    a = dirty_window(m, l, seed)
+    b = dirty_window(l, n, seed + 1)
+    c = dirty_window(m, n, seed + 2)
+    expected = core.to_dense(c.parent)
+    expected[2:2 + m, 64:64 + n] ^= ref.naive_product(a, b)
+    run(c, a, b)
+    assert np.array_equal(core.to_dense(c.parent), expected), (m, l, n)
+
+
+m, b_s = 37, 16
+for path in sys.argv[1:]:
+    kernel = _kernel.CKernel(_kernel._load(Path(path)))
+    for k in range(1, 17):
+        for asked in sorted({(k - 1) % 8 + 1, 8 - (k - 1) % 8}):
+            for n in (64, 37, 512, 571, 600):
+                stride = _table_layout(m, 1, n, k, b_s, 1).table_stride
+                t = max(1, min(asked, (1 << 19) // (stride << k)))
+                l = t * k + (k + 1) // 2
+                plan = _table_layout(m, l, n, k, b_s, t)
+                check(lambda c, a, b: kernel.m4rm(
+                    c, a, b, l, n, plan.k, b_s, t, plan.table_stride),
+                    m, l, n, seed=k * n + t)
+    for l in (64, 100, 300):
+        for n in (1, 63, 64, 130):
+            check(lambda c, a, b: kernel.cubic(c, a, b, l, n), 21, l, n,
+                  seed=l + n)
+print("ok")
+"""
+
+
+@needs_c
+def test_scratch_is_safe(isa_kernels):
+    """Every engine copy writes each scratch word before reading it and
+    stays inside its scratch, on the allocator that makes both visible."""
+    paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
+    assert run_python(SCRATCH_PRODUCTS, *paths,
+                      PYTHONMALLOC="debug").strip() == "ok"
+
+
+@needs_c
+@pytest.mark.parametrize("m,l,n", [(150, 200, 170), (40, 300, 600),
+                                   (16, 1000, 40), (30, 700, 63)])
+def test_peak_memory_counts_kernel_scratch(m, l, n):
+    """tracemalloc sees the extension's scratch: one product on the
+    compiled kernel peaks at no less than C's words plus the M4RM plan's
+    tables, or plus B transposed for cubic. The scratch is 5-25 KB, more
+    than the objects of C, so a product whose scratch escaped the trace
+    would fall short."""
+    params = MulParams(cutoff=1024, k=8, t=3)
+    a = core.random(m, l, seed=m)
+    b = core.random(l, n, seed=n)
+    plan = _base_route(m, l, n, params)
+    scratch = n * core.words_per_row(l) * 8 if plan is None \
+        else plan.table_bytes
+    with _kernel.using("c"):
+        peak = cli._peak_bytes(
+            lambda a, b: mul_strassen(a, b, params), a, b)
+    assert peak >= m * core.words_per_row(n) * 8 + scratch
 
 
 # Table row widths in words around one cache line (8 words) and two.
@@ -952,30 +1049,23 @@ MAX_TABLE_WORDS = 1 << 21
        narrow=st.integers(0, 15), b_s=st.integers(4, 48))
 def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
                                         groups, narrow, b_s):
-    """Every engine copy, on the product's own line-padded table scratch
-    and on tables whose stride is their width, starting one row into a
-    matrix, gives the oracle's product."""
+    """Every engine copy, with the product's own line-padded table
+    stride and with table rows as far apart as they are wide, gives the
+    oracle's product."""
     n = 64 * width - spare
     stride = width if width < 8 else -(-width // 8) * 8
     t = max(1, min(t, MAX_TABLE_WORDS // (stride << k)))
     l = groups * t * k + narrow % k
-    ntables = min(t, -(-l // k))
     a = dirty_window(m, l, seed=41)
     b = dirty_window(l, n, seed=42)
     expected = ref.naive_product(a, b)
-    layouts = {
-        "padded": lambda: core.create(ntables << k, core.padded_cols(n)),
-        "off-line": lambda: core.window(core.create((ntables << k) + 1, n),
-                                        1, 0, ntables << k, n),
-    }
+    assert _table_layout(m, l, n, k, b_s, t).table_stride == stride
     parents = []
     for kernel in isa_kernels.values():
-        for layout, make in layouts.items():
-            tables = make()
-            assert tables.stride == (stride if layout == "padded" else width)
+        for t_stride in {stride, width}:
             c = dirty_window(m, n, seed=43)
             before = core.to_dense(c.parent)
-            kernel.m4rm(c, a, b, l, n, k, b_s, t, tables)
+            kernel.m4rm(c, a, b, l, n, k, b_s, t, t_stride)
             expect_added(c, before, expected)
             parents.append(c.parent.words)
     for words in parents:
@@ -986,14 +1076,16 @@ def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
 @pytest.mark.parametrize("width", STRIDE_WIDTHS)
 def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
     """The table scratch of an M4RM product has rows a whole number of
-    cache lines apart, from an address on a line, once rows are 8 words
-    or wider; narrower rows are not padded."""
-    scratch = []
+    cache lines apart once rows are 8 words or wider; narrower rows are
+    not padded. The extension's one block for them holds the tables and
+    the 63 bytes that let them start on a line, and is gone when the
+    call returns."""
+    calls = []
     m4rm = _kernel.CKernel.m4rm
 
     def spy(self, *args):
-        scratch.append(args[-1])
-        m4rm(self, *args)
+        peak = cli._peak_bytes(lambda *_: m4rm(self, *args), None, None)
+        calls.append((args[-1], peak))
 
     monkeypatch.setattr(_kernel.CKernel, "m4rm", spy)
     n = 64 * width - 5
@@ -1002,10 +1094,9 @@ def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
     with _kernel.using("c"):
         c = mul_m4rm_multitable(a, b, 5, 3, 17)
     assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
-    [tables] = scratch
-    assert tables.nrows == 3 << 5
+    [(stride, peak)] = calls
     if width >= 8:
-        assert tables.stride % 8 == 0 and 0 <= tables.stride - width < 8
-        assert tables.addr % 64 == 0
+        assert stride % 8 == 0 and 0 <= stride - width < 8
     else:
-        assert tables.stride == width
+        assert stride == width
+    assert peak == (3 << 5) * stride * 8 + 63

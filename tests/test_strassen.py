@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,19 @@ class TestMulParams:
     def test_non_positive_cache_sizes_rejected(self, l1, l2):
         with pytest.raises(ParameterError):
             MulParams(cutoff=128, l1_bytes=l1, l2_bytes=l2)
+
+    def test_hash_is_taken_once_from_the_fields(self, monkeypatch):
+        """Equal parameters hash alike, as the field tuple does; the
+        hash is computed when an instance is made, never again."""
+        p = MulParams(cutoff=512, t=5)
+        fields = dataclasses.astuple(p)
+        assert hash(p) == hash(fields) == hash(MulParams(cutoff=512, t=5))
+        assert hash(dataclasses.replace(p, t=4)) == hash(
+            dataclasses.astuple(MulParams(cutoff=512, t=4)))
+        monkeypatch.setattr(MulParams, "cutoff", property(
+            lambda self: pytest.fail("a field was read to hash")),
+            raising=False)
+        assert hash(p) == hash(fields)
 
 
 class TestPeelSplit:
@@ -316,6 +331,27 @@ class TestBaseRoute:
         got = mul_strassen(a, b, params)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
         assert calls == {"_table_layout": 0, "_fit_budget": 1}
+
+    @pytest.mark.parametrize("shape", [(70, 300, 200), (16, 64, 40)],
+                             ids=["m4rm", "cubic"])
+    def test_flat_product_looks_its_route_up_once(self, monkeypatch,
+                                                  shape):
+        """A flat mul_strassen takes its route from the memo once and
+        hands it to _base_mul_into, for either engine."""
+        m, l, n = shape
+        params = MulParams(cutoff=1024, t=3)
+        a = core.random(m, l, seed=75)
+        b = core.random(l, n, seed=76)
+        looked = []
+
+        def spy(*args, _real=strassen._base_route):
+            looked.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(strassen, "_base_route", spy)
+        got = mul_strassen(a, b, params)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+        assert looked == [(m, l, n, params)]
 
     def test_memo_is_shared_by_equal_params(self):
         route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,22 @@ class TestAutoParams:
         assert _products(a, b)[0] == first == 0
         assert calls[0] == calls[1] == (4, FITTED_CUTOFF, 8)
         assert (p.cutoff, p.b_s, p.k) == (FITTED_CUTOFF, FITTED_CUTOFF, 0)
+
+    def test_variable_is_read_without_a_raised_lookup(self, tmp_path,
+                                                      monkeypatch):
+        """auto_params reads GF2MAT_CONFIG without os.environ's item
+        lookup, which raises and catches a KeyError when it is unset, and
+        still sees each change of the variable."""
+        def params():
+            with monkeypatch.context() as patched:
+                patched.setattr(type(os.environ), "__getitem__",
+                                lambda self, key: pytest.fail(key))
+                return auto_params()
+
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        assert params() == FITTED
+        _config(tmp_path, monkeypatch, "t=4\n")
+        assert params().t == 4
 
     def test_config_drives_mul_strassen(self, tmp_path, monkeypatch):
         _config(tmp_path, monkeypatch, "cutoff=64\n")
