@@ -11,14 +11,20 @@
  * released, started on a 64-byte cache line, never zeroed, and freed when
  * the engine returns. M4RM table rows are the caller's row stride apart:
  * rows of 8 words or more are padded to whole cache lines, so each table
- * row starts on one.
+ * row starts on one, and narrower rows to a power of two words.
  *
  * The index step: M4RM reads one 64-bit window of a row of a per group of
  * t stripes and slices the t table indices out of it, in vector registers
  * on AVX2 and AVX-512. Reading each index on its own costs a branch, one
  * or two loads and variable shifts per lookup, which on narrow rows costs
  * as much as the combine. Groups wider than 64 columns keep the per-index
- * read.
+ * read. Each index becomes its table row's address by a shift when the
+ * table row stride is a power of two words, and by a 64-bit multiply
+ * otherwise; core.padded_cols pads rows narrower than a cache line to a
+ * power of two so that they take the shift. That step is on every
+ * (row, group)'s dependency chain, and the multiply is three 32-bit
+ * multiplies with shifts and adds on the avx512f copy, so on narrow
+ * products, where a row's combine is short, it set the cost of a row.
  *
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's headers and plain -O3 (no -march), so a
@@ -150,6 +156,41 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
         combine_t(vw, c, r, t, width);
 }
 
+/* The rows of a block for one stripe group of at most 64 columns: row r
+ * reads its 64-bit window of a from word wi, shifted left by `bit` (with
+ * the next word's high bits when `two`), slices each lane's stripe index
+ * out of it (shift, mask) and scales it to its table row's address:
+ * base + (index << scale) when `shifted`, else base + index * scale. Both
+ * are one vector on AVX2 and AVX-512; the multiply, a 64-bit one, is
+ * three multiplies of 32-bit halves there (AVX-512DQ's vpmullq is not in
+ * the avx512f copy), all on the row's dependency chain, so the shift is
+ * the cheap step. The plain copy, whose SSE2 has neither per-lane shifts
+ * nor 64-bit multiplies, loops over the lanes. */
+INLINE void window_rows(int vw, int shifted, word *c, int64_t c_stride,
+                        const word *a, int64_t a_stride, int64_t rows,
+                        int64_t wi, int bit, int two, const lanes *shift,
+                        const lanes *mask, const lanes *base, word scale,
+                        int ng, int64_t width)
+{
+    union { lanes v; const word *p[MAX_TABLES]; } at;
+    for (int64_t r = 0; r < rows; r++) {
+        const word *arow = a + r * a_stride;
+        word x = arow[wi] << bit;
+        if (two)
+            x |= arow[wi + 1] >> (64 - bit);
+        if (vw == 2) {
+            for (int g = 0; g < ng; g++) {
+                word idx = x >> (*shift)[g] & (*mask)[g];
+                at.v[g] = (*base)[g] + (shifted ? idx << scale : idx * scale);
+            }
+        } else {
+            lanes idx = ((lanes){0} + x) >> *shift & *mask;
+            at.v = *base + (shifted ? idx << scale : idx * scale);
+        }
+        combine(vw, c + r * c_stride, at.p, ng, width);
+    }
+}
+
 /* c += a @ b by M4RM: a is m x l, b is l x n, c is m x n, with row chunks
  * of vw words.
  *
@@ -163,10 +204,9 @@ INLINE void combine(int vw, word *restrict c, const word *const *r, int t,
  * reads one 64-bit window of a's row from the group's first column (its
  * second word only where the row has one) and slices all of the group's
  * stripe indices, a narrower last stripe's included, from that window:
- * one shift, mask and multiply-add to table row addresses per group, in
- * one vector on AVX2 and AVX-512 (a scalar loop in the plain copy, whose
- * SSE2 has neither per-lane shifts nor 64-bit multiplies). Wider groups
- * (t * k > 64) read each index on its own (read_bits). */
+ * one shift and mask per group, then a shift (or multiply) and add to
+ * table row addresses (window_rows). Wider groups (t * k > 64) read each
+ * index on its own (read_bits). */
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
                  int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
@@ -177,6 +217,9 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
     word tail = ~(word)0 << (-(word)n & 63);
     int64_t table_words = t_stride << k;
     word row_bytes = (word)t_stride * sizeof(word);
+    /* log2(row_bytes) when the stride is a power of two, else -1. */
+    int row_shift = (t_stride & (t_stride - 1)) == 0
+                    ? __builtin_ctzll(row_bytes) : -1;
     const word *rows[MAX_TABLES];
     int64_t sc[MAX_TABLES];
     int kw[MAX_TABLES];
@@ -213,21 +256,16 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
             int64_t wi = g0 >> 6;
             int bit = (int)(g0 & 63);
             int two = bit > 0 && wi + 1 < wl;
-            union { lanes v; const word *p[MAX_TABLES]; } at;
-            for (int64_t r = r0; r < r1; r++) {
-                const word *arow = a + r * a_stride;
-                word x = arow[wi] << bit;
-                if (two)
-                    x |= arow[wi + 1] >> (64 - bit);
-                if (vw == 2)
-                    for (int g = 0; g < ng; g++)
-                        at.v[g] = base[g] + (x >> shift[g] & mask[g])
-                                            * row_bytes;
-                else
-                    at.v = base + (((lanes){0} + x) >> shift & mask)
-                                  * row_bytes;
-                combine(vw, c + r * c_stride, at.p, ng, width);
-            }
+            if (row_shift >= 0)
+                window_rows(vw, 1, c + r0 * c_stride, c_stride,
+                            a + r0 * a_stride, a_stride, r1 - r0, wi, bit,
+                            two, &shift, &mask, &base, row_shift, ng,
+                            width);
+            else
+                window_rows(vw, 0, c + r0 * c_stride, c_stride,
+                            a + r0 * a_stride, a_stride, r1 - r0, wi, bit,
+                            two, &shift, &mask, &base, row_bytes, ng,
+                            width);
         }
     }
 }

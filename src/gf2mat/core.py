@@ -198,12 +198,18 @@ def create(nrows: int, ncols: int) -> BitMatrix:
 
 def padded_cols(ncols: int) -> int:
     """Columns to allocate for scratch rows of ncols columns (the M4RM
-    tables) so that each row starts on a cache line: the width rounded up
-    to whole lines once rows are a line or wider, at most 7 words more."""
+    tables), at most 7 words more than ncols needs. Rows a line or wider
+    are rounded up to whole lines, so each starts on one. Narrower rows
+    are rounded up to a power of two (3 words to 4, 5..7 to 8), so the
+    compiled engine turns a table index into its row's address with a
+    shift instead of a multiply. ncols is kept when it needs no padding,
+    0 included."""
     width = words_per_row(ncols)
-    if width < _LINE_WORDS or width % _LINE_WORDS == 0:
-        return ncols
-    return -(-width // _LINE_WORDS) * _LINE_WORDS * WORD_BITS
+    if width < _LINE_WORDS:
+        padded = 1 << (width - 1).bit_length() if width else 0
+    else:
+        padded = -(-width // _LINE_WORDS) * _LINE_WORDS
+    return ncols if padded == width else padded * WORD_BITS
 
 
 def identity(n: int) -> BitMatrix:

@@ -91,15 +91,22 @@ def mul_cubic(a: core.Mat, b: core.Mat,
     elif c.nrows != m or c.ncols != n:
         raise DimensionError(
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
-    if m == 0 or n == 0 or l == 0:
-        return c
+    if m and l and n:
+        _cubic_into(a, b, c)
+    return c
+
+
+def _cubic_into(a: core.Mat, b: core.Mat, c: core.Mat) -> None:
+    """c += a @ b for a non-empty product whose target c is sized to it;
+    nothing is checked here (strassen's base route and mul_cubic have)."""
+    m, l, n = a.nrows, a.ncols, b.ncols
     kernel = _kernel.active()
     if kernel.compiled:
         # The kernel allocates B^T itself; its words are booked as
         # core.transpose books them below.
         kernel.cubic(c, a, b, l, n)
         counters.words_allocated += n * core.words_per_row(l)
-        return c
+        return
     # B^T is owned, so its bits beyond column l are clear and the AND
     # below drops whatever a window of A holds beyond its right edge.
     bt = core.transpose(b)
@@ -117,4 +124,3 @@ def mul_cubic(a: core.Mat, b: core.Mat,
             row[nb] = np.bitwise_or.reduce(bits << rem_shifts)
         dst = c.words[i]
         kernel.xor(dst, row, dst)
-    return c

@@ -17,7 +17,10 @@ from typing import Callable, NamedTuple
 
 from . import core, tuning
 from .counters import counters
-from .cubic import mul_cubic
+# The base route's cubic runner, bound under the public name through
+# which perfbench's tracer times the route's cubic products
+# (cubic.mul_s); it checks nothing, as _mul_into runs an M4RM plan.
+from .cubic import _cubic_into as mul_cubic
 from .errors import DimensionError
 from .m4rm import Plan, _fit_budget, _mul_into, _table_layout
 from .tuning import MulParams
@@ -27,11 +30,13 @@ _WORD = core.WORD_BITS
 # and m * n < _CUBIC_ROWS * 64 * ceil(l / 64): A is short against B's row
 # length, so M4RM's 2^k - 1 table row additions per stripe serve too few
 # rows of A. Fitted on the compiled kernel (AVX-512, fitted k, t=8,
-# b_s=8192) with a kernel-only sweep, min of 15 calls, over m in 16..1024,
-# ceil(l / 64) in 1..16 and n in 16..63: the total is flat within 0.3% for
-# 18..28 and 1.5% higher at 16; over small-batch's 200 shapes it is flat
-# within 0.3% for 12..32 (BENCH_13.json).
-_CUBIC_ROWS = 20
+# b_s=8192) with a kernel-only sweep, min of 21 rounds of 5 calls per
+# shape, over m in 16..1024, ceil(l / 64) in 1..16 and n in 16..63. In
+# each of three sweeps the total is within 0.3% of the best at 5, 6 and
+# 10, 0.6-0.8% higher at 12, 1.6-1.9% at 2 and 2.4-4.3% at 20; over
+# small-batch's 200 shapes it is within 0.2% for 3..6 and 2.8-3.3% higher
+# at 20 (BENCH_19.json).
+_CUBIC_ROWS = 5
 
 
 class PeelSplit(NamedTuple):
@@ -107,10 +112,10 @@ def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
         dst = core.create(a.nrows, b.ncols)
     elif not accumulate:
         core.clear(dst)
-    if plan is None:
-        mul_cubic(a, b, dst)
-    else:
+    if plan is not None:
         _mul_into(dst, a, b, plan, params.b_s, params.t)
+    elif a.nrows and a.ncols and b.ncols:  # an empty product's route is None
+        mul_cubic(a, b, dst)
     return dst
 
 
@@ -210,26 +215,33 @@ def _mul_rec(c: core.Mat, a: core.Mat, b: core.Mat, depth: int,
 
 
 def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
-               n2: int, params: MulParams | None = None) -> None:
+               n2: int, params: MulParams | None = None, *,
+               _plans: list | None = None) -> None:
     """Complete c given that c[:m2, :n2] already holds a[:m2,:l2] @ b[:l2,:n2].
 
     Three corrections, each via the base-case multipliers (never the
     recursion): the inner-dimension remainder accumulates into the done
     block, then the remaining rows of C, then the remaining columns.
     Oversize M4RM tables in any of them raise before c is written.
+
+    `_plans` is for mul_strassen alone: the strips' routes, which its
+    _check_tables already compared with the budget together with the
+    leaves', so they are not compared twice; it still comes through this
+    entry, so the peel stays one call of its own.
     """
     if params is None:
         params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
-    if c.nrows != m or c.ncols != n:
-        raise DimensionError(f"target {c.shape} != product {m}x{n}")
-    if not (0 <= m2 <= m and 0 <= l2 <= l and 0 <= n2 <= n):
-        raise DimensionError(
-            f"peel dims ({m2},{l2},{n2}) exceed ({m},{l},{n})")
     strips = _fixup_strips(m, l, n, m2, l2, n2)
-    plans = _check_tables([shape for shape, *_ in strips], params)
+    if _plans is None:
+        if c.nrows != m or c.ncols != n:
+            raise DimensionError(f"target {c.shape} != product {m}x{n}")
+        if not (0 <= m2 <= m and 0 <= l2 <= l and 0 <= n2 <= n):
+            raise DimensionError(
+                f"peel dims ({m2},{l2},{n2}) exceed ({m},{l},{n})")
+        _plans = _check_tables([shape for shape, *_ in strips], params)
     for ((rows, inner, cols), r0, c0, i0, accumulate), plan in zip(strips,
-                                                                  plans):
+                                                                  _plans):
         _base_mul_into(core.window(c, r0, c0, rows, cols),
                        core.window(a, r0, i0, rows, inner),
                        core.window(b, i0, c0, inner, cols),
@@ -277,7 +289,7 @@ def mul_strassen(a: core.Mat, b: core.Mat,
         plan = _fit_budget(_base_route(m, l, n, params))
         return _base_mul_into(None, a, b, plan, params, accumulate=False)
     strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
-    leaf, *_ = _check_tables(
+    leaf, *plans = _check_tables(
         [(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),
          *(shape for shape, *_ in strips)], params)
     c = core.create(m, n)
@@ -286,5 +298,5 @@ def mul_strassen(a: core.Mat, b: core.Mat,
              core.window(a, 0, 0, ps.m, ps.l),
              core.window(b, 0, 0, ps.l, ps.n),
              0, params, arena, leaf)
-    peel_fixup(c, a, b, ps.m, ps.l, ps.n, params)
+    peel_fixup(c, a, b, ps.m, ps.l, ps.n, params, _plans=plans)
     return c

@@ -14,12 +14,22 @@ GF2MAT_CONFIG names, when it is set, and otherwise from a rule fitted to
 the compiled kernel, whose cost is C row updates more than cache misses:
 no Strassen level at or below 8192 (one level lost to flat M4RM at 4096
 and 8192), one row block up to that size, and a Gray width chosen per
-product from its rows and columns (choose_k with a row count): the t
-tables span at most a quarter of the rows they serve and stay within half
-of L2, and k is never below 4. The L2 of that rule is the 2 MiB of the
-host it was fitted on; with 1 MiB the tables of 4133- and 8192-column
-products drop to k = 6, which measured 6-9% slower than k = 7. No
-hardware probing is done: cache sizes come from arguments, a key=value
+product from its rows and columns (choose_k with a row count), the larger
+of two:
+- the t tables span at most a quarter of the rows they serve and stay
+  within half of L2, and k is never below 4. The L2 of that rule is the
+  2 MiB of the host it was fitted on; with 1 MiB the tables of 4133- and
+  8192-column products drop to k = 6, which measured 6-9% slower than
+  k = 7.
+- the t tables fit in half of L1 and have no more rows than the product
+  has, as the paper sizes its tables to L1. At t = 8 it decides only
+  below 1024 rows, where the first gives 4: k = 5 from 256 rows for B up
+  to 512 columns, and 6 from 512 rows up to 256 columns. On small-batch's
+  170 M4RM products it cut the engine's time by a further 5.6-7.9% over the
+  shift-scaled index step alone, and by 11-15% on the 49 whose k it
+  raised (kernel-only, BENCH_19.json). Its L1 is the default 32 KiB, so
+  990x179x996, small-batch's largest tables, keeps k = 4 and 16 KiB.
+No hardware probing is done: cache sizes come from arguments, a key=value
 config file, or conservative defaults (32 KiB L1, 1 MiB L2).
 """
 
@@ -30,7 +40,7 @@ import os
 from dataclasses import dataclass, replace
 
 from ._kernel import MAX_K, MAX_T
-from .core import words_per_row
+from .core import padded_cols, words_per_row
 from .errors import ParameterError
 
 DEFAULT_L1_BYTES = 32 * 1024
@@ -104,19 +114,28 @@ def choose_k(b_s: int, l1_bytes: int, t: int = 8,
     """Gray-table width for a given block size and cache capacities.
 
     Without nrows, the paper's rule from b_s and L1. With nrows (and
-    ncols), the rule fitted to the compiled kernel: the largest k with
-    t * 2^k <= min(nrows, b_s) / 4 (the t tables span at most a quarter
-    of the rows they serve) and t * 2^k * row_bytes <= l2_bytes / 2, but
-    never below 4. Not memoized: mul_strassen's products ask through
+    ncols), the rule fitted to the compiled kernel, the larger k of two:
+    - the largest k with t * 2^k <= min(nrows, b_s) / 4 (the t tables
+      span at most a quarter of the rows they serve) and
+      t * 2^k * row_bytes <= l2_bytes / 2, but never below 4;
+    - the largest k whose t tables, rows padded as core.padded_cols pads
+      them, fit in half of l1_bytes and have no more rows than the
+      product has: t * 2^k <= min(nrows, b_s).
+    Not memoized: mul_strassen's products ask through
     strassen._base_route, whose memo holds the answer.
     """
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")
     if nrows is not None:
-        by_rows = (min(nrows, b_s) // (4 * t)).bit_length() - 1
+        rows = min(nrows, b_s)
         row_bytes = max(words_per_row(ncols), 1) * 8
+        by_rows = (rows // (4 * t)).bit_length() - 1
         by_l2 = (l2_bytes // (2 * t * row_bytes)).bit_length() - 1
-        return max(MIN_FITTED_K, min(by_rows, by_l2, MAX_K))
+        stride_bytes = max(words_per_row(padded_cols(ncols)), 1) * 8
+        in_l1 = min((rows // t).bit_length() - 1,
+                    (l1_bytes // (2 * t * stride_bytes)).bit_length() - 1)
+        return max(MIN_FITTED_K, min(by_rows, by_l2, MAX_K),
+                   min(in_l1, MAX_K))
     k0 = int(math.floor(0.75 * math.log2(b_s))) - 2
     k0 = max(1, min(MAX_K, k0))
     if ncols is not None and k0 > 1:

@@ -174,15 +174,16 @@ COUNTED_RUNS = {
 }
 
 
-# n=170 gives tables of 3 words a row; n=600 gives 10, padded to 16;
-# n=30 sends the Strassen product to cubic. Over 200 inner columns (4
-# words) the route takes cubic for 63 columns up to 81 rows of A
-# (81 * 63 < 20 * 64 * 4) and M4RM from 82 rows on.
+# n=170 gives tables of 3 words a row, padded to 4; n=600 gives 10,
+# padded to 16; n=30 gives B under a word. Over 200 inner columns (4
+# words) the route takes cubic for 63 columns up to 20 rows of A
+# (20 * 63 < 5 * 64 * 4) and M4RM from 21 rows on; 81 and 82 rows, M4RM
+# both, were that edge before the route's constant was refitted.
 @pytest.mark.parametrize("run,m,n", [
     pytest.param(run, 150, n, id=name if n == 170 else f"{name}-n{n}")
     for n in (170, 600, 30) for name, run in COUNTED_RUNS.items()] + [
     pytest.param(COUNTED_RUNS["strassen"], m, 63, id=f"strassen-m{m}-n63")
-    for m in (81, 82)])
+    for m in (20, 21, 81, 82)])
 def test_counter_deltas_identical_across_backends(run, m, n):
     a = core.random(m, 200, seed=11)
     b = core.random(200, n, seed=12)
@@ -299,15 +300,20 @@ def test_live_words_return_after_products(backend, run, levels):
 
 def test_flat_m4rm_peak_is_c_plus_tables(backend):
     # A flat M4RM product allocates C and its t tables; only C outlives it.
-    m, l, n, k, t = 150, 200, 170, 5, 3
-    a = core.random(m, l, seed=15)
-    b = core.random(l, n, seed=16)
-    wn = core.words_per_row(n)
-    start = counters.words_allocated
-    with numpy_bytes() as live:
-        c = mul_m4rm_multitable(a, b, k, t, 17)
-        assert live() == buffer_bytes(c)
-    assert counters.words_allocated - start == m * wn + (t << k) * wn
+    # Table rows narrower than a line are padded to a power of two words:
+    # 2 stay 2, 3 become 4, 5 and 7 become 8. C's rows are not padded.
+    m, l, k, t = 150, 200, 5, 3
+    for n, padded in ((100, 2), (170, 4), (300, 8), (420, 8)):
+        a = core.random(m, l, seed=15)
+        b = core.random(l, n, seed=16)
+        wn = core.words_per_row(n)
+        start = counters.words_allocated
+        with numpy_bytes() as live:
+            c = mul_m4rm_multitable(a, b, k, t, 17)
+            assert live() == buffer_bytes(c)
+        assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+        assert counters.words_allocated - start \
+            == m * wn + (t << k) * padded
 
 
 def test_flat_m4rm_peak_counts_padded_table_rows(backend):
@@ -1035,8 +1041,9 @@ def test_peak_memory_counts_kernel_scratch(m, l, n):
     assert peak >= m * core.words_per_row(n) * 8 + scratch
 
 
-# Table row widths in words around one cache line (8 words) and two.
-STRIDE_WIDTHS = (1, 7, 8, 9, 15, 16, 17)
+# Table row widths in words: narrow ones padded to a power of two (3 and
+# 5), and around one cache line (8 words) and two.
+STRIDE_WIDTHS = (1, 3, 5, 7, 8, 9, 15, 16, 17)
 # Table words a case may allocate (16 MiB), which caps t at the largest k.
 MAX_TABLE_WORDS = 1 << 21
 
@@ -1049,11 +1056,15 @@ MAX_TABLE_WORDS = 1 << 21
        narrow=st.integers(0, 15), b_s=st.integers(4, 48))
 def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
                                         groups, narrow, b_s):
-    """Every engine copy, with the product's own line-padded table
-    stride and with table rows as far apart as they are wide, gives the
-    oracle's product."""
+    """Every engine copy, with the product's own padded table stride and
+    with table rows as far apart as they are wide, gives the oracle's
+    product. A stride that is a power of two turns a table index into a
+    row address by a shift, any other by a multiply. Every padded stride
+    here but 17's (24 words) is a power of two, and no bare width is one
+    but 1, 8 and 16, so every copy runs both."""
     n = 64 * width - spare
-    stride = width if width < 8 else -(-width // 8) * 8
+    stride = 1 << (width - 1).bit_length() if width < 8 \
+        else -(-width // 8) * 8
     t = max(1, min(t, MAX_TABLE_WORDS // (stride << k)))
     l = groups * t * k + narrow % k
     a = dirty_window(m, l, seed=41)
@@ -1077,9 +1088,9 @@ def test_m4rm_table_stride_on_every_isa(isa_kernels, width, spare, k, t, m,
 def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
     """The table scratch of an M4RM product has rows a whole number of
     cache lines apart once rows are 8 words or wider; narrower rows are
-    not padded. The extension's one block for them holds the tables and
-    the 63 bytes that let them start on a line, and is gone when the
-    call returns."""
+    a power of two words apart, the least that holds them. The
+    extension's one block for them holds the tables and the 63 bytes
+    that let them start on a line, and is gone when the call returns."""
     calls = []
     m4rm = _kernel.CKernel.m4rm
 
@@ -1098,5 +1109,5 @@ def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
     if width >= 8:
         assert stride % 8 == 0 and 0 <= stride - width < 8
     else:
-        assert stride == width
+        assert stride & (stride - 1) == 0 and stride // 2 < width <= stride
     assert peak == (3 << 5) * stride * 8 + 63

@@ -48,6 +48,16 @@ class TestCreate:
             assert m.data.size == nrows * m.width
         assert core.random(5, ncols, seed=1).data.ctypes.data % 64 == 0
 
+    @pytest.mark.parametrize("ncols,padded", [
+        (0, 0), (1, 1), (64, 64), (65, 65), (128, 128), (129, 256),
+        (192, 256), (256, 256), (257, 512), (448, 512), (449, 449),
+        (512, 512), (513, 1024), (600, 1024), (4133, 4608)])
+    def test_padded_cols(self, ncols, padded):
+        """Scratch rows narrower than a line are padded to a power of two
+        words, wider ones to whole lines; ncols is kept when it needs no
+        padding, and 0 stays 0."""
+        assert core.padded_cols(ncols) == padded
+
     def test_empty_dims_legal(self):
         for shape in [(0, 0), (0, 5), (5, 0)]:
             m = core.create(*shape)

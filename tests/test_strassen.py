@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triple
-from gf2mat import _kernel, core, m4rm, strassen, tuning
+from gf2mat import _kernel, core, cubic, m4rm, strassen, tuning
 from gf2mat import _reference as ref
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
@@ -180,7 +180,7 @@ class TestPeelFixup:
     @pytest.mark.parametrize("n2", [256, 192])
     def test_column_strip_route(self, n2):
         # Only the column strip is left, 40 rows over 1000 inner columns
-        # (16 words). 44 columns go to cubic (40 * 44 < 20 * 64 * 16),
+        # (16 words). 44 columns go to cubic (40 * 44 < 5 * 64 * 16),
         # which builds no Gray tables and allocates only its B^T scratch
         # (no product of its own); 108 columns go to M4RM, which builds
         # them.
@@ -208,6 +208,19 @@ class TestPeelFixup:
 
 
 class TestMulStrassen:
+    @pytest.mark.parametrize("shape", [
+        (0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5), (5, 5, 0), (5, 0, 5),
+        (0, 5, 5), (0, 5, 70), (5, 0, 70), (0, 70, 200)])
+    def test_empty_products_with_automatic_parameters(self, shape):
+        """An empty product is all zero, and allocates C alone."""
+        m, l, n = shape
+        a = core.random(m, l, seed=31)
+        b = core.random(l, n, seed=32)
+        words = counters.words_allocated
+        got = mul_strassen(a, b)
+        assert got.shape == (m, n) and not core.to_dense(got).any()
+        assert counters.words_allocated - words == m * core.words_per_row(n)
+
     def test_identity_times_identity(self):
         i = core.identity(512)
         got = mul_strassen(i, i, MulParams(cutoff=128))
@@ -332,7 +345,7 @@ class TestBaseRoute:
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
         assert calls == {"_table_layout": 0, "_fit_budget": 1}
 
-    @pytest.mark.parametrize("shape", [(70, 300, 200), (16, 64, 40)],
+    @pytest.mark.parametrize("shape", [(70, 300, 200), (16, 1000, 40)],
                              ids=["m4rm", "cubic"])
     def test_flat_product_looks_its_route_up_once(self, monkeypatch,
                                                   shape):
@@ -353,12 +366,55 @@ class TestBaseRoute:
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
         assert looked == [(m, l, n, params)]
 
+    def test_cubic_route_runs_unchecked(self, monkeypatch):
+        """The base route runs cubic as it runs an M4RM plan: through the
+        unchecked runner (bound in strassen under the public name), never
+        through the public mul_cubic and its checks."""
+        def public(*args):
+            raise AssertionError("public mul_cubic on the base route")
+
+        monkeypatch.setattr(cubic, "mul_cubic", public)
+        assert strassen.mul_cubic is cubic._cubic_into
+        a = core.random(16, 1000, seed=79)
+        b = core.random(1000, 40, seed=80)
+        params = MulParams(cutoff=1024, t=3)
+        assert _base_route(16, 1000, 40, params) is None
+        got = mul_strassen(a, b, params)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+
     def test_memo_is_shared_by_equal_params(self):
         route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5))
         assert _base_route(70, 300, 200, MulParams(cutoff=512, t=5)) \
             is route
         assert _base_route(70, 300, 200, MulParams(cutoff=512, t=4)) \
             != route
+
+    def test_recursive_product_compares_each_budget_once(self,
+                                                          monkeypatch):
+        """A recursive mul_strassen compares the table budget once per
+        base shape of its plan, the leaf and the three peel strips, and
+        hands the strips' plans to peel_fixup, which compares none of them
+        again; a peel_fixup called on its own compares its strips once."""
+        params = MulParams(cutoff=64, k=4, t=1)
+        a = core.random(129, 129, seed=77)
+        b = core.random(129, 130, seed=78)
+        calls = []
+
+        def spy(plan, _real=strassen._fit_budget):
+            calls.append(plan)
+            return _real(plan)
+
+        monkeypatch.setattr(strassen, "_fit_budget", spy)
+        got = mul_strassen(a, b, params)
+        assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+        assert len(calls) == 4
+        c = core.create(129, 130)
+        core.copy_into(core.window(c, 0, 0, 128, 128),
+                       mul_cubic(core.window(a, 0, 0, 128, 128),
+                                 core.window(b, 0, 0, 128, 128)))
+        peel_fixup(c, a, b, 128, 128, 128, params)
+        assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
+        assert len(calls) == 4 + 3
 
     @pytest.mark.parametrize("shape,params", [
         ((40, 300, 200), MulParams(cutoff=1024, k=6, t=3)),

@@ -10,9 +10,11 @@ from gf2mat import _reference, core, strassen
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
+from gf2mat.m4rm import _table_layout
 from gf2mat.strassen import mul_strassen, peel_fixup
 from gf2mat.tuning import (
     CONFIG_ENV,
+    DEFAULT_L1_BYTES,
     DEFAULT_L2_BYTES,
     FITTED_CUTOFF,
     FITTED_L2_BYTES,
@@ -178,23 +180,62 @@ class TestFittedGrayWidth:
         assert p.effective_k(8192, nrows=8192) == 6
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 1023), st.integers(64, 1 << 20),
+    @given(st.integers(1, 1023), st.integers(1, 1 << 20),
+           st.sampled_from([DEFAULT_L1_BYTES, 48 * 1024, 1 << 20]),
            st.sampled_from([DEFAULT_L2_BYTES, FITTED_L2_BYTES, 1 << 30]))
-    def test_below_1024_rows_keeps_four(self, m, n, l2):
-        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, l2_bytes=l2)
-        assert p.effective_k(n, nrows=m) == 4
+    def test_below_1024_rows_l1_tables_or_four(self, m, n, l1, l2):
+        """Below 1024 rows the quarter-of-the-rows rule gives 4 at t=8, so
+        k is the largest of 4 and every k whose 8 tables have at most m
+        rows and fit, rows padded, in half of L1."""
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, l1_bytes=l1,
+                      l2_bytes=l2)
+        row_bytes = 8 * core.words_per_row(core.padded_cols(n))
+        fits = [k for k in range(1, 17)
+                if 8 * (1 << k) <= m and 8 * (1 << k) * row_bytes <= l1 // 2]
+        assert p.effective_k(n, nrows=m) == max([4, *fits])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 1 << 16), st.integers(1, 1 << 16),
-           st.integers(1, 8), st.integers(1 << 12, 1 << 26))
-    def test_wide_tables_stay_in_half_of_l2(self, m, n, t, l2):
+           st.integers(1, 8), st.integers(1 << 10, 1 << 20),
+           st.integers(1 << 12, 1 << 26))
+    def test_tables_fit_half_of_l2_or_half_of_l1(self, m, n, t, l1, l2):
+        """k is the largest width that meets one of the two rules: t
+        tables over at most a quarter of the rows in half of L2, or t
+        tables over at most all the rows in half of L1 (rows padded); 4
+        when neither allows more."""
         p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t,
-                      l2_bytes=l2)
+                      l1_bytes=l1, l2_bytes=l2)
+        rows = min(m, p.b_s)
+
+        def allowed(k):
+            in_l2 = (t * (1 << k) * core.words_per_row(n) * 8 <= l2 // 2
+                     and (1 << k) * 4 * t <= rows)
+            in_l1 = (t * (1 << k) * core.words_per_row(core.padded_cols(n))
+                     * 8 <= l1 // 2 and (1 << k) * t <= rows)
+            return in_l2 or in_l1
+
         k = p.effective_k(n, nrows=m)
         assert 4 <= k <= 16
         if k > 4:
-            assert t * (1 << k) * core.words_per_row(n) * 8 <= l2 // 2
-            assert (1 << k) * 4 * t <= min(m, p.b_s)
+            assert allowed(k)
+        assert not any(allowed(j) for j in range(k + 1, 17))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1023), st.integers(1, 1 << 13),
+           st.integers(1, 1 << 14), st.integers(1, 8),
+           st.sampled_from([DEFAULT_L1_BYTES, 48 * 1024, 1 << 20]))
+    def test_small_product_tables_stay_in_half_of_l1(self, m, l, n, t, l1):
+        """Below 1024 rows a fitted plan's tables never take more than half
+        of L1 or, when more, than the tables of the rule without the L1
+        term (the quarter of the rows within half of L2, at least 4)."""
+        p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t,
+                      l1_bytes=l1, l2_bytes=FITTED_L2_BYTES)
+        plan = _table_layout(m, l, n, p.effective_k(n, nrows=m), p.b_s, t)
+        in_l2 = [k for k in range(1, 17) if (1 << k) * 4 * t <= m
+                 and t * (1 << k) * core.words_per_row(n) * 8
+                 <= FITTED_L2_BYTES // 2]
+        before = _table_layout(m, l, n, max([4, *in_l2]), p.b_s, t)
+        assert plan.table_bytes <= max(l1 // 2, before.table_bytes)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(64, 1 << 16), st.integers(1, 8))
@@ -257,7 +298,9 @@ class TestAutoParams:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(p, name, value)
         assert _products(a, b)[0] == first == 0
-        assert calls[0] == calls[1] == (4, FITTED_CUTOFF, 8)
+        # k=5: 8 tables of 32 rows serve the 300 rows, and with rows of 150
+        # columns padded to 4 words they take 8 KiB, half of a 32 KiB L1.
+        assert calls[0] == calls[1] == (5, FITTED_CUTOFF, 8)
         assert (p.cutoff, p.b_s, p.k) == (FITTED_CUTOFF, FITTED_CUTOFF, 0)
 
     def test_variable_is_read_without_a_raised_lookup(self, tmp_path,
