@@ -19,11 +19,14 @@ scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
 product needs it, with the system `cc` and the interpreter's headers
 (`Python.h`, from sysconfig's include path). The binary is cached in
 this package's `__pycache__/` and loaded with importlib. Its name holds
-a key (the source, the flags with the include path, `cc --version` and
-the interpreter's extension suffix), a digest of the binary, and that
+a key (a digest of the source, the flags with the include path, the
+compiler's resolved path with its size and modification time, and the
+interpreter's extension suffix), a digest of the binary, and that
 suffix. So a stale or damaged file is rebuilt instead of loaded, and a
 new build removes this interpreter's builds of any other key (and the
-suffixless builds of the old ctypes binding). The module's `m4rm` and
+suffixless builds of the old ctypes binding). Loading a cached build
+starts no process and imports neither subprocess nor tempfile; the
+source and the binary are hashed in 8 KiB chunks. The module's `m4rm` and
 `cubic` are METH_FASTCALL functions of plain integers that allocate the
 product's scratch (M4RM's tables, cubic's B transposed) from the
 interpreter's raw allocator, which tracemalloc traces, and release the
@@ -44,9 +47,7 @@ import importlib.machinery
 import importlib.util
 import os
 import shutil
-import subprocess
 import sysconfig
-import tempfile
 import threading
 from pathlib import Path
 
@@ -189,13 +190,36 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _file_digest(path: Path) -> str:
+    """`_digest` of a file's bytes, read in chunks of 8 KiB into one
+    buffer (unbuffered), so hashing a binary of any size allocates no
+    more than that."""
+    sha = hashlib.sha256()
+    chunk = bytearray(8192)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            sha.update(view[:size])
+    return sha.hexdigest()[:16]
+
+
+def _compiler_id(cc: str) -> bytes:
+    """The compiler as the cache key sees it: its resolved path, size and
+    modification time. Another compiler, or the same path reinstalled,
+    gives other bytes, and no process is spawned to read them."""
+    path = os.path.realpath(cc)
+    st = os.stat(path)
+    return f"{path}\0{st.st_size}\0{st.st_mtime_ns}".encode()
+
+
 def _flags(include: str) -> list[str]:
     return [*_CFLAGS, f"-I{include}"]
 
 
 def _key(source: bytes, include: str, version: bytes, suffix: str) -> str:
-    """Cache key of a build: the source, the flags with the include path,
-    the compiler's `--version` and the interpreter's extension suffix."""
+    """Cache key of a build: the source (load_library passes its digest),
+    the flags with the include path, the compiler's identity (`version`,
+    from _compiler_id) and the interpreter's extension suffix."""
     return _digest(b"\0".join((source, " ".join(_flags(include)).encode(),
                                 version, suffix.encode())))
 
@@ -217,6 +241,8 @@ def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
     keys, which no later load picks, and builds of the ctypes binding the
     extension replaced, which had no interpreter suffix; builds of this
     key stay, since a concurrent first build may be loading one."""
+    import subprocess  # only a build starts a process
+    import tempfile
     cache_dir.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{_MODULE}-{key}-", suffix=".tmp",
                                dir=cache_dir)
@@ -225,9 +251,11 @@ def _build(cc: str, source: bytes, cache_dir: Path, key: str) -> Path:
         subprocess.run([cc, *_flags(_INCLUDE_DIR), "-o", tmp, "-x", "c",
                         "-"], input=source, capture_output=True, check=True,
                        timeout=_COMPILE_TIMEOUT_S)
-        digest = _digest(Path(tmp).read_bytes())
+        digest = _file_digest(Path(tmp))
         path = cache_dir / f"{_MODULE}-{key}-{digest}{_EXT_SUFFIX}"
         os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:  # failed or timed out
+        raise OSError(f"{cc} did not build {_MODULE}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -244,24 +272,21 @@ def load_library(cache_dir: Path = _CACHE_DIR):
     """The compiled kernel module from `cache_dir`, built there first
     unless an intact copy for this source, these flags, this compiler and
     this interpreter exists. None when there is no compiler, no Python.h,
-    the build fails or nothing can be written."""
+    the build fails or nothing can be written. Loading a cached build
+    starts no process."""
     cc, include, suffix = _compiler(), _INCLUDE_DIR, _EXT_SUFFIX
     if cc is None or not Path(include, "Python.h").is_file():
         return None
     try:
-        source = _SOURCE.read_bytes()
-        version = subprocess.run([cc, "--version"], capture_output=True,
-                                 check=True,
-                                 timeout=_COMPILE_TIMEOUT_S).stdout
-        key = _key(source, include, version, suffix)
+        key = _key(_file_digest(_SOURCE).encode(), include,
+                   _compiler_id(cc), suffix)
         prefix = f"{_MODULE}-{key}-"
         for path in cache_dir.glob(f"{prefix}*{suffix}"):
-            if path.name[len(prefix):-len(suffix)] == \
-                    _digest(path.read_bytes()):
+            if path.name[len(prefix):-len(suffix)] == _file_digest(path):
                 return _load(path)
             path.unlink()  # truncated or overwritten
-        return _load(_build(cc, source, cache_dir, key))
-    except (ImportError, OSError, subprocess.SubprocessError):
+        return _load(_build(cc, _SOURCE.read_bytes(), cache_dir, key))
+    except (ImportError, OSError):
         return None
 
 

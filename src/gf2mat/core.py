@@ -434,20 +434,37 @@ def to_dense(a: Mat) -> np.ndarray:
 
 
 def from_dense(dense: np.ndarray) -> BitMatrix:
-    """Pack a 2-D 0/1 array into a BitMatrix."""
-    dense = np.asarray(dense, dtype=np.uint8) & 1
+    """Pack a 2-D array into a BitMatrix whose entry (r, c) is the low bit
+    of dense[r, c]. Other dtypes than bool and uint8 are cast to uint8
+    first (numpy's unsafe cast keeps an integer's low bit).
+
+    Bool input, and uint8 input whose maximum is at most 1, are packed
+    from their own memory, whatever their strides: no copy the size of
+    the dense input is made. Other values are masked with `& 1` first.
+    The packed rows go into the matrix in one byte-swapping copy, the
+    partial last word of each row through an 8-byte row buffer, so the
+    trailing bits are zero.
+    """
+    dense = np.asarray(dense)
     if dense.ndim != 2:
         raise DimensionError("from_dense expects a 2-D array")
+    if dense.dtype != np.bool_:
+        dense = dense.astype(np.uint8, copy=False)
+        if dense.size and dense.max() > 1:
+            dense = dense & 1
     nrows, ncols = dense.shape
     out = BitMatrix(nrows, ncols)
     if nrows == 0 or ncols == 0:
         return out
-    packed = np.packbits(dense, axis=1, bitorder="big")
-    nbytes = out.width * 8
-    if packed.shape[1] < nbytes:
-        packed = np.pad(packed, ((0, 0), (0, nbytes - packed.shape[1])))
-    words = np.ascontiguousarray(packed).view(">u8").astype(np.uint64)
-    out.words[:, :] = words.reshape(nrows, out.width)
+    # ceil(ncols / 8) bytes a row; packbits keeps an F-ordered input's
+    # order, and the word view needs contiguous rows.
+    packed = np.ascontiguousarray(np.packbits(dense, axis=1))
+    full = ncols // WORD_BITS
+    out.words[:, :full] = packed[:, :8 * full].view(">u8")
+    if full < out.width:
+        last = np.zeros((nrows, 8), dtype=np.uint8)
+        last[:, :packed.shape[1] - 8 * full] = packed[:, 8 * full:]
+        out.words[:, full] = last.view(">u8")[:, 0]
     return out
 
 

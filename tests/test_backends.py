@@ -430,10 +430,107 @@ def test_cache_key_covers_the_interpreter():
     assert _kernel._key(base[0], base[1], b"cc 13", base[3]) != key
 
 
+def test_cache_key_follows_the_compiler(tmp_path):
+    """The compiler enters the key by its resolved path, size and mtime: a
+    link to it gives its key; another path, size or mtime another."""
+    mtime = 1_700_000_000_000_000_000
+
+    def install(path, content):
+        path.write_bytes(content)
+        os.utime(path, ns=(mtime, mtime))
+        return path
+
+    def key(path):
+        return _kernel._key(b"source", "/usr/include/python3.11",
+                            _kernel._compiler_id(str(path)), ".so")
+
+    cc = install(tmp_path / "gcc-12", b"compiler")
+    (tmp_path / "cc").symlink_to(cc)
+    base = key(cc)
+    assert key(tmp_path / "cc") == base
+    assert key(install(tmp_path / "gcc-13", b"compiler")) != base
+    os.utime(cc, ns=(mtime, mtime + 1))
+    assert key(cc) != base
+    install(cc, b"compiler")
+    assert key(cc) == base
+    install(cc, b"compiler 2")
+    assert key(cc) != base
+
+
+# Makes every attempt to start a process fail.
+NO_PROCESSES = """
+import subprocess
+def refuse(*args, **kwargs):
+    raise AssertionError("a process was started")
+subprocess.run = subprocess.Popen = refuse
+"""
+
+
+@needs_c
+def test_warm_cache_load_starts_no_process(tmp_path):
+    run_python(LOAD_FROM_CACHE, tmp_path)
+    [built] = tmp_path.glob("*.so")
+    run_python(NO_PROCESSES + LOAD_FROM_CACHE, tmp_path)
+    assert list(tmp_path.glob("*.so")) == [built]
+
+
+def test_warm_load_imports_no_subprocess():
+    """A fresh interpreter that imports numpy and gf2mat and runs one
+    product from a warm cache never imports subprocess (numpy does not
+    import it either)."""
+    _kernel.available()  # warms the package's cache
+    out = run_python("""
+import sys
+import numpy
+after_numpy = "subprocess" in sys.modules
+import gf2mat
+a = gf2mat.random(32, 32, seed=1)
+gf2mat.mul_strassen(a, a)
+print(after_numpy, "subprocess" in sys.modules, gf2mat.backend())
+""")
+    assert out.split() == ["False", "False", BACKENDS[0]]
+
+
+@needs_c
+def test_warm_load_peak_is_small():
+    """Loading the kernel from a warm cache allocates little: the source
+    and the binary are hashed in 8 KiB chunks and no process is started."""
+    _kernel.available()  # warms the package's cache
+    out = run_python("""
+import tracemalloc
+import numpy
+from gf2mat import _kernel
+tracemalloc.start()
+assert _kernel._compiled() is not None
+print(tracemalloc.get_traced_memory()[1])
+""")
+    assert int(out) < 32 * 1024
+
+
+def test_file_digest_reads_in_chunks(tmp_path):
+    """The chunked digest equals the digest of the whole file, across
+    chunk boundaries."""
+    for size in (0, 1, 8191, 8192, 8193, 3 * 8192 + 5):
+        path = tmp_path / f"f{size}"
+        data = os.urandom(size)
+        path.write_bytes(data)
+        assert _kernel._file_digest(path) == _kernel._digest(data)
+
+
 def test_unwritable_cache_gives_no_library(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_bytes(b"")
     assert _kernel.load_library(blocker / "cache") is None
+
+
+@needs_c
+def test_failed_build_gives_no_library(tmp_path, monkeypatch):
+    """A source the compiler rejects gives None and leaves no file."""
+    bad = tmp_path / "bad.c"
+    bad.write_text("this is not C;\n")
+    monkeypatch.setattr(_kernel, "_SOURCE", bad)
+    assert _kernel.load_library(tmp_path / "cache") is None
+    assert not list((tmp_path / "cache").iterdir())
 
 
 @needs_c

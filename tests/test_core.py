@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import from_rows, nested_windows, rows_of
 from gf2mat import _reference, core
+from gf2mat.counters import counters
 from gf2mat.errors import AlignmentError, DimensionError, FormatError
 
 
@@ -393,6 +395,79 @@ class TestEqualRandom:
             w[3, 0]
         assert repr(a) == "BitMatrix(5x130)"
         assert repr(w) == "MatrixWindow(3x66@(1,64))"
+
+
+def packed_words(dense) -> list[list[int]]:
+    """Each row's words as Python integers, bit by bit from the low bit of
+    every entry (column c at bit 63 - c % 64 of word c // 64)."""
+    nrows, ncols = dense.shape
+    rows = []
+    for r in range(nrows):
+        words = [0] * ((ncols + 63) // 64)
+        for c in range(ncols):
+            words[c // 64] |= (int(dense[r, c]) & 1) << (63 - c % 64)
+        rows.append(words)
+    return rows
+
+
+@st.composite
+def dense_inputs(draw):
+    """A 2-D array of one of several dtypes and value ranges, given as is,
+    transposed or step-sliced; ncols % 64 is often 0, 1 or 63."""
+    nrows = draw(st.integers(0, 40))
+    ncols = draw(st.one_of(
+        st.integers(0, 200),
+        st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])))
+    dtype, values = draw(st.sampled_from([
+        (np.uint8, st.integers(0, 1)),
+        (np.bool_, st.booleans()),
+        (np.int64, st.integers(0, 1)),
+        (np.int64, st.integers(-2 ** 40, 2 ** 40)),
+        (np.uint8, st.sampled_from([0, 1, 2, 3, 255])),
+        (np.uint8, st.integers(0, 255))]))
+    layout = draw(st.sampled_from(["plain", "transposed", "sliced"]))
+    rs, cs = (draw(st.integers(1, 3)), draw(st.integers(1, 3))) \
+        if layout == "sliced" else (1, 1)
+    shape = (ncols, nrows) if layout == "transposed" else \
+        (nrows * rs, ncols * cs)
+    base = draw(hnp.arrays(dtype, shape, elements=values))
+    if layout == "transposed":
+        return base.T
+    return base[::rs, ::cs]
+
+
+class TestFromDense:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_inputs())
+    def test_packs_the_low_bit_of_every_entry(self, dense):
+        nrows, ncols = dense.shape
+        start = counters.words_allocated
+        a = core.from_dense(dense)
+        width = (ncols + 63) // 64
+        assert counters.words_allocated - start == nrows * width
+        assert (a.nrows, a.ncols, a.width) == (nrows, ncols, width)
+        # Exact words: the entries' low bits, and zero trailing bits.
+        assert [[int(w) for w in row] for row in a.words] == \
+            packed_words(dense)
+        assert core.trailing_bits_clean(a)
+        low = dense.astype(np.uint8) & 1
+        assert np.array_equal(core.to_dense(a), low)
+        assert core.from_dense(low) == a
+        assert core.from_dense(core.to_dense(a)) == a
+
+    def test_leaves_its_input_as_it_was(self):
+        dense = np.array([[0, 1, 2, 3], [255, 254, 1, 0]], dtype=np.uint8)
+        kept = dense.copy()
+        assert rows_of(core.from_dense(dense)) == [[0, 1, 0, 1],
+                                                   [1, 0, 1, 0]]
+        assert np.array_equal(dense, kept)
+
+    def test_lists_and_bad_ranks(self):
+        assert rows_of(core.from_dense([[1, 0, 1], [0, 1, 1]])) == \
+            [[1, 0, 1], [0, 1, 1]]
+        for bad in (np.zeros(3, np.uint8), np.zeros((2, 2, 2), np.uint8)):
+            with pytest.raises(DimensionError):
+                core.from_dense(bad)
 
 
 class TestTrailingCleanliness:
