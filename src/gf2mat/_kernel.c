@@ -27,17 +27,21 @@
  * products, where a row's combine is short, it set the cost of a row.
  *
  * Built by _kernel.py as a CPython extension module with the system C
- * compiler, the interpreter's headers and plain -O3 (no -march), so a
- * cached binary runs on any CPU of the same architecture. On x86-64 the
- * M4RM engine is also compiled for AVX2 and AVX-512; the module's init
- * function picks the widest copy the CPU supports, once. That function
- * is the only exported symbol. The module's entries, at the end of this
- * file, take integer arguments and release the interpreter lock around
- * the engines.
+ * compiler, the interpreter's and numpy's headers and plain -O3 (no
+ * -march), so a cached binary runs on any CPU of the same architecture
+ * (and is rebuilt for another numpy). On x86-64 the M4RM engine is also
+ * compiled for AVX2 and AVX-512; the module's init function picks the
+ * widest copy the CPU supports, once. That function is the only exported
+ * symbol. The module's entries, at the end of this file, take the
+ * operand matrices and integer arguments, check that the operands cover
+ * the product, and release the interpreter lock around the engines, so
+ * products on distinct outputs run in parallel threads.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 
 #include <stdint.h>
 #include <string.h>
@@ -400,28 +404,119 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
     }
 }
 
-/* The module: one METH_FASTCALL entry per engine. Every argument is a
- * Python int (or an object with __index__) read as one 64-bit word:
- * addresses, row strides in words, sizes and parameters, in the order of
- * the engine's parameters, scratch left out. _kernel.py has checked that
- * the operands cover the product and that M4RM's table row stride covers
- * a row of B. The parameters come validated by the callers (StripeSpec,
- * MulParams, the table budget): 1 <= k <= min(l, 16), 1 <= t <= 8,
- * b_s >= 1, and the product is not empty. */
+/* The module: one METH_FASTCALL entry per engine. The first three
+ * arguments are the operands c, a and b: objects (gf2mat's matrices and
+ * windows) whose `words` attribute is a 2-D numpy array of 64-bit words,
+ * one row per matrix row, with unit word stride. The entry reads each
+ * one's first word, rows, words per row and row stride through numpy's C
+ * API, and holds the arrays until the engine returns; c's must be
+ * writable. The other arguments are Python ints (or objects with
+ * __index__) read as one word each: sizes and parameters in the order of
+ * the engine's parameters, scratch left out. Operands that do not cover
+ * the product, or M4RM table rows closer than a row of b, raise gf2mat's
+ * DimensionError before anything is allocated or written. The parameters
+ * come validated by the callers (StripeSpec, MulParams, the table
+ * budget): 1 <= k <= min(l, 16), 1 <= t <= 8, b_s >= 1, and the product
+ * is not empty. */
 
-/* The nargs words of args into w; -1 with an exception set if the count
- * is wrong or an argument is not an integer. */
-static int words_of(const char *name, PyObject *const *args,
-                    Py_ssize_t nargs, Py_ssize_t want, word *w)
+/* An operand as the engines see it; `words` keeps its array alive. */
+typedef struct {
+    PyObject *words;
+    word *p;
+    int64_t rows, width, stride;
+} operand;
+
+/* "words", interned at init. */
+static PyObject *words_name;
+
+/* Reads the operand `mat` into *op; -1 with an exception set if its
+ * words are not a 2-D array of native, aligned 64-bit words with unit
+ * word stride (writable, when asked). */
+static int get_operand(PyObject *mat, int writable, operand *op)
+{
+    PyObject *words = PyObject_GetAttr(mat, words_name);
+    if (words == NULL)
+        return -1;
+    PyArrayObject *arr = (PyArrayObject *)words;
+    if (PyArray_Check(words) && PyArray_NDIM(arr) == 2
+        && PyArray_ISUNSIGNED(arr) && PyArray_ITEMSIZE(arr) == sizeof(word)
+        && PyArray_ISNOTSWAPPED(arr) && PyArray_ISALIGNED(arr)
+        && (!writable || PyArray_ISWRITEABLE(arr))
+        && PyArray_STRIDE(arr, 0) % (npy_intp)sizeof(word) == 0
+        && (PyArray_DIM(arr, 1) <= 1
+            || PyArray_STRIDE(arr, 1) == sizeof(word))) {
+        op->words = words;
+        op->p = PyArray_DATA(arr);
+        op->rows = PyArray_DIM(arr, 0);
+        op->width = PyArray_DIM(arr, 1);
+        op->stride = PyArray_STRIDE(arr, 0) / (npy_intp)sizeof(word);
+        return 0;
+    }
+    PyErr_SetString(PyExc_TypeError, "operand words are not a 2-D array "
+                    "of 64-bit words with unit word stride");
+    Py_DECREF(words);
+    return -1;
+}
+
+static void release(operand *op)
+{
+    for (int i = 0; i < 3; i++)
+        Py_DECREF(op[i].words);
+}
+
+/* The operands c, a, b of args into op, and the nargs - 3 words after
+ * them into w; -1 with an exception set (and nothing held) if the count
+ * is wrong, an argument is not an integer or an operand is unreadable. */
+static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                 Py_ssize_t want, operand *op, word *w)
 {
     if (nargs != want) {
         PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
                      name, want, nargs);
         return -1;
     }
-    for (Py_ssize_t i = 0; i < nargs; i++)
-        w[i] = PyLong_AsUnsignedLongLongMask(args[i]);
-    return PyErr_Occurred() ? -1 : 0;
+    for (Py_ssize_t i = 3; i < nargs; i++)
+        w[i - 3] = PyLong_AsUnsignedLongLongMask(args[i]);
+    if (PyErr_Occurred())
+        return -1;
+    for (int i = 0; i < 3; i++)
+        if (get_operand(args[i], i == 0, &op[i]) < 0) {
+            while (i--)
+                Py_DECREF(op[i].words);
+            return -1;
+        }
+    return 0;
+}
+
+/* 0 if c, a and b cover an m x l x n product (m: c's rows) and, when
+ * `tables` is set, table rows t_stride words apart hold a row of b; else
+ * -1 with gf2mat.errors.DimensionError set. */
+static int cover(operand *op, int64_t l, int64_t n, int tables,
+                 int64_t t_stride)
+{
+    operand *c = &op[0], *a = &op[1], *b = &op[2];
+    int64_t m = c->rows, wl = (l + 63) / 64, wn = (n + 63) / 64;
+    if (c->width >= wn && a->rows >= m && a->width >= wl && b->rows >= l
+        && b->width >= wn && (!tables || t_stride >= wn))
+        return 0;
+    PyObject *errors = PyImport_ImportModule("gf2mat.errors");
+    PyObject *error = errors == NULL ? NULL
+                      : PyObject_GetAttrString(errors, "DimensionError");
+    Py_XDECREF(errors);
+    if (error == NULL)
+        return -1;
+    char apart[48] = "";
+    if (tables)
+        snprintf(apart, sizeof apart, ", table rows %lld apart",
+                 (long long)t_stride);
+    PyErr_Format(error, "kernel operands (c %lldx%lld, a %lldx%lld, "
+                 "b %lldx%lld words%s) do not cover a %lldx%lldx%lld "
+                 "product", (long long)c->rows, (long long)c->width,
+                 (long long)a->rows, (long long)a->width,
+                 (long long)b->rows, (long long)b->width, apart,
+                 (long long)m, (long long)l, (long long)n);
+    Py_DECREF(error);
+    return -1;
 }
 
 /* Scratch of `words` words from the raw domain, starting on a 64-byte
@@ -438,62 +533,69 @@ static word *scratch(word words, void **block)
     return (word *)(((uintptr_t)*block + 63) & ~(uintptr_t)63);
 }
 
-#define PTR(x) ((word *)(uintptr_t)(x))
-
-/* m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t,
- * t_stride): tables for min(t, ceil(l / k)) stripes of 2^k rows,
- * t_stride words apart. */
+/* m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM, with
+ * tables for min(t, ceil(l / k)) stripes of 2^k rows, t_stride words
+ * apart. */
 static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    word w[13];
+    operand op[3];
+    word w[6];
     void *block;
     (void)self;
-    if (words_of("m4rm", args, nargs, 13, w) < 0)
+    if (parse("m4rm", args, nargs, 9, op, w) < 0)
         return NULL;
-    word l = w[7], k = w[9], t = w[11], stripes = (l + k - 1) / k;
-    word *tables = scratch(((t < stripes ? t : stripes) << k) * w[12],
-                           &block);
+    int64_t l = (int64_t)w[0], n = (int64_t)w[1], t_stride = (int64_t)w[5];
+    word k = w[2], t = w[4], stripes = (w[0] + k - 1) / k;
+    word *tables = NULL;
+    if (cover(op, l, n, 1, t_stride) == 0
+        && (tables = scratch(((t < stripes ? t : stripes) << k) * w[5],
+                             &block)) != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        engine(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
+               op[2].stride, op[0].rows, l, n, (int)k, (int64_t)w[3],
+               (int)t, tables, t_stride);
+        Py_END_ALLOW_THREADS
+        PyMem_RawFree(block);
+    }
+    release(op);
     if (tables == NULL)
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    engine(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3], PTR(w[4]),
-           (int64_t)w[5], (int64_t)w[6], (int64_t)l, (int64_t)w[8], (int)k,
-           (int64_t)w[10], (int)t, tables, (int64_t)w[12]);
-    Py_END_ALLOW_THREADS
-    PyMem_RawFree(block);
     Py_RETURN_NONE;
 }
 
-/* cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n): B transposed
- * in n rows of ceil(l / 64) words. */
+/* cubic(c, a, b, l, n): c += a @ b by cubic, with B transposed in n rows
+ * of ceil(l / 64) words. */
 static PyObject *py_cubic(PyObject *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
-    word w[9];
+    operand op[3];
+    word w[2];
     void *block;
     (void)self;
-    if (words_of("cubic", args, nargs, 9, w) < 0)
+    if (parse("cubic", args, nargs, 5, op, w) < 0)
         return NULL;
-    word *bt = scratch(w[8] * ((w[7] + 63) / 64), &block);
+    int64_t l = (int64_t)w[0], n = (int64_t)w[1];
+    word *bt = NULL;
+    if (cover(op, l, n, 0, 0) == 0
+        && (bt = scratch(w[1] * ((w[0] + 63) / 64), &block)) != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        gf2mat_cubic(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
+                     op[2].stride, op[0].rows, l, n, bt);
+        Py_END_ALLOW_THREADS
+        PyMem_RawFree(block);
+    }
+    release(op);
     if (bt == NULL)
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    gf2mat_cubic(PTR(w[0]), (int64_t)w[1], PTR(w[2]), (int64_t)w[3],
-                 PTR(w[4]), (int64_t)w[5], (int64_t)w[6], (int64_t)w[7],
-                 (int64_t)w[8], bt);
-    Py_END_ALLOW_THREADS
-    PyMem_RawFree(block);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
-     "m4rm(c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, t, "
-     "t_stride): c += a @ b by M4RM."},
+     "m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM."},
     {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
-     "cubic(c, c_stride, a, a_stride, b, b_stride, m, l, n): "
-     "c += a @ b by cubic."},
+     "cubic(c, a, b, l, n): c += a @ b by cubic."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -516,6 +618,10 @@ PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
         isa = "avx2";
     }
 #endif
+    import_array1(NULL);
+    words_name = PyUnicode_InternFromString("words");
+    if (words_name == NULL)
+        return NULL;
     PyObject *mod = PyModule_Create(&module);
     if (mod != NULL && PyModule_AddStringConstant(mod, "isa", isa) < 0)
         Py_CLEAR(mod);

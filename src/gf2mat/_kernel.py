@@ -16,44 +16,49 @@ scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
         comparisons.
 
 `_kernel.c` is built as a CPython extension module the first time a
-product needs it, with the system `cc` and the interpreter's headers
-(`Python.h`, from sysconfig's include path). The binary is cached in
-this package's `__pycache__/` and loaded with importlib. Its name holds
-a key (a digest of the source, the flags with the include path, the
-compiler's resolved path with its size and modification time, and the
-interpreter's extension suffix), a digest of the binary, and that
-suffix. So a stale or damaged file is rebuilt instead of loaded, and a
-new build removes this interpreter's builds of any other key (and the
-suffixless builds of the old ctypes binding). Loading a cached build
-starts no process and imports neither subprocess nor tempfile; the
-source and the binary are hashed in 8 KiB chunks. The module's `m4rm` and
-`cubic` are METH_FASTCALL functions of plain integers that allocate the
-product's scratch (M4RM's tables, cubic's B transposed) from the
-interpreter's raw allocator, which tracemalloc traces, and release the
-interpreter lock around the engine; its init function is the one symbol
-the binary exports. On x86-64 the binary holds the M4RM engine once per
-instruction set, and the module picks the widest one the CPU has when it
-loads (`isa()` names it). Without a compiler, without the Python headers
-or without a writable cache the default kernel is `numpy`; there is no
-second binding.
+product needs it, with the system `cc`, the interpreter's headers
+(`Python.h`, from sysconfig's include path) and numpy's. The binary is
+cached in this package's `__pycache__/` and loaded with importlib. Its
+name holds a key (a digest of the source, the flags with the include
+paths, the compiler's resolved path with its size and modification time,
+the interpreter's extension suffix and numpy's version), a digest of the
+binary, and that suffix. So a stale or damaged file is rebuilt instead
+of loaded, and a new build removes this interpreter's builds of any
+other key (and the suffixless builds of the old ctypes binding). Each
+digest is a 64-bit BLAKE2b, 16 hex digits, from the interpreter's own
+`_blake2` module: `hashlib` would load OpenSSL's `_hashlib` in every
+process (about 3.5 ms of a 4 ms import) for these two digests. Loading a
+cached build starts no process and imports neither subprocess nor
+tempfile; the source and the binary are hashed in 8 KiB chunks. The
+module's `m4rm` and `cubic` are METH_FASTCALL functions of the operand
+matrices, whose arrays they read through numpy's C API, and plain
+integers (see CKernel) that allocate the product's scratch (M4RM's
+tables, cubic's B transposed) from the interpreter's raw allocator,
+which tracemalloc traces, and release the interpreter lock around the
+engine of all but the smallest products; its init function is the one
+symbol the binary exports. On x86-64 the binary holds the M4RM engine
+once per instruction set, and the module picks the widest one the CPU
+has when it loads (`isa()` names it). Without a compiler, without the
+Python headers or without a writable cache the default kernel is
+`numpy`; there is no second binding.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import shutil
 import sysconfig
 import threading
+from _blake2 import blake2b
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -68,6 +73,9 @@ _MODULE = "gf2mat_kernel"
 # about 130 KB that the first product would otherwise allocate.
 _INCLUDE_DIR = sysconfig.get_paths()["include"]
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+# numpy's C header directory: the extension reads its operands' arrays
+# through numpy's C API.
+_NUMPY_INCLUDE_DIR = np.get_include()
 _COMPILE_TIMEOUT_S = 120
 # Hard limits of `_kernel.c`: `read_bits` reads at most 16 entries (the
 # Gray width k) and `m4rm` keeps at most MAX_TABLES (8) tables.
@@ -123,10 +131,29 @@ class CKernel(NumpyKernel):
     """M4RM and cubic products whole in compiled C; `xor` and `add` as
     numpy.
 
-    The products take matrices or windows (see core) and pass the kernel
-    each one's recorded address and row stride. The extension's entries
-    release the interpreter lock for the engine, so products on distinct
-    outputs run in parallel threads.
+    `m4rm` and `cubic` are the extension's entries themselves, so a
+    product crosses into C in one call with no Python frame between:
+
+    m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b (a: m x l, b:
+        l x n entries, none of them 0, m the rows of c) with stripes of
+        k <= l columns, row blocks of b_s and t tables whose rows are
+        t_stride words apart; the extension allocates the min(t, stripes)
+        tables of 2^k rows for the call. m4rm._mul_into passes the k and
+        stride of the plan m4rm._table_layout made; k, t and b_s were
+        checked, and the plan's tables passed the budget, once at the
+        public entry.
+    cubic(c, a, b, l, n): c += a @ b; the extension allocates b
+        transposed for the call.
+
+    The operands are matrices or windows (see core); the extension reads
+    each one's `words` through numpy's C API. c may be a window,
+    and its bits beyond column n are kept. The one check the entries make
+    is independent of the callers': operands that do not cover these
+    words, or table rows closer than a row of b, raise DimensionError
+    before anything is allocated or written, since the engine would
+    otherwise read or write out of bounds. The entries release the
+    interpreter lock for the engine, so products on distinct outputs run
+    in parallel threads.
     """
 
     name = "c"
@@ -135,50 +162,8 @@ class CKernel(NumpyKernel):
     def __init__(self, mod):
         self._mod = mod
         self.isa = mod.isa
-
-    def m4rm(self, c, a, b, l: int, n: int, k: int, b_s: int, t: int,
-             t_stride: int) -> None:
-        """c += a @ b (a: m x l, b: l x n entries, none of them 0) with
-        stripes of k <= l columns, row blocks of b_s and t tables whose
-        rows are t_stride words apart; the extension allocates the
-        min(t, stripes) tables of 2^k rows for the call. m4rm._mul_into
-        calls this with the k and stride of the plan m4rm._table_layout
-        made; k, t and b_s were checked, and the plan's tables passed the
-        budget, once at the public entry. The one check kept here is
-        independent of those: operands that do not cover these words, or
-        table rows closer than a row of b, raise before anything is
-        allocated or written, since the engine would otherwise read or
-        write out of bounds."""
-        m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
-        if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
-                or b.width < wn or t_stride < wn):
-            raise _short_operands(m, l, n, f", table rows {t_stride} apart",
-                                  c=c, a=a, b=b)
-        self._mod.m4rm(c.addr, c.stride, a.addr, a.stride, b.addr,
-                       b.stride, m, l, n, k, b_s, t, t_stride)
-
-    def cubic(self, c, a, b, l: int, n: int) -> None:
-        """c += a @ b (a: m x l, b: l x n entries); c may be a window, and
-        its bits beyond column n are kept. The extension allocates the
-        scratch for b transposed for the call. Operands that do not cover
-        these words raise before anything is allocated or written."""
-        m, wl, wn = c.nrows, (l + 63) // 64, (n + 63) // 64
-        if (c.width < wn or a.nrows < m or a.width < wl or b.nrows < l
-                or b.width < wn):
-            raise _short_operands(m, l, n, "", c=c, a=a, b=b)
-        self._mod.cubic(c.addr, c.stride, a.addr, a.stride, b.addr,
-                        b.stride, m, l, n)
-
-
-def _short_operands(m: int, l: int, n: int, more: str,
-                    **operands) -> DimensionError:
-    """The error for kernel operands too small for an m x l x n product;
-    `more` is appended to their sizes."""
-    sizes = ", ".join(f"{name} {mat.nrows}x{mat.width}"
-                      for name, mat in operands.items())
-    return DimensionError(
-        f"kernel operands ({sizes} words{more}) do not cover a {m}x{l}x{n} "
-        f"product")
+        self.m4rm = mod.m4rm
+        self.cubic = mod.cubic
 
 
 def _compiler() -> str | None:
@@ -187,20 +172,21 @@ def _compiler() -> str | None:
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+    """64-bit BLAKE2b of data as 16 hex digits."""
+    return blake2b(data, digest_size=8).hexdigest()
 
 
 def _file_digest(path: Path) -> str:
     """`_digest` of a file's bytes, read in chunks of 8 KiB into one
     buffer (unbuffered), so hashing a binary of any size allocates no
     more than that."""
-    sha = hashlib.sha256()
+    h = blake2b(digest_size=8)
     chunk = bytearray(8192)
     view = memoryview(chunk)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(chunk):
-            sha.update(view[:size])
-    return sha.hexdigest()[:16]
+            h.update(view[:size])
+    return h.hexdigest()
 
 
 def _compiler_id(cc: str) -> bytes:
@@ -213,15 +199,17 @@ def _compiler_id(cc: str) -> bytes:
 
 
 def _flags(include: str) -> list[str]:
-    return [*_CFLAGS, f"-I{include}"]
+    return [*_CFLAGS, f"-I{include}", f"-I{_NUMPY_INCLUDE_DIR}"]
 
 
 def _key(source: bytes, include: str, version: bytes, suffix: str) -> str:
     """Cache key of a build: the source (load_library passes its digest),
-    the flags with the include path, the compiler's identity (`version`,
-    from _compiler_id) and the interpreter's extension suffix."""
+    the flags with the include paths, the compiler's identity (`version`,
+    from _compiler_id), the interpreter's extension suffix and the
+    version of the numpy whose headers the build compiles against."""
     return _digest(b"\0".join((source, " ".join(_flags(include)).encode(),
-                                version, suffix.encode())))
+                                version, suffix.encode(),
+                                np.__version__.encode())))
 
 
 def _load(path: Path):
@@ -332,11 +320,10 @@ _selected: contextvars.ContextVar[NumpyKernel | None] = \
 
 
 def active() -> NumpyKernel:
-    """The kernel for the current context."""
-    kernel = _selected.get()
-    if kernel is None:
-        kernel = _compiled() or _NUMPY
-    return kernel
+    """The kernel for the current context. Once the C kernel is loaded
+    it is read without calling _compiled, a frame less per product."""
+    return (_selected.get() or (_c_kernel if _c_loaded else _compiled())
+            or _NUMPY)
 
 
 def select(name: str | None) -> None:

@@ -3,12 +3,12 @@
 Storage is flat row-major: 64 consecutive row entries share one machine
 word. Column c of a row lives in word c // 64 at bit position 63 - (c % 64)
 (most significant bit first), so reading k consecutive columns is a shift
-and mask. Rows are addressed only through `words`, a 2-D view with a base
-address and a row stride: row r is `words[r]`. The base address (`addr`)
-and the row stride in words (`stride`) are also recorded as integers, for
-the compiled kernel. In-place submatrices ("matrix windows") are slices of
-the root matrix's view, so they share its row stride, derive their address
-from the root's, and must start on a word boundary. Bits in a row's last word
+and mask. Rows are addressed only through `words`, a 2-D uint64 array
+with a base address and a row stride: row r is `words[r]`. The compiled
+kernel reads `words` itself, through numpy's C API. In-place submatrices
+("matrix windows") are slices of the root matrix's array, so they share
+its row stride, and must start on a word boundary. Bits in a row's last
+word
 beyond `ncols` ("trailing bits") are kept zero in owned matrices, and
 every write through a window preserves whatever lies beyond the window's
 right edge.
@@ -29,6 +29,9 @@ from .errors import AlignmentError, DimensionError, FormatError
 
 WORD_BITS = 64
 _LINE_WORDS = 8  # words in a 64-byte cache line
+# The word type as a dtype instance: np.zeros converts it faster than the
+# scalar type np.uint64.
+_WORD = np.dtype(np.uint64)
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _FILE_MAGIC = b"GF2M"
@@ -99,43 +102,37 @@ class BitMatrix(_Matrix):
     Attributes:
         nrows, ncols: dimensions (>= 0).
         width: words per row, ceil(ncols / 64).
-        data: contiguous uint64 buffer of nrows * width words, starting
-            on a 64-byte boundary when rows are 8 words or wider.
-        words: the buffer viewed as an (nrows, width) array.
-        addr, stride: address of `words` and its row stride in words
-            (the width), recorded once at allocation.
+        words: (nrows, width) C-contiguous uint64 array, starting on a
+            64-byte boundary when rows are 8 words or wider.
+        data: `words` as one flat buffer of nrows * width words (a view).
     """
 
-    __slots__ = ("nrows", "ncols", "width", "data", "words", "addr",
-                 "stride")
+    __slots__ = ("nrows", "ncols", "width", "words")
 
     def __init__(self, nrows: int, ncols: int):
         if nrows < 0 or ncols < 0:
             raise DimensionError(f"negative dimensions {nrows}x{ncols}")
-        width = words_per_row(ncols)
-        nwords = nrows * width
-        if width >= _LINE_WORDS and nrows:
+        width = (ncols + WORD_BITS - 1) // WORD_BITS
+        if width < _LINE_WORDS or not nrows:
+            words = np.zeros((nrows, width), _WORD)
+        else:
             # Rows of a cache line or more start on a line, so the C
             # kernel's vector loads of a row do not split lines. A
             # matrix's stride is not padded, so its memory stays as it
             # is; only table scratch pads its rows (padded_cols).
-            raw = np.zeros(nwords + _LINE_WORDS - 1, dtype=np.uint64)
-            addr = _address(raw)
-            start = -addr // 8 % _LINE_WORDS
-            data = raw[start:start + nwords]
-            addr += start * 8
-        else:
-            data = np.zeros(nwords, dtype=np.uint64)
-            # from_buffer refuses an empty buffer; numpy still gives it an
-            # address.
-            addr = _address(data) if nwords else data.ctypes.data
+            nwords = nrows * width
+            raw = np.zeros(nwords + _LINE_WORDS - 1, _WORD)
+            start = -_address(raw) // 8 % _LINE_WORDS
+            words = raw[start:start + nwords].reshape(nrows, width)
         self.nrows = nrows
         self.ncols = ncols
-        self.width = self.stride = width
-        self.data = data
-        self.words = data.reshape(nrows, width)
-        self.addr = addr
-        counters.words_allocated += nwords
+        self.width = width
+        self.words = words
+        counters.words_allocated += nrows * width
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.words.reshape(-1)
 
 
 def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
@@ -164,7 +161,7 @@ class MatrixWindow(_Matrix):
     """
 
     __slots__ = ("parent", "row_offset", "col_offset", "nrows", "ncols",
-                 "width", "words", "addr", "stride")
+                 "width", "words")
 
     def __init__(self, parent: BitMatrix, row_offset: int, col_offset: int,
                  nrows: int, ncols: int):
@@ -175,14 +172,9 @@ class MatrixWindow(_Matrix):
         self.nrows = nrows
         self.ncols = ncols
         self.width = width = words_per_row(ncols)
-        self.stride = stride = parent.width
         word_off = col_offset // WORD_BITS
         self.words = parent.words[row_offset:row_offset + nrows,
                                   word_off:word_off + width]
-        if nrows and width:
-            self.addr = parent.addr + 8 * (row_offset * stride + word_off)
-        else:  # never dereferenced; numpy's own rule places empty slices
-            self.addr = self.words.ctypes.data
 
     def _origin(self) -> str:
         return f"@({self.row_offset},{self.col_offset})"
@@ -354,7 +346,7 @@ def window(a: Mat, row_offset: int, col_offset: int,
 def copy_out(w: Mat) -> BitMatrix:
     """Freshly-owned matrix equal to the window contents."""
     out = BitMatrix(w.nrows, w.ncols)
-    if out.data.size:
+    if out.words.size:
         out.words[:, :] = w.words
         out.words[:, -1] &= tail_mask(w.ncols)
     return out

@@ -99,14 +99,15 @@ def mul_cubic(a: core.Mat, b: core.Mat,
 def _cubic_into(a: core.Mat, b: core.Mat, c: core.Mat) -> None:
     """c += a @ b for a non-empty product whose target c is sized to it;
     nothing is checked here (strassen's base route and mul_cubic have)."""
-    m, l, n = a.nrows, a.ncols, b.ncols
     kernel = _kernel.active()
     if kernel.compiled:
         # The kernel allocates B^T itself; its words are booked as
         # core.transpose books them below.
+        l, n = a.ncols, b.ncols
         kernel.cubic(c, a, b, l, n)
         counters.words_allocated += n * core.words_per_row(l)
         return
+    m, l, n = a.nrows, a.ncols, b.ncols
     # B^T is owned, so its bits beyond column l are clear and the AND
     # below drops whatever a window of A holds beyond its right edge.
     bt = core.transpose(b)

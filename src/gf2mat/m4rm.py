@@ -107,14 +107,14 @@ def _table_layout(m: int, l: int, n: int, k: int, b_s: int,
                 built, built + m * nstripes, m * -(-nstripes // t))
 
 
-def _fit_budget(plan: Plan | None) -> Plan | None:
-    """plan, unless its tables exceed _kernel.MAX_TABLE_BYTES: then
-    ParameterError. The budget is read on every call."""
-    if plan is not None and plan.table_bytes > _kernel.MAX_TABLE_BYTES:
+def _fit_budget(plan: Plan | None, budget: int) -> Plan | None:
+    """plan, unless its tables exceed `budget` bytes (callers pass
+    _kernel.MAX_TABLE_BYTES, read on every call): then ParameterError."""
+    if plan is not None and plan.table_bytes > budget:
         raise ParameterError(
             f"{plan.ntables} tables of 2^{plan.k} rows of "
             f"{plan.table_stride} words take {plan.table_bytes} bytes, "
-            f"over {_kernel.MAX_TABLE_BYTES}")
+            f"over {budget}")
     return plan
 
 
@@ -125,17 +125,21 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
     a window: bits beyond its right edge are kept, because table rows are
     masked to B's width. Nothing is checked here; only the table scratch
     is allocated: by the extension itself on the compiled kernel, which
-    books its words as core.create books the Python engine's tables."""
-    m, l, n = a.nrows, a.ncols, b.ncols
-    k = plan.k
+    books its words as core.create books the Python engine's tables.
+    There the product is one extension call, and the plan's counter
+    deltas are booked here, in one step."""
     kernel = _kernel.active()
     if kernel.compiled:
-        kernel.m4rm(c, a, b, l, n, k, b_s, t, plan.table_stride)
-        counters.words_allocated += plan.table_bytes >> 3
-        counters.table_adds += plan.table_adds
-        counters.row_adds += plan.row_adds
-        counters.c_writes += plan.c_writes
+        # One unpacking: a NamedTuple's fields read one by one cost more.
+        k, _, stride, table_bytes, table_adds, row_adds, c_writes = plan
+        kernel.m4rm(c, a, b, a.ncols, b.ncols, k, b_s, t, stride)
+        counters.words_allocated += table_bytes >> 3
+        counters.table_adds += table_adds
+        counters.row_adds += row_adds
+        counters.c_writes += c_writes
         return
+    m, l, n = a.nrows, a.ncols, b.ncols
+    k = plan.k
     stripes = _stripes(l, k)
     tables = [CombinationTable(k, n) for _ in range(plan.ntables)]
     table_words = [tbl.words for tbl in tables]
@@ -170,7 +174,8 @@ def _m4rm_entry(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
     if c is not None and (c.nrows != m or c.ncols != n):
         raise DimensionError(
             f"target {c.nrows}x{c.ncols} != product {m}x{n}")
-    plan = _fit_budget(_table_layout(m, l, n, k, b_s, t))
+    plan = _fit_budget(_table_layout(m, l, n, k, b_s, t),
+                       _kernel.MAX_TABLE_BYTES)
     if c is None:
         c = core.create(m, n)
     if plan is not None:

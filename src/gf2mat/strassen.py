@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, NamedTuple
 
-from . import core, tuning
+from . import _kernel, core, tuning
 from .counters import counters
 # The base route's cubic runner, bound under the public name through
 # which perfbench's tracer times the route's cubic products
@@ -69,19 +69,24 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
 
 
 @functools.lru_cache(maxsize=4096)
-def _base_route(m: int, l: int, n: int, params: MulParams) -> Plan | None:
+def _base_route(m: int, l: int, n: int, params: MulParams,
+                budget: int) -> Plan | None:
     """The engine of an m x l x n base product: None for cubic, when B is
     narrower than a word and A short against B's rows (see _CUBIC_ROWS),
     and for the empty products, else the whole M4RM plan
     (m4rm._table_layout) at the Gray width params give for m rows and n
-    columns. Memoized, since every public entry asks once per base shape
-    of its plan: the route memo is the only memo on the product path. It
-    holds shape arithmetic only; each public entry compares the table
-    bytes with the kernel's budget (_check_tables), which may change."""
+    columns. Raises ParameterError if that plan's tables exceed `budget`
+    bytes, so a plan is refused before anything is allocated or written.
+
+    Memoized, since every public entry asks once per base shape of its
+    plan: the route memo is the only memo on the product path, and a hit
+    is the whole route with its budget check. Callers pass the kernel's
+    budget, _kernel.MAX_TABLE_BYTES, read on every call, so the memo
+    follows it when it changes; a refusal raises, and is not memoized."""
     if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
         return None
-    return _table_layout(m, l, n, params.effective_k(n, nrows=m),
-                         params.b_s, params.t)
+    return _fit_budget(_table_layout(m, l, n, params.effective_k(n, nrows=m),
+                                     params.b_s, params.t), budget)
 
 
 def _check_tables(shapes, params: MulParams) -> list[Plan | None]:
@@ -89,7 +94,8 @@ def _check_tables(shapes, params: MulParams) -> list[Plan | None]:
     ParameterError if one would ask for M4RM tables over the kernel's
     budget, so a plan is refused before anything is allocated or
     written."""
-    return [_fit_budget(_base_route(m, l, n, params)) for m, l, n in shapes]
+    budget = _kernel.MAX_TABLE_BYTES
+    return [_base_route(m, l, n, params, budget) for m, l, n in shapes]
 
 
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
@@ -105,8 +111,7 @@ def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
     engine. Both engines add into dst in place, so dst may be a window
     and nothing is allocated beyond C and the engines' scratch. Nothing
     is checked or looked up here: callers size dst to the product, and
-    the public entry took the route, once per shape, from _check_tables
-    or _fit_budget.
+    the public entry took the route, once per shape, from _base_route.
     """
     if dst is None:
         dst = core.create(a.nrows, b.ncols)
@@ -282,11 +287,11 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if params is None:
         params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
-    ps = _NO_SPLIT
-    if min(m, l, n) > params.cutoff:  # else peel_split finds no level
-        ps = peel_split(m, l, n, params.cutoff)
-    if ps.depth == 0:
-        plan = _fit_budget(_base_route(m, l, n, params))
+    cutoff = params.cutoff
+    # At or below the cutoff peel_split finds no level: a flat product.
+    if m <= cutoff or l <= cutoff or n <= cutoff \
+            or not (ps := peel_split(m, l, n, cutoff)).depth:
+        plan = _base_route(m, l, n, params, _kernel.MAX_TABLE_BYTES)
         return _base_mul_into(None, a, b, plan, params, accumulate=False)
     strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
     leaf, *plans = _check_tables(

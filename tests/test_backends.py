@@ -125,8 +125,8 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     c = dirty_window(40, n, seed=10)
     before = core.to_dense(c.parent)
     params = MulParams(cutoff=64, k=5)
-    _base_mul_into(c, a, b, _base_route(40, 100, n, params), params,
-                   accumulate)
+    plan = _base_route(40, 100, n, params, _kernel.MAX_TABLE_BYTES)
+    _base_mul_into(c, a, b, plan, params, accumulate)
     if not accumulate:
         before[2:42, 64:64 + n] = 0
     expect_added(c, before, ref.naive_product(a, b))
@@ -491,6 +491,24 @@ print(after_numpy, "subprocess" in sys.modules, gf2mat.backend())
     assert out.split() == ["False", "False", BACKENDS[0]]
 
 
+def test_import_leaves_openssl_unloaded():
+    """`import gf2mat`, and one product from a warm cache, never load
+    OpenSSL's `_hashlib`: the cache digests come from `_blake2` (numpy
+    does not load `_hashlib` either)."""
+    _kernel.available()  # warms the package's cache
+    out = run_python("""
+import sys
+import numpy
+after_numpy = "_hashlib" in sys.modules
+import gf2mat
+after_import = "_hashlib" in sys.modules
+a = gf2mat.random(32, 32, seed=1)
+gf2mat.mul_strassen(a, a)
+print(after_numpy, after_import, "_hashlib" in sys.modules)
+""")
+    assert out.split() == ["False", "False", "False"]
+
+
 @needs_c
 def test_warm_load_peak_is_small():
     """Loading the kernel from a warm cache allocates little: the source
@@ -756,15 +774,21 @@ def test_short_kernel_operand_raises_before_writing(product, which, rows,
 def test_short_padded_tables_raise_before_writing():
     # Table rows for 40 x 100 x 600 are 10 words wide; rows padded to one
     # cache line, 8 words apart, would overlap, and are refused before
-    # anything is allocated or written. 16 words apart they are not.
+    # anything is allocated or written, as are rows a negative stride
+    # apart. 16 words apart they are not.
     ops = {"c": core.random(40, 600, seed=34),
            "a": core.random(40, 100, seed=35),
            "b": core.random(100, 600, seed=36)}
     roots = [mat.words for mat in ops.values()]
     before = [words.copy() for words in roots]
     kernel = _kernel.get("c")
-    with pytest.raises(DimensionError, match="table rows 8 apart"):
-        kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16, 2, 8)
+    for t_stride in (8, -1):
+        with pytest.raises(DimensionError,
+                           match=f"table rows {t_stride} apart"):
+            kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16, 2,
+                        t_stride)
+    with pytest.raises(DimensionError, match="table rows -1 apart"):
+        kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 1, 16, 1, -1)
     for words, old in zip(roots, before):
         assert np.array_equal(words, old)
     kernel.m4rm(ops["c"], ops["a"], ops["b"], 100, 600, 4, 16, 2, 16)
@@ -971,7 +995,7 @@ PROT_NONE = 0
 
 class Guarded:
     \"\"\"The words of `mat` copied to end at a PROT_NONE page: a duck-typed
-    kernel operand (nrows, width, addr, stride).\"\"\"
+    kernel operand (nrows, width, words).\"\"\"
 
     def __init__(self, mat):
         page = mmap.PAGESIZE
@@ -981,11 +1005,10 @@ class Guarded:
                          mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
         assert base not in (None, ctypes.c_void_p(-1).value)
         assert libc.mprotect(base + span, page, PROT_NONE) == 0
-        self.nrows, self.width, self.stride = mat.nrows, mat.width, mat.width
-        self.addr = base + span - nbytes
+        self.nrows, self.width = mat.nrows, mat.width
         self.words = np.ctypeslib.as_array(
             (ctypes.c_uint64 * (mat.nrows * mat.width)).from_address(
-                self.addr)).reshape(mat.nrows, mat.width)
+                base + span - nbytes)).reshape(mat.nrows, mat.width)
         self.words[:] = mat.words
 
 
@@ -1129,7 +1152,7 @@ def test_peak_memory_counts_kernel_scratch(m, l, n):
     params = MulParams(cutoff=1024, k=8, t=3)
     a = core.random(m, l, seed=m)
     b = core.random(l, n, seed=n)
-    plan = _base_route(m, l, n, params)
+    plan = _base_route(m, l, n, params, _kernel.MAX_TABLE_BYTES)
     scratch = n * core.words_per_row(l) * 8 if plan is None \
         else plan.table_bytes
     with _kernel.using("c"):
@@ -1189,13 +1212,14 @@ def test_m4rm_tables_start_on_cache_lines(monkeypatch, width):
     extension's one block for them holds the tables and the 63 bytes
     that let them start on a line, and is gone when the call returns."""
     calls = []
-    m4rm = _kernel.CKernel.m4rm
+    kernel = _kernel.get("c")
+    m4rm = kernel.m4rm
 
-    def spy(self, *args):
-        peak = cli._peak_bytes(lambda *_: m4rm(self, *args), None, None)
+    def spy(*args):
+        peak = cli._peak_bytes(lambda *_: m4rm(*args), None, None)
         calls.append((args[-1], peak))
 
-    monkeypatch.setattr(_kernel.CKernel, "m4rm", spy)
+    monkeypatch.setattr(kernel, "m4rm", spy)
     n = 64 * width - 5
     a = core.random(30, 40, seed=44)
     b = core.random(40, n, seed=45)

@@ -38,9 +38,12 @@ class TestCreate:
     @pytest.mark.parametrize("nrows,ncols", [
         (0, 0), (0, 40), (0, 600), (4, 0), (1, 1), (3, 63), (3, 600)])
     def test_root_records_its_address(self, nrows, ncols):
+        # `data` is a flat view of `words`, whose rows are `width` words
+        # apart.
         m = core.create(nrows, ncols)
-        assert m.addr == m.words.ctypes.data == m.data.ctypes.data
-        assert m.stride == m.width
+        assert m.words.ctypes.data == m.data.ctypes.data
+        assert m.words.shape == (nrows, m.width)
+        assert m.words.flags.c_contiguous
 
     @pytest.mark.parametrize("ncols", [449, 512, 4133])
     def test_rows_of_eight_words_start_on_a_cache_line(self, ncols):
@@ -666,10 +669,13 @@ class TestWindowAddressing:
     @settings(max_examples=150, deadline=None)
     @given(nested_windows())
     def test_recorded_address_and_stride(self, case):
-        parent, win, _, _ = case
+        parent, win, r0, c0 = case
+        # A window's `words` start at its first word of the root's and
+        # keep the root's row stride.
+        if win.words.size:
+            assert win.words.ctypes.data == parent.words.ctypes.data + 8 * (
+                r0 * parent.width + c0 // 64)
         for mat in (parent, win):
-            assert mat.addr == mat.words.ctypes.data
-            assert mat.stride == parent.width
             if mat.nrows > 1 and mat.width:
                 assert mat.words.strides == (8 * parent.width, 8)
 

@@ -315,6 +315,7 @@ class TestBaseRoute:
         cubic (None) where B is narrower than a word and m * n <
         _CUBIC_ROWS * 64 * ceil(l / 64), else the M4RM plan _table_layout
         makes at the Gray width params give for m rows and n columns."""
+        budget = _kernel.MAX_TABLE_BYTES
         for m in ROUTE_DIMS:
             for l in ROUTE_DIMS:
                 for n in ROUTE_DIMS:
@@ -323,13 +324,13 @@ class TestBaseRoute:
                         m, l, n, params.effective_k(n, nrows=m), params.b_s,
                         params.t)
                     for _ in range(2):
-                        assert _base_route(m, l, n, params) == rule, \
-                            (m, l, n)
+                        assert _base_route(m, l, n, params, budget) \
+                            == rule, (m, l, n)
 
     def test_repeated_flat_product_plans_once(self, monkeypatch):
-        """A repeated flat mul_strassen of one shape takes its whole plan
-        from the route memo, so _table_layout is not called, and compares
-        the table budget once, at its entry."""
+        """A repeated flat mul_strassen of one shape takes its whole plan,
+        the budget check included, from one route memo hit, so neither
+        _table_layout nor _fit_budget is called."""
         params = MulParams(cutoff=1024, t=3)
         a = core.random(70, 300, seed=73)
         b = core.random(300, 200, seed=74)
@@ -343,14 +344,15 @@ class TestBaseRoute:
                 monkeypatch.setattr(module, name, spy)
         got = mul_strassen(a, b, params)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
-        assert calls == {"_table_layout": 0, "_fit_budget": 1}
+        assert calls == {"_table_layout": 0, "_fit_budget": 0}
 
     @pytest.mark.parametrize("shape", [(70, 300, 200), (16, 1000, 40)],
                              ids=["m4rm", "cubic"])
     def test_flat_product_looks_its_route_up_once(self, monkeypatch,
                                                   shape):
-        """A flat mul_strassen takes its route from the memo once and
-        hands it to _base_mul_into, for either engine."""
+        """A flat mul_strassen takes its route from the memo once, under
+        the kernel's table budget, and hands it to _base_mul_into, for
+        either engine."""
         m, l, n = shape
         params = MulParams(cutoff=1024, t=3)
         a = core.random(m, l, seed=75)
@@ -364,7 +366,7 @@ class TestBaseRoute:
         monkeypatch.setattr(strassen, "_base_route", spy)
         got = mul_strassen(a, b, params)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
-        assert looked == [(m, l, n, params)]
+        assert looked == [(m, l, n, params, _kernel.MAX_TABLE_BYTES)]
 
     def test_cubic_route_runs_unchecked(self, monkeypatch):
         """The base route runs cubic as it runs an M4RM plan: through the
@@ -378,33 +380,36 @@ class TestBaseRoute:
         a = core.random(16, 1000, seed=79)
         b = core.random(1000, 40, seed=80)
         params = MulParams(cutoff=1024, t=3)
-        assert _base_route(16, 1000, 40, params) is None
+        assert _base_route(16, 1000, 40, params,
+                           _kernel.MAX_TABLE_BYTES) is None
         got = mul_strassen(a, b, params)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
 
     def test_memo_is_shared_by_equal_params(self):
-        route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5))
-        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=5)) \
-            is route
-        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=4)) \
-            != route
+        budget = _kernel.MAX_TABLE_BYTES
+        route = _base_route(70, 300, 200, MulParams(cutoff=512, t=5), budget)
+        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=5),
+                           budget) is route
+        assert _base_route(70, 300, 200, MulParams(cutoff=512, t=4),
+                           budget) != route
 
     def test_recursive_product_compares_each_budget_once(self,
                                                           monkeypatch):
-        """A recursive mul_strassen compares the table budget once per
-        base shape of its plan, the leaf and the three peel strips, and
-        hands the strips' plans to peel_fixup, which compares none of them
-        again; a peel_fixup called on its own compares its strips once."""
+        """A recursive mul_strassen looks the route up, with its table
+        budget check, once per base shape of its plan, the leaf and the
+        three peel strips, and hands the strips' plans to peel_fixup,
+        which looks none of them up again; a peel_fixup called on its own
+        looks its strips up once."""
         params = MulParams(cutoff=64, k=4, t=1)
         a = core.random(129, 129, seed=77)
         b = core.random(129, 130, seed=78)
         calls = []
 
-        def spy(plan, _real=strassen._fit_budget):
-            calls.append(plan)
-            return _real(plan)
+        def spy(*args, _real=strassen._base_route):
+            calls.append(args)
+            return _real(*args)
 
-        monkeypatch.setattr(strassen, "_fit_budget", spy)
+        monkeypatch.setattr(strassen, "_base_route", spy)
         got = mul_strassen(a, b, params)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
         assert len(calls) == 4
@@ -422,9 +427,9 @@ class TestBaseRoute:
     ], ids=["flat", "peeled"])
     def test_smaller_budget_refuses_a_cached_shape(self, shape, params,
                                                    monkeypatch):
-        """The memo holds no verdict on the budget: after a product of a
-        shape succeeds, a smaller _kernel.MAX_TABLE_BYTES still refuses
-        it before anything is allocated."""
+        """The memo follows the budget: after a product of a shape
+        succeeds, a smaller _kernel.MAX_TABLE_BYTES still refuses it
+        before anything is allocated."""
         m, l, n = shape
         a = core.random(m, l, seed=71)
         b = core.random(l, n, seed=72)
