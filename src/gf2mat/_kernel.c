@@ -26,16 +26,23 @@
  * multiplies with shifts and adds on the avx512f copy, so on narrow
  * products, where a row's combine is short, it set the cost of a row.
  *
+ * Packing: `pack` turns a dense bool/uint8 array into a matrix's words
+ * in one read of the input, 64 entries to a word: whole words from 64
+ * bytes at a time (vector registers on AVX2 and AVX-512BW, an 8-byte
+ * multiply gather otherwise) when a row's bytes are consecutive, byte by
+ * byte otherwise.
+ *
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's and numpy's headers and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture
- * (and is rebuilt for another numpy). On x86-64 the M4RM engine is also
- * compiled for AVX2 and AVX-512; the module's init function picks the
- * widest copy the CPU supports, once. That function is the only exported
- * symbol. The module's entries, at the end of this file, take the
- * operand matrices and integer arguments, check that the operands cover
- * the product, and release the interpreter lock around the engines, so
- * products on distinct outputs run in parallel threads.
+ * (and is rebuilt for another numpy). On x86-64 the M4RM engine and the
+ * packer are also compiled for AVX2 and AVX-512; the module's init
+ * function picks the widest copies the CPU supports, once. That function
+ * is the only exported symbol. The module's entries, at the end of this
+ * file, take the operand matrices and integer arguments, check their
+ * parameters and that the operands cover the product, and release the
+ * interpreter lock around the engines, so products on distinct outputs
+ * run in parallel threads.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -43,15 +50,22 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 
+#include <stdarg.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef uint64_t word;
 
 #define MAX_TABLES 8
+/* read_bits reads at most 16 entries: the widest Gray table. */
+#define MAX_K 16
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GF2MAT_DISPATCH
+#endif
+
+#ifdef GF2MAT_DISPATCH
+#include <immintrin.h>
 #endif
 
 /* The engine and its helpers are inlined into each instruction set's
@@ -404,20 +418,134 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
     }
 }
 
-/* The module: one METH_FASTCALL entry per engine. The first three
- * arguments are the operands c, a and b: objects (gf2mat's matrices and
- * windows) whose `words` attribute is a 2-D numpy array of 64-bit words,
- * one row per matrix row, with unit word stride. The entry reads each
- * one's first word, rows, words per row and row stride through numpy's C
- * API, and holds the arrays until the engine returns; c's must be
- * writable. The other arguments are Python ints (or objects with
- * __index__) read as one word each: sizes and parameters in the order of
- * the engine's parameters, scratch left out. Operands that do not cover
- * the product, or M4RM table rows closer than a row of b, raise gf2mat's
- * DimensionError before anything is allocated or written. The parameters
- * come validated by the callers (StripeSpec, MulParams, the table
- * budget): 1 <= k <= min(l, 16), 1 <= t <= 8, b_s >= 1, and the product
- * is not empty. */
+/* The low bits of the 8 bytes at p, the first byte's at bit 7: the
+ * multiply moves byte j's bit 0 (bit 8j of the little-endian value) to
+ * bit 63 - j, and no two of its partial products meet, so nothing
+ * carries. */
+INLINE word low_bits8(const uint8_t *p)
+{
+    word v;
+    memcpy(&v, p, sizeof v);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return ((v & 0x0101010101010101ull) * 0x8040201008040201ull) >> 56;
+}
+
+/* The low bits of the n <= 64 bytes at p as one word, byte c's at bit
+ * 63 - c and bits n.. zero: groups of 8 bytes by low_bits8, the rest one
+ * by one, so nothing past p[n - 1] is read. */
+INLINE word low_bits(const uint8_t *p, int n)
+{
+    word x = 0;
+    int c = 0;
+    for (; c + 8 <= n; c += 8)
+        x |= low_bits8(p + c) << (56 - c);
+    for (; c < n; c++)
+        x |= (word)(p[c] & 1) << (63 - c);
+    return x;
+}
+
+INLINE word low_bits64(const uint8_t *p) { return low_bits(p, 64); }
+
+#define PACK_PARAMS                                                       \
+    word *out, int64_t out_stride, const uint8_t *d, int64_t d_stride,   \
+    int64_t rows, int64_t cols
+
+/* out = the low bits of rows x cols bytes whose rows start d_stride bytes
+ * apart and whose bytes are consecutive: whole words by `chunk` from 64
+ * bytes each, the last partial word by low_bits. */
+#define PACK_ROWS(chunk)                                                  \
+    for (int64_t r = 0; r < rows; r++) {                                  \
+        const uint8_t *p = d + r * d_stride;                              \
+        word *o = out + r * out_stride;                                   \
+        int64_t w = 0;                                                    \
+        for (; w < cols / 64; w++)                                        \
+            o[w] = chunk(p + 64 * w);                                     \
+        if (cols % 64)                                                    \
+            o[w] = low_bits(p + 64 * w, (int)(cols % 64));                \
+    }
+
+/* One copy of the packer per instruction set. */
+static void pack_default(PACK_PARAMS) { PACK_ROWS(low_bits64) }
+#ifdef GF2MAT_DISPATCH
+/* 64 bytes' low bits, byte c's at bit 63 - c: each half of 32 bytes is
+ * reversed (bytes within each 16-byte lane, then the lanes swapped), its
+ * bytes' bit 0 shifted to bit 7 and gathered by movemask. */
+__attribute__((target("avx2")))
+static inline word low_bits64_avx2(const uint8_t *p)
+{
+    const __m256i reverse = _mm256_setr_epi8(
+        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0,
+        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+    word x = 0;
+    for (int h = 0; h < 2; h++) {
+        __m256i v = _mm256_loadu_si256((const __m256i *)(p + 32 * h));
+        v = _mm256_permute4x64_epi64(_mm256_shuffle_epi8(v, reverse), 0x4E);
+        x = x << 32
+            | (uint32_t)_mm256_movemask_epi8(_mm256_slli_epi16(v, 7));
+    }
+    return x;
+}
+
+/* The same from one 64-byte register: bytes reversed within each lane,
+ * the four lanes reversed, and each byte's bit 0 tested into a mask. */
+__attribute__((target("avx512f,avx512bw")))
+static inline word low_bits64_avx512bw(const uint8_t *p)
+{
+    const __m512i reverse = _mm512_broadcast_i32x4(_mm_setr_epi8(
+        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0));
+    __m512i v = _mm512_shuffle_epi8(_mm512_loadu_si512(p), reverse);
+    v = _mm512_shuffle_i64x2(v, v, 0x1B);
+    return _mm512_test_epi8_mask(v, _mm512_set1_epi8(1));
+}
+
+__attribute__((target("avx2")))
+static void pack_avx2(PACK_PARAMS) { PACK_ROWS(low_bits64_avx2) }
+__attribute__((target("avx512f,avx512bw")))
+static void pack_avx512bw(PACK_PARAMS) { PACK_ROWS(low_bits64_avx512bw) }
+#endif
+
+/* The packer for rows of consecutive bytes: the widest copy this CPU
+ * supports, chosen with the engine by PyInit_gf2mat_kernel. */
+static void (*packer)(PACK_PARAMS) = pack_default;
+
+/* The same for any column stride (bytes apart, negative or zero
+ * included), byte by byte. */
+static void pack_strided(word *out, int64_t out_stride, const uint8_t *d,
+                         int64_t d_stride, int64_t col_stride, int64_t rows,
+                         int64_t cols)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        const uint8_t *p = d + r * d_stride;
+        word *o = out + r * out_stride;
+        for (int64_t w = 0; w * 64 < cols; w++) {
+            int n = cols - w * 64 < 64 ? (int)(cols - w * 64) : 64;
+            word x = 0;
+            for (int c = 0; c < n; c++)
+                x |= (word)(p[(w * 64 + c) * col_stride] & 1) << (63 - c);
+            o[w] = x;
+        }
+    }
+}
+
+/* The module: one METH_FASTCALL entry per engine and the packer. The
+ * engines' first three arguments are the operands c, a and b: objects
+ * (gf2mat's matrices and windows) whose `words` attribute is a 2-D numpy
+ * array of 64-bit words, one row per matrix row, with unit word stride.
+ * The entry reads each one's first word, rows, words per row and row
+ * stride through numpy's C API, and holds the arrays until the engine
+ * returns; c's must be writable. The other arguments are Python ints (or
+ * objects with __index__) read as one word each: sizes and parameters in
+ * the order of the engine's parameters, scratch left out. Every entry
+ * checks its arguments before anything is allocated or written, since
+ * the engines would otherwise divide by zero or read and write out of
+ * bounds: M4RM parameters outside 1 <= k <= min(l, 16), 1 <= t <= 8 and
+ * b_s >= 1 raise gf2mat's ParameterError; operands that do not cover the
+ * product, or M4RM table rows closer than a row of b, its
+ * DimensionError. The public entries have checked the same parameters
+ * (StripeSpec, MulParams, the table budget) and call the engines only for
+ * non-empty products; an empty M4RM product returns here. */
 
 /* An operand as the engines see it; `words` keeps its array alive. */
 typedef struct {
@@ -426,12 +554,30 @@ typedef struct {
     int64_t rows, width, stride;
 } operand;
 
-/* "words", interned at init. */
-static PyObject *words_name;
+/* "words" and "ncols", interned at init. */
+static PyObject *words_name, *ncols_name;
+
+/* Sets gf2mat.errors.<name> with a printf-style message; returns -1. */
+static int fail(const char *name, const char *format, ...)
+{
+    PyObject *errors = PyImport_ImportModule("gf2mat.errors");
+    PyObject *error = errors == NULL ? NULL
+                      : PyObject_GetAttrString(errors, name);
+    Py_XDECREF(errors);
+    if (error == NULL)
+        return -1;
+    va_list va;
+    va_start(va, format);
+    PyErr_FormatV(error, format, va);
+    va_end(va);
+    Py_DECREF(error);
+    return -1;
+}
 
 /* Reads the operand `mat` into *op; -1 with an exception set if its
  * words are not a 2-D array of native, aligned 64-bit words with unit
- * word stride (writable, when asked). */
+ * word stride (writable, when asked). numpy gives an array with no rows
+ * zero strides. */
 static int get_operand(PyObject *mat, int writable, operand *op)
 {
     PyObject *words = PyObject_GetAttr(mat, words_name);
@@ -443,7 +589,7 @@ static int get_operand(PyObject *mat, int writable, operand *op)
         && PyArray_ISNOTSWAPPED(arr) && PyArray_ISALIGNED(arr)
         && (!writable || PyArray_ISWRITEABLE(arr))
         && PyArray_STRIDE(arr, 0) % (npy_intp)sizeof(word) == 0
-        && (PyArray_DIM(arr, 1) <= 1
+        && (PyArray_DIM(arr, 0) == 0 || PyArray_DIM(arr, 1) <= 1
             || PyArray_STRIDE(arr, 1) == sizeof(word))) {
         op->words = words;
         op->p = PyArray_DATA(arr);
@@ -488,44 +634,48 @@ static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* 0 if c, a and b cover an m x l x n product (m: c's rows) and, when
- * `tables` is set, table rows t_stride words apart hold a row of b; else
- * -1 with gf2mat.errors.DimensionError set. */
+/* Words per row of n columns, for any n >= 0 without overflow. */
+static int64_t words_of(int64_t n)
+{
+    return n / 64 + (n % 64 != 0);
+}
+
+/* 0 if l, n >= 0 and c, a and b cover an m x l x n product (m: c's
+ * rows) and, when `tables` is set, table rows t_stride words apart hold
+ * a row of b; else -1 with gf2mat.errors.DimensionError set. */
 static int cover(operand *op, int64_t l, int64_t n, int tables,
                  int64_t t_stride)
 {
     operand *c = &op[0], *a = &op[1], *b = &op[2];
-    int64_t m = c->rows, wl = (l + 63) / 64, wn = (n + 63) / 64;
-    if (c->width >= wn && a->rows >= m && a->width >= wl && b->rows >= l
-        && b->width >= wn && (!tables || t_stride >= wn))
+    int64_t m = c->rows, wl = words_of(l), wn = words_of(n);
+    if (l >= 0 && n >= 0 && c->width >= wn && a->rows >= m
+        && a->width >= wl && b->rows >= l && b->width >= wn
+        && (!tables || t_stride >= wn))
         return 0;
-    PyObject *errors = PyImport_ImportModule("gf2mat.errors");
-    PyObject *error = errors == NULL ? NULL
-                      : PyObject_GetAttrString(errors, "DimensionError");
-    Py_XDECREF(errors);
-    if (error == NULL)
-        return -1;
     char apart[48] = "";
     if (tables)
         snprintf(apart, sizeof apart, ", table rows %lld apart",
                  (long long)t_stride);
-    PyErr_Format(error, "kernel operands (c %lldx%lld, a %lldx%lld, "
-                 "b %lldx%lld words%s) do not cover a %lldx%lldx%lld "
-                 "product", (long long)c->rows, (long long)c->width,
-                 (long long)a->rows, (long long)a->width,
-                 (long long)b->rows, (long long)b->width, apart,
-                 (long long)m, (long long)l, (long long)n);
-    Py_DECREF(error);
-    return -1;
+    return fail("DimensionError", "kernel operands (c %lldx%lld, a "
+                "%lldx%lld, b %lldx%lld words%s) do not cover a "
+                "%lldx%lldx%lld product", (long long)c->rows,
+                (long long)c->width, (long long)a->rows,
+                (long long)a->width, (long long)b->rows,
+                (long long)b->width, apart, (long long)m, (long long)l,
+                (long long)n);
 }
 
-/* Scratch of `words` words from the raw domain, starting on a 64-byte
- * line; *block gets what PyMem_RawFree takes back. Not zeroed: each
- * engine writes every scratch word it reads. NULL with MemoryError set
- * when the allocation fails. Called with the interpreter lock held. */
-static word *scratch(word words, void **block)
+/* Scratch of rows x width words from the raw domain, starting on a
+ * 64-byte line; *block gets what PyMem_RawFree takes back. Not zeroed:
+ * each engine writes every scratch word it reads. NULL with MemoryError
+ * set when the size overflows or the allocation fails. Called with the
+ * interpreter lock held. */
+static word *scratch(word rows, word width, void **block)
 {
-    *block = PyMem_RawMalloc(words * sizeof(word) + 63);
+    if (width && rows > ((word)PY_SSIZE_T_MAX - 63) / sizeof(word) / width)
+        *block = NULL;
+    else
+        *block = PyMem_RawMalloc(rows * width * sizeof(word) + 63);
     if (*block == NULL) {
         PyErr_NoMemory();
         return NULL;
@@ -545,21 +695,35 @@ static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
     (void)self;
     if (parse("m4rm", args, nargs, 9, op, w) < 0)
         return NULL;
-    int64_t l = (int64_t)w[0], n = (int64_t)w[1], t_stride = (int64_t)w[5];
-    word k = w[2], t = w[4], stripes = (w[0] + k - 1) / k;
+    int64_t l = (int64_t)w[0], n = (int64_t)w[1], b_s = (int64_t)w[3];
+    int64_t t_stride = (int64_t)w[5];
+    word k = w[2], t = w[4];
     word *tables = NULL;
-    if (cover(op, l, n, 1, t_stride) == 0
-        && (tables = scratch(((t < stripes ? t : stripes) << k) * w[5],
-                             &block)) != NULL) {
+    int ok = 0;
+    if (k < 1 || k > MAX_K || (int64_t)k > l)
+        fail("ParameterError", "k=%lld outside 1..min(l=%lld, %d)",
+             (long long)k, (long long)l, MAX_K);
+    else if (t < 1 || t > MAX_TABLES)
+        fail("ParameterError", "t=%lld outside 1..%d", (long long)t,
+             MAX_TABLES);
+    else if (b_s < 1)
+        fail("ParameterError", "block size %lld < 1", (long long)b_s);
+    else if (cover(op, l, n, 1, t_stride) == 0) {
+        word stripes = (w[0] + k - 1) / k;
+        ok = op[0].rows == 0 || n == 0
+             || (tables = scratch((t < stripes ? t : stripes) << k, w[5],
+                                  &block)) != NULL;
+    }
+    if (tables != NULL) {
         Py_BEGIN_ALLOW_THREADS
         engine(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
-               op[2].stride, op[0].rows, l, n, (int)k, (int64_t)w[3],
-               (int)t, tables, t_stride);
+               op[2].stride, op[0].rows, l, n, (int)k, b_s, (int)t, tables,
+               t_stride);
         Py_END_ALLOW_THREADS
         PyMem_RawFree(block);
     }
     release(op);
-    if (tables == NULL)
+    if (!ok)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -578,7 +742,7 @@ static PyObject *py_cubic(PyObject *self, PyObject *const *args,
     int64_t l = (int64_t)w[0], n = (int64_t)w[1];
     word *bt = NULL;
     if (cover(op, l, n, 0, 0) == 0
-        && (bt = scratch(w[1] * ((w[0] + 63) / 64), &block)) != NULL) {
+        && (bt = scratch(w[1], (word)words_of(l), &block)) != NULL) {
         Py_BEGIN_ALLOW_THREADS
         gf2mat_cubic(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
                      op[2].stride, op[0].rows, l, n, bt);
@@ -591,11 +755,71 @@ static PyObject *py_cubic(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* pack(out, dense): out's words = the low bits of dense's entries, bits
+ * beyond out's last column zero. out is a matrix (its `words` as above,
+ * and `ncols`); dense a 2-D bool or uint8 array of out's shape, with any
+ * strides, read once in place. A dense of another rank or shape raises
+ * gf2mat's DimensionError, of another type its ParameterError, before
+ * anything is written. */
+static PyObject *py_pack(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "pack takes 2 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    PyArrayObject *dense = (PyArrayObject *)args[1];
+    if (!PyArray_Check(args[1]) || (PyArray_TYPE(dense) != NPY_BOOL
+                                    && PyArray_TYPE(dense) != NPY_UBYTE)) {
+        fail("ParameterError", "pack takes a bool or uint8 array");
+        return NULL;
+    }
+    if (PyArray_NDIM(dense) != 2) {
+        fail("DimensionError", "pack takes a 2-D array, not %d-D",
+             PyArray_NDIM(dense));
+        return NULL;
+    }
+    PyObject *ncols_obj = PyObject_GetAttr(args[0], ncols_name);
+    if (ncols_obj == NULL)
+        return NULL;
+    long long ncols = PyLong_AsLongLong(ncols_obj);
+    Py_DECREF(ncols_obj);
+    operand out;
+    if ((ncols == -1 && PyErr_Occurred())
+        || get_operand(args[0], 1, &out) < 0)
+        return NULL;
+    int64_t rows = PyArray_DIM(dense, 0), cols = PyArray_DIM(dense, 1);
+    if (rows != out.rows || cols != ncols || words_of(cols) != out.width) {
+        fail("DimensionError", "pack of a %lldx%lld array into a %lldx%lld "
+             "matrix of %lld words a row", (long long)rows,
+             (long long)cols, (long long)out.rows, ncols,
+             (long long)out.width);
+        Py_DECREF(out.words);
+        return NULL;
+    }
+    const uint8_t *d = PyArray_DATA(dense);
+    int64_t d_stride = PyArray_STRIDE(dense, 0);
+    int64_t col_stride = PyArray_STRIDE(dense, 1);
+    Py_BEGIN_ALLOW_THREADS
+    if (col_stride == 1 || cols <= 1)
+        packer(out.p, out.stride, d, d_stride, rows, cols);
+    else
+        pack_strided(out.p, out.stride, d, d_stride, col_stride, rows,
+                     cols);
+    Py_END_ALLOW_THREADS
+    Py_DECREF(out.words);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
      "m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM."},
     {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
      "cubic(c, a, b, l, n): c += a @ b by cubic."},
+    {"pack", (PyCFunction)(void (*)(void))py_pack, METH_FASTCALL,
+     "pack(out, dense): out's words = the low bits of dense's entries."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -604,7 +828,8 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* Picks the engine copy for this CPU; `isa` names it. */
+/* Picks the engine and packer copies for this CPU; `isa` names the
+ * engine's. */
 PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
 {
     const char *isa = "default";
@@ -612,15 +837,19 @@ PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         engine = m4rm_avx512f;
+        packer = __builtin_cpu_supports("avx512bw") ? pack_avx512bw
+                                                    : pack_avx2;
         isa = "avx512f";
     } else if (__builtin_cpu_supports("avx2")) {
         engine = m4rm_avx2;
+        packer = pack_avx2;
         isa = "avx2";
     }
 #endif
     import_array1(NULL);
     words_name = PyUnicode_InternFromString("words");
-    if (words_name == NULL)
+    ncols_name = PyUnicode_InternFromString("ncols");
+    if (words_name == NULL || ncols_name == NULL)
         return NULL;
     PyObject *mod = PyModule_Create(&module);
     if (mod != NULL && PyModule_AddStringConstant(mod, "isa", isa) < 0)

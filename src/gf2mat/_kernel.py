@@ -35,12 +35,13 @@ matrices, whose arrays they read through numpy's C API, and plain
 integers (see CKernel) that allocate the product's scratch (M4RM's
 tables, cubic's B transposed) from the interpreter's raw allocator,
 which tracemalloc traces, and release the interpreter lock around the
-engine of all but the smallest products; its init function is the one
+engine; its `pack` fills a matrix's words from a dense bool/uint8 array
+in one read of it (core.from_dense). Its init function is the one
 symbol the binary exports. On x86-64 the binary holds the M4RM engine
-once per instruction set, and the module picks the widest one the CPU
-has when it loads (`isa()` names it). Without a compiler, without the
-Python headers or without a writable cache the default kernel is
-`numpy`; there is no second binding.
+and the packer once per instruction set, and the module picks the
+widest ones the CPU has when it loads (`isa()` names the engine's).
+Without a compiler, without the Python headers or without a writable
+cache the default kernel is `numpy`; there is no second binding.
 """
 
 from __future__ import annotations
@@ -91,13 +92,40 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class NumpyKernel:
-    """Vectorised word-array XOR, and the masked add every kernel shares."""
+    """Vectorised word-array XOR, and the masked add and the packer every
+    Python kernel shares."""
 
     name = "numpy"
     compiled = False
     # out = x ^ y on word rows or (rows, width) blocks; out may alias x or
     # y. A ufunc is no descriptor, so this is np.bitwise_xor itself.
     xor = np.bitwise_xor
+
+    @staticmethod
+    def pack(out, dense: np.ndarray) -> None:
+        """out's words = the low bits of dense's entries, trailing bits
+        zero; out is a matrix of dense's shape, dense a bool or uint8
+        array (core.from_dense checks both).
+
+        Bool input, and uint8 input whose maximum is at most 1, are packed
+        from their own memory, whatever their strides. Other values are
+        masked with `& 1` first, a copy the size of dense. The packed rows
+        go into out in one byte-swapping copy, the partial last word of
+        each row through an 8-byte row buffer."""
+        if dense.dtype != np.bool_ and dense.size and dense.max() > 1:
+            dense = dense & 1
+        nrows, ncols = dense.shape
+        if nrows == 0 or ncols == 0:
+            return
+        # ceil(ncols / 8) bytes a row; packbits keeps an F-ordered input's
+        # order, and the word view needs contiguous rows.
+        packed = np.ascontiguousarray(np.packbits(dense, axis=1))
+        full = ncols // 64
+        out.words[:, :full] = packed[:, :8 * full].view(">u8")
+        if full < out.width:
+            last = np.zeros((nrows, 8), dtype=np.uint8)
+            last[:, :packed.shape[1] - 8 * full] = packed[:, 8 * full:]
+            out.words[:, full] = last.view(">u8")[:, 0]
 
     def add(self, out: np.ndarray, x: np.ndarray, y: np.ndarray,
             tail: np.uint64) -> None:
@@ -128,11 +156,11 @@ class ScalarKernel(NumpyKernel):
 
 
 class CKernel(NumpyKernel):
-    """M4RM and cubic products whole in compiled C; `xor` and `add` as
-    numpy.
+    """M4RM and cubic products whole in compiled C, and the packer; `xor`
+    and `add` as numpy.
 
-    `m4rm` and `cubic` are the extension's entries themselves, so a
-    product crosses into C in one call with no Python frame between:
+    `m4rm`, `cubic` and `pack` are the extension's entries themselves, so
+    a product crosses into C in one call with no Python frame between:
 
     m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b (a: m x l, b:
         l x n entries, none of them 0, m the rows of c) with stripes of
@@ -144,16 +172,24 @@ class CKernel(NumpyKernel):
         public entry.
     cubic(c, a, b, l, n): c += a @ b; the extension allocates b
         transposed for the call.
+    pack(out, dense): as NumpyKernel.pack, in one read of dense and with
+        no copy of it: whole words from 64 consecutive bytes at a time
+        (AVX-512BW or AVX2 registers where the CPU has them, an 8-byte
+        multiply gather otherwise), byte by byte where a row's bytes are
+        not consecutive.
 
     The operands are matrices or windows (see core); the extension reads
     each one's `words` through numpy's C API. c may be a window,
-    and its bits beyond column n are kept. The one check the entries make
-    is independent of the callers': operands that do not cover these
-    words, or table rows closer than a row of b, raise DimensionError
-    before anything is allocated or written, since the engine would
-    otherwise read or write out of bounds. The entries release the
-    interpreter lock for the engine, so products on distinct outputs run
-    in parallel threads.
+    and its bits beyond column n are kept. The entries' checks are
+    independent of the callers', since the engines would otherwise divide
+    by zero or read or write out of bounds: M4RM's k outside 1..min(l,
+    16), t outside 1..8 or b_s under 1 raise ParameterError; operands that
+    do not cover these words, or table rows closer than a row of b, raise
+    DimensionError; a dense of the wrong type, rank or shape for `out`
+    raises ParameterError or DimensionError. All of them raise before
+    anything is allocated or written. The entries release the interpreter
+    lock for the engine, so products on distinct outputs run in parallel
+    threads.
     """
 
     name = "c"
@@ -164,6 +200,7 @@ class CKernel(NumpyKernel):
         self.isa = mod.isa
         self.m4rm = mod.m4rm
         self.cubic = mod.cubic
+        self.pack = mod.pack
 
 
 def _compiler() -> str | None:

@@ -427,36 +427,24 @@ def to_dense(a: Mat) -> np.ndarray:
 
 def from_dense(dense: np.ndarray) -> BitMatrix:
     """Pack a 2-D array into a BitMatrix whose entry (r, c) is the low bit
-    of dense[r, c]. Other dtypes than bool and uint8 are cast to uint8
-    first (numpy's unsafe cast keeps an integer's low bit).
+    of dense[r, c], with zero trailing bits. Other dtypes than bool and
+    uint8 are cast to uint8 first (numpy's unsafe cast keeps an integer's
+    low bit).
 
-    Bool input, and uint8 input whose maximum is at most 1, are packed
-    from their own memory, whatever their strides: no copy the size of
-    the dense input is made. Other values are masked with `& 1` first.
-    The packed rows go into the matrix in one byte-swapping copy, the
-    partial last word of each row through an 8-byte row buffer, so the
-    trailing bits are zero.
+    The active kernel's `pack` fills the matrix. The compiled one reads
+    bool and uint8 input once, in place, whatever its strides and values:
+    no copy the size of the dense input is made. The Python kernels' pack
+    copies uint8 input with values over 1 to mask it (see
+    _kernel.NumpyKernel.pack). Bool input is read as numpy stores it, one
+    byte of 0 or 1 per entry.
     """
     dense = np.asarray(dense)
     if dense.ndim != 2:
         raise DimensionError("from_dense expects a 2-D array")
     if dense.dtype != np.bool_:
         dense = dense.astype(np.uint8, copy=False)
-        if dense.size and dense.max() > 1:
-            dense = dense & 1
-    nrows, ncols = dense.shape
-    out = BitMatrix(nrows, ncols)
-    if nrows == 0 or ncols == 0:
-        return out
-    # ceil(ncols / 8) bytes a row; packbits keeps an F-ordered input's
-    # order, and the word view needs contiguous rows.
-    packed = np.ascontiguousarray(np.packbits(dense, axis=1))
-    full = ncols // WORD_BITS
-    out.words[:, :full] = packed[:, :8 * full].view(">u8")
-    if full < out.width:
-        last = np.zeros((nrows, 8), dtype=np.uint8)
-        last[:, :packed.shape[1] - 8 * full] = packed[:, 8 * full:]
-        out.words[:, full] = last.view(">u8")[:, 0]
+    out = BitMatrix(*dense.shape)
+    _kernel.active().pack(out, dense)
     return out
 
 

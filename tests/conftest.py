@@ -23,6 +23,32 @@ def no_stray_kernel_builds():
         pytest.fail(f"stray files in {_kernel._CACHE_DIR}: {stray}")
 
 
+# Edits of _kernel.c that leave the M4RM engine and the packer fewer
+# instruction sets: AVX-512 never chosen, and the copies beyond the
+# portable ones compiled out.
+ISA_EDITS = {
+    "no-avx512": ('__builtin_cpu_supports("avx512f")', "0"),
+    "portable": ("#if defined(__x86_64__) && defined(__GNUC__)", "#if 0"),
+}
+
+
+@pytest.fixture(scope="session")
+def isa_kernels(tmp_path_factory):
+    """The shipped C kernel and one build of each ISA_EDITS copy; none
+    without the C kernel."""
+    if "c" not in _kernel.available():
+        return {}
+    source = _kernel._SOURCE.read_text()
+    kernels = {"shipped": _kernel.get("c")}
+    for name, (old, new) in ISA_EDITS.items():
+        edited = source.replace(old, new)
+        assert edited != source, name
+        path = _kernel._build(_kernel._compiler(), edited.encode(),
+                              tmp_path_factory.mktemp(name), name)
+        kernels[name] = _kernel.CKernel(_kernel._load(path))
+    return kernels
+
+
 def from_rows(rows) -> core.BitMatrix:
     """Build a small matrix from a list of 0/1 row lists."""
     return core.from_dense(np.array(rows, dtype=np.uint8))

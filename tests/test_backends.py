@@ -887,28 +887,6 @@ def test_table_budget_counts_padded_scratch(backend, monkeypatch):
         mul_m4rm_into(c, a, b, 5, 17, 3)
 
 
-# Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
-# AVX-512 never chosen, and the copies beyond the portable one compiled out.
-ISA_EDITS = {
-    "no-avx512": ('__builtin_cpu_supports("avx512f")', "0"),
-    "portable": ("#if defined(__x86_64__) && defined(__GNUC__)", "#if 0"),
-}
-
-
-@pytest.fixture(scope="module")
-def isa_kernels(tmp_path_factory):
-    """The shipped C kernel and one build of each ISA_EDITS copy."""
-    source = _kernel._SOURCE.read_text()
-    kernels = {"shipped": _kernel.get("c")}
-    for name, (old, new) in ISA_EDITS.items():
-        edited = source.replace(old, new)
-        assert edited != source, name
-        path = _kernel._build(_kernel._compiler(), edited.encode(),
-                              tmp_path_factory.mktemp(name), name)
-        kernels[name] = _kernel.CKernel(_kernel._load(path))
-    return kernels
-
-
 @needs_c
 def test_isa_names_the_engine_copy_in_use(isa_kernels):
     assert _kernel.isa() == isa_kernels["shipped"].isa
@@ -968,22 +946,14 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         assert np.array_equal(words, parents["shipped"])
 
 
-# Runs one product (argv[1]: "m4rm" or "cubic") per engine copy (the
-# binaries in argv[4:]) with the operand named argv[2] ("a", "b" or "c")
-# placed so that its last word ends where a PROT_NONE guard page starts;
-# a read or write past it kills the process. argv[2] "tables" (M4RM) or
-# "bt" (cubic) names the engine's own scratch instead, which no page can
-# guard: those runs go under PYTHONMALLOC=debug, whose pads around every
-# raw block are checked when it is freed. A: 21 x 128 entries, so with
-# k=5, t=3 its last group starts at column 120, in its last word; B: 128
-# x n with n = argv[3]. C starts random, since both products read it and
-# add to it.
-GUARDED_PRODUCT = """
+# guarded(nbytes, at) in a child: nbytes of writable memory between two
+# PROT_NONE guard pages, flush against the page after them (at "end") or
+# the one before (at "start"); a read or write past them kills the child.
+GUARD_PAGES = """
 import ctypes, mmap, sys
 from pathlib import Path
 import numpy as np
 from gf2mat import _kernel, core
-from gf2mat import _reference as ref
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mmap.restype = ctypes.c_void_p
@@ -993,22 +963,42 @@ libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 PROT_NONE = 0
 
 
+def guarded(nbytes, at="end"):
+    \"\"\"A uint8 array of nbytes (> 0) between two guard pages.\"\"\"
+    page = mmap.PAGESIZE
+    span = -(-nbytes // page) * page
+    base = libc.mmap(None, span + 2 * page,
+                     mmap.PROT_READ | mmap.PROT_WRITE,
+                     mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
+    assert base not in (None, ctypes.c_void_p(-1).value)
+    assert libc.mprotect(base, page, PROT_NONE) == 0
+    assert libc.mprotect(base + page + span, page, PROT_NONE) == 0
+    start = base + page + (span - nbytes if at == "end" else 0)
+    return np.ctypeslib.as_array(
+        (ctypes.c_uint8 * nbytes).from_address(start))
+"""
+
+# Runs one product (argv[1]: "m4rm" or "cubic") per engine copy (the
+# binaries in argv[4:]) with the operand named argv[2] ("a", "b" or "c")
+# placed so that its last word ends where a guard page starts (see
+# GUARD_PAGES). argv[2] "tables" (M4RM) or "bt" (cubic) names the
+# engine's own scratch instead, which no page can guard: those runs go
+# under PYTHONMALLOC=debug, whose pads around every raw block are checked
+# when it is freed. A: 21 x 128 entries, so with k=5, t=3 its last group
+# starts at column 120, in its last word; B: 128 x n with n = argv[3]. C
+# starts random, since both products read it and add to it.
+GUARDED_PRODUCT = GUARD_PAGES + """
+from gf2mat import _reference as ref
+
+
 class Guarded:
-    \"\"\"The words of `mat` copied to end at a PROT_NONE page: a duck-typed
+    \"\"\"The words of `mat` copied to end at a guard page: a duck-typed
     kernel operand (nrows, width, words).\"\"\"
 
     def __init__(self, mat):
-        page = mmap.PAGESIZE
-        nbytes = mat.nrows * mat.width * 8
-        span = -(-nbytes // page) * page
-        base = libc.mmap(None, span + page, mmap.PROT_READ | mmap.PROT_WRITE,
-                         mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
-        assert base not in (None, ctypes.c_void_p(-1).value)
-        assert libc.mprotect(base + span, page, PROT_NONE) == 0
         self.nrows, self.width = mat.nrows, mat.width
-        self.words = np.ctypeslib.as_array(
-            (ctypes.c_uint64 * (mat.nrows * mat.width)).from_address(
-                base + span - nbytes)).reshape(mat.nrows, mat.width)
+        self.words = guarded(mat.nrows * mat.width * 8).view(
+            np.uint64).reshape(mat.nrows, mat.width)
         self.words[:] = mat.words
 
 
@@ -1069,6 +1059,153 @@ def test_cubic_reads_stay_inside_operands(isa_kernels, which, n):
     paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
     assert run_python(GUARDED_PRODUCT, "cubic", which, n, *paths,
                       **scratch_guard(which)).strip() == "ok"
+
+
+# Packs dense uint8 arrays whose bytes lie in guarded memory (see
+# GUARD_PAGES), at argv[2] ("end" or "start") of it, with every packer
+# copy (the binaries in argv[3:]), in the layout argv[1] names: rows of
+# consecutive bytes, every other row, rows reversed, every third column,
+# rows and columns reversed, or transposed. Each layout's first and last
+# bytes in memory are the buffer's, so a read before or past it, such as
+# a whole 64-byte chunk of a partial last word, kills the child. 21 rows
+# of 1, 63, 189 (two whole words, then 8-byte groups and single bytes)
+# and 256 columns; the words must equal the numpy kernel's.
+GUARDED_PACK = GUARD_PAGES + """
+layout, at = sys.argv[1], sys.argv[2]
+rows = 21
+for ncols in (1, 63, 189, 256):
+    shape, view = {
+        "plain": ((rows, ncols), lambda buf: buf),
+        "rows": ((2 * rows - 1, ncols), lambda buf: buf[::2]),
+        "flipped": ((rows, ncols), lambda buf: buf[::-1]),
+        "cols": ((rows, 3 * ncols - 2), lambda buf: buf[:, ::3]),
+        "reversed": ((rows, ncols), lambda buf: buf[::-1, ::-1]),
+        "transposed": ((ncols, rows), lambda buf: buf.T),
+    }[layout]
+    buf = guarded(shape[0] * shape[1], at).reshape(shape)
+    buf[:] = np.random.default_rng(ncols).integers(0, 256, shape, np.uint8)
+    dense = view(buf)
+    expected = core.create(rows, ncols)
+    _kernel.get("numpy").pack(expected, dense.copy())
+    for path in sys.argv[3:]:
+        kernel = _kernel.CKernel(_kernel._load(Path(path)))
+        out = core.create(rows, ncols)
+        kernel.pack(out, dense)
+        assert np.array_equal(out.words, expected.words), (path, ncols)
+print("ok")
+"""
+
+
+@needs_c
+@guard_page
+@pytest.mark.parametrize("at", ["end", "start"])
+@pytest.mark.parametrize("layout", ["plain", "rows", "flipped", "cols",
+                                    "reversed", "transposed"])
+def test_pack_reads_stay_inside_its_input(isa_kernels, layout, at):
+    """Every packer copy reads only the dense input's own bytes, the last
+    row's partial chunk included, in every stride layout."""
+    paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
+    assert run_python(GUARDED_PACK, layout, at, *paths).strip() == "ok"
+
+
+@needs_c
+@pytest.mark.parametrize("transposed", [False, True])
+def test_pack_copies_no_dense_input(transposed):
+    """On the c backend, a 2048 x 2048 uint8 input with values up to 255,
+    or its transposed view, is packed with no temporary the size of the
+    input: the peak is the packed words (512 KiB) and little more."""
+    dense = np.random.default_rng(8).integers(0, 256, (2048, 2048),
+                                              np.uint8)
+    if transposed:
+        dense = dense.T
+    with _kernel.using("c"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            a = core.from_dense(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.2 * 2048 * 32 * 8
+    assert np.array_equal(core.to_dense(a), dense & 1)
+
+
+# Evaluates argv[1], a call of one entry of the C kernel, in a child under
+# PYTHONMALLOC=debug, so a regression that divides by zero or writes
+# outside its memory cannot take the test run down; it must raise
+# gf2mat.errors' argv[2] (or, for "None", return) and leave c unchanged.
+ENTRY_CALL = """
+import sys
+import numpy as np
+from gf2mat import _kernel, core, errors
+
+kernel = _kernel.get("c")
+a = core.random(40, 100, seed=1)
+b = core.random(100, 70, seed=2)
+c = core.random(40, 70, seed=3)
+dense = np.ones((40, 70), np.uint8)
+before = c.words.copy()
+try:
+    eval(sys.argv[1])
+except Exception as exc:
+    assert type(exc).__name__ == sys.argv[2], repr(exc)
+else:
+    assert sys.argv[2] == "None", "no " + sys.argv[2]
+assert np.array_equal(c.words, before)
+print("ok")
+"""
+
+# id -> (call, the error it raises). An M4RM call of 40 x 100 x 70 with
+# k=4, b_s=16, t=2 and tables 2 words apart is valid; each case spoils
+# one argument. Before the entry checked them, k=0 divided by zero, t=12
+# overran the engine's per-group arrays, and n=0 wrote one word before
+# the tables: into the block's alignment pad, or before the block when
+# it started on a line.
+ENTRY_CALLS = {
+    "m4rm-k0": ("kernel.m4rm(c, a, b, 100, 70, 0, 16, 2, 2)",
+                "ParameterError"),
+    "m4rm-k17": ("kernel.m4rm(c, a, b, 100, 70, 17, 16, 2, 2)",
+                 "ParameterError"),
+    "m4rm-k-over-l": ("kernel.m4rm(c, a, b, 3, 70, 4, 16, 2, 2)",
+                      "ParameterError"),
+    "m4rm-k-negative": ("kernel.m4rm(c, a, b, 100, 70, -1, 16, 2, 2)",
+                        "ParameterError"),
+    "m4rm-t0": ("kernel.m4rm(c, a, b, 100, 70, 4, 16, 0, 2)",
+                "ParameterError"),
+    "m4rm-t9": ("kernel.m4rm(c, a, b, 100, 70, 4, 16, 9, 2)",
+                "ParameterError"),
+    "m4rm-t12": ("kernel.m4rm(c, a, b, 100, 70, 4, 16, 12, 2)",
+                 "ParameterError"),
+    "m4rm-bs0": ("kernel.m4rm(c, a, b, 100, 70, 4, 0, 2, 2)",
+                 "ParameterError"),
+    "m4rm-bs-negative": ("kernel.m4rm(c, a, b, 100, 70, 4, -1, 2, 2)",
+                         "ParameterError"),
+    "m4rm-n-negative": ("kernel.m4rm(c, a, b, 100, -1, 4, 16, 2, 2)",
+                        "DimensionError"),
+    "m4rm-huge-stride": ("kernel.m4rm(c, a, b, 100, 70, 4, 16, 2, 2**61)",
+                         "MemoryError"),
+    "m4rm-n0": ("kernel.m4rm(c, a, b, 100, 0, 4, 16, 2, 0)", "None"),
+    "cubic-l-negative": ("kernel.cubic(c, a, b, -1, 70)", "DimensionError"),
+    "pack-1d": ("kernel.pack(c, dense[0])", "DimensionError"),
+    "pack-3d": ("kernel.pack(c, dense[None])", "DimensionError"),
+    "pack-rows": ("kernel.pack(c, dense[1:])", "DimensionError"),
+    "pack-cols": ("kernel.pack(c, dense[:, 1:])", "DimensionError"),
+    "pack-int64": ("kernel.pack(c, dense.astype(np.int64))",
+                   "ParameterError"),
+    "pack-float": ("kernel.pack(c, dense.astype(np.float32))",
+                   "ParameterError"),
+    "pack-list": ("kernel.pack(c, dense.tolist())", "ParameterError"),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("case", ENTRY_CALLS)
+def test_entries_check_their_arguments(case):
+    """Each entry checks what it is given, independently of its callers,
+    and raises before anything is allocated or written."""
+    call, error = ENTRY_CALLS[case]
+    assert run_python(ENTRY_CALL, call, error,
+                      PYTHONMALLOC="debug").strip() == "ok"
 
 
 # Runs products on every engine copy (the binaries in argv[1:]) under

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import from_rows, nested_windows, rows_of
-from gf2mat import _reference, core
+from gf2mat import _kernel, _reference, core
 from gf2mat.counters import counters
 from gf2mat.errors import AlignmentError, DimensionError, FormatError
 
@@ -416,11 +416,13 @@ def packed_words(dense) -> list[list[int]]:
 @st.composite
 def dense_inputs(draw):
     """A 2-D array of one of several dtypes and value ranges, given as is,
-    transposed or step-sliced; ncols % 64 is often 0, 1 or 63."""
-    nrows = draw(st.integers(0, 40))
+    transposed or step-sliced; often with no rows or no columns, and
+    ncols % 64 often 0, 1 or 63, ncols % 8 often 0, 1 or 7."""
+    nrows = draw(st.one_of(st.integers(0, 40), st.sampled_from([0, 1])))
     ncols = draw(st.one_of(
         st.integers(0, 200),
-        st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])))
+        st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192,
+                         193, 255, 256, 257])))
     dtype, values = draw(st.sampled_from([
         (np.uint8, st.integers(0, 1)),
         (np.bool_, st.booleans()),
@@ -439,24 +441,39 @@ def dense_inputs(draw):
     return base[::rs, ::cs]
 
 
+def words_of(a) -> list[list[int]]:
+    return [[int(w) for w in row] for row in a.words]
+
+
 class TestFromDense:
     @settings(max_examples=300, deadline=None)
-    @given(dense_inputs())
-    def test_packs_the_low_bit_of_every_entry(self, dense):
+    @given(dense=dense_inputs())
+    def test_packs_the_low_bit_of_every_entry(self, isa_kernels, dense):
+        """Exact words, the entries' low bits and zero trailing bits, on
+        every backend and from every copy of the compiled packer, which
+        must also overwrite whatever its target held."""
         nrows, ncols = dense.shape
-        start = counters.words_allocated
-        a = core.from_dense(dense)
         width = (ncols + 63) // 64
-        assert counters.words_allocated - start == nrows * width
-        assert (a.nrows, a.ncols, a.width) == (nrows, ncols, width)
-        # Exact words: the entries' low bits, and zero trailing bits.
-        assert [[int(w) for w in row] for row in a.words] == \
-            packed_words(dense)
-        assert core.trailing_bits_clean(a)
+        expected = packed_words(dense)
         low = dense.astype(np.uint8) & 1
-        assert np.array_equal(core.to_dense(a), low)
-        assert core.from_dense(low) == a
-        assert core.from_dense(core.to_dense(a)) == a
+        for backend in _kernel.available():
+            with _kernel.using(backend):
+                start = counters.words_allocated
+                a = core.from_dense(dense)
+                assert counters.words_allocated - start == nrows * width
+                assert (a.nrows, a.ncols, a.width) == (nrows, ncols, width)
+                assert words_of(a) == expected, backend
+                assert core.trailing_bits_clean(a)
+                assert np.array_equal(core.to_dense(a), low)
+                assert core.from_dense(low) == a
+                assert core.from_dense(core.to_dense(a)) == a
+        if dense.dtype != np.bool_:
+            dense = dense.astype(np.uint8, copy=False)
+        for name, kernel in isa_kernels.items():
+            out = core.random(nrows, ncols, seed=1)
+            out.words[:] = ~out.words
+            kernel.pack(out, dense)
+            assert words_of(out) == expected, name
 
     def test_leaves_its_input_as_it_was(self):
         dense = np.array([[0, 1, 2, 3], [255, 254, 1, 0]], dtype=np.uint8)
