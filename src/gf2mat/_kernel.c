@@ -27,17 +27,16 @@
  * products, where a row's combine is short, it set the cost of a row.
  *
  * Packing: `pack` turns a dense bool/uint8 array into a matrix's words
- * in one read of the input, 64 entries to a word: whole words from 64
- * bytes at a time (vector registers on AVX2 and AVX-512BW, an 8-byte
- * multiply gather otherwise) when a row's bytes are consecutive, byte by
- * byte otherwise.
+ * in one read of the input, 64 entries to a word: 8 bytes at a time by a
+ * multiply gather when a row's bytes are consecutive, byte by byte
+ * otherwise.
  *
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's and numpy's headers and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture
- * (and is rebuilt for another numpy). On x86-64 the M4RM engine and the
- * packer are also compiled for AVX2 and AVX-512; the module's init
- * function picks the widest copies the CPU supports, once. That function
+ * (and is rebuilt for another numpy). On x86-64 the M4RM engine is also
+ * compiled for AVX2 and AVX-512; the module's init function picks the
+ * widest copy the CPU supports, once. That function
  * is the only exported symbol. The module's entries, at the end of this
  * file, take the operand matrices and integer arguments, check their
  * parameters and that the operands cover the product, and release the
@@ -62,10 +61,6 @@ typedef uint64_t word;
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GF2MAT_DISPATCH
-#endif
-
-#ifdef GF2MAT_DISPATCH
-#include <immintrin.h>
 #endif
 
 /* The engine and its helpers are inlined into each instruction set's
@@ -418,115 +413,84 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
     }
 }
 
-/* The low bits of the 8 bytes at p, the first byte's at bit 7: the
- * multiply moves byte j's bit 0 (bit 8j of the little-endian value) to
- * bit 63 - j, and no two of its partial products meet, so nothing
- * carries. */
-INLINE word low_bits8(const uint8_t *p)
+/* The entries of the 8 bytes at p, the first byte's at bit 7: each
+ * byte's bit 0, or with `nonzero` whether the byte is nonzero (its bits
+ * ORed into bit 0 by three shifts, none of which carries a bit into
+ * another byte's bit 0). The multiply moves byte j's bit 0 (bit 8j of the
+ * little-endian value) to bit 63 - j, and no two of its partial products
+ * meet, so nothing carries. */
+INLINE word entries8(const uint8_t *p, int nonzero)
 {
     word v;
     memcpy(&v, p, sizeof v);
 #if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
     v = __builtin_bswap64(v);
 #endif
+    if (nonzero) {
+        v |= v >> 4;
+        v |= v >> 2;
+        v |= v >> 1;
+    }
     return ((v & 0x0101010101010101ull) * 0x8040201008040201ull) >> 56;
 }
 
-/* The low bits of the n <= 64 bytes at p as one word, byte c's at bit
- * 63 - c and bits n.. zero: groups of 8 bytes by low_bits8, the rest one
- * by one, so nothing past p[n - 1] is read. */
-INLINE word low_bits(const uint8_t *p, int n)
+INLINE word entry(uint8_t byte, int nonzero)
+{
+    return nonzero ? byte != 0 : byte & 1;
+}
+
+/* The entries of the n <= 64 bytes at p, col_stride bytes apart, as one
+ * word, byte c's at bit 63 - c and bits n.. zero: groups of 8 by
+ * entries8 when the bytes are consecutive, the rest one by one, so
+ * nothing past the n-th byte is read. */
+INLINE word entries(const uint8_t *p, int64_t col_stride, int n,
+                    int nonzero)
 {
     word x = 0;
     int c = 0;
-    for (; c + 8 <= n; c += 8)
-        x |= low_bits8(p + c) << (56 - c);
+    if (col_stride == 1)
+        for (; c + 8 <= n; c += 8)
+            x |= entries8(p + c, nonzero) << (56 - c);
     for (; c < n; c++)
-        x |= (word)(p[c] & 1) << (63 - c);
+        x |= entry(p[c * col_stride], nonzero) << (63 - c);
     return x;
 }
 
-INLINE word low_bits64(const uint8_t *p) { return low_bits(p, 64); }
-
-#define PACK_PARAMS                                                       \
-    word *out, int64_t out_stride, const uint8_t *d, int64_t d_stride,   \
-    int64_t rows, int64_t cols
-
-/* out = the low bits of rows x cols bytes whose rows start d_stride bytes
- * apart and whose bytes are consecutive: whole words by `chunk` from 64
- * bytes each, the last partial word by low_bits. */
-#define PACK_ROWS(chunk)                                                  \
-    for (int64_t r = 0; r < rows; r++) {                                  \
-        const uint8_t *p = d + r * d_stride;                              \
-        word *o = out + r * out_stride;                                   \
-        int64_t w = 0;                                                    \
-        for (; w < cols / 64; w++)                                        \
-            o[w] = chunk(p + 64 * w);                                     \
-        if (cols % 64)                                                    \
-            o[w] = low_bits(p + 64 * w, (int)(cols % 64));                \
-    }
-
-/* One copy of the packer per instruction set. */
-static void pack_default(PACK_PARAMS) { PACK_ROWS(low_bits64) }
-#ifdef GF2MAT_DISPATCH
-/* 64 bytes' low bits, byte c's at bit 63 - c: each half of 32 bytes is
- * reversed (bytes within each 16-byte lane, then the lanes swapped), its
- * bytes' bit 0 shifted to bit 7 and gathered by movemask. */
-__attribute__((target("avx2")))
-static inline word low_bits64_avx2(const uint8_t *p)
-{
-    const __m256i reverse = _mm256_setr_epi8(
-        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0,
-        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-    word x = 0;
-    for (int h = 0; h < 2; h++) {
-        __m256i v = _mm256_loadu_si256((const __m256i *)(p + 32 * h));
-        v = _mm256_permute4x64_epi64(_mm256_shuffle_epi8(v, reverse), 0x4E);
-        x = x << 32
-            | (uint32_t)_mm256_movemask_epi8(_mm256_slli_epi16(v, 7));
-    }
-    return x;
-}
-
-/* The same from one 64-byte register: bytes reversed within each lane,
- * the four lanes reversed, and each byte's bit 0 tested into a mask. */
-__attribute__((target("avx512f,avx512bw")))
-static inline word low_bits64_avx512bw(const uint8_t *p)
-{
-    const __m512i reverse = _mm512_broadcast_i32x4(_mm_setr_epi8(
-        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0));
-    __m512i v = _mm512_shuffle_epi8(_mm512_loadu_si512(p), reverse);
-    v = _mm512_shuffle_i64x2(v, v, 0x1B);
-    return _mm512_test_epi8_mask(v, _mm512_set1_epi8(1));
-}
-
-__attribute__((target("avx2")))
-static void pack_avx2(PACK_PARAMS) { PACK_ROWS(low_bits64_avx2) }
-__attribute__((target("avx512f,avx512bw")))
-static void pack_avx512bw(PACK_PARAMS) { PACK_ROWS(low_bits64_avx512bw) }
-#endif
-
-/* The packer for rows of consecutive bytes: the widest copy this CPU
- * supports, chosen with the engine by PyInit_gf2mat_kernel. */
-static void (*packer)(PACK_PARAMS) = pack_default;
-
-/* The same for any column stride (bytes apart, negative or zero
- * included), byte by byte. */
-static void pack_strided(word *out, int64_t out_stride, const uint8_t *d,
-                         int64_t d_stride, int64_t col_stride, int64_t rows,
-                         int64_t cols)
+/* out = the entries of rows x cols bytes whose rows start d_stride bytes
+ * apart and whose bytes are col_stride apart (negative or zero included),
+ * bits past cols zero. */
+INLINE void pack_rows(word *out, int64_t out_stride, const uint8_t *d,
+                      int64_t d_stride, int64_t col_stride, int64_t rows,
+                      int64_t cols, int nonzero)
 {
     for (int64_t r = 0; r < rows; r++) {
         const uint8_t *p = d + r * d_stride;
         word *o = out + r * out_stride;
-        for (int64_t w = 0; w * 64 < cols; w++) {
-            int n = cols - w * 64 < 64 ? (int)(cols - w * 64) : 64;
-            word x = 0;
-            for (int c = 0; c < n; c++)
-                x |= (word)(p[(w * 64 + c) * col_stride] & 1) << (63 - c);
-            o[w] = x;
-        }
+        int64_t w = 0;
+        for (; w < cols / 64; w++)
+            o[w] = entries(p + w * 64 * col_stride, col_stride, 64,
+                           nonzero);
+        if (cols % 64)
+            o[w] = entries(p + w * 64 * col_stride, col_stride,
+                           (int)(cols % 64), nonzero);
     }
+}
+
+/* pack_rows, with bool input (`nonzero`) read by whether each byte is
+ * nonzero and uint8 input by its bytes' low bits; rows of consecutive
+ * bytes take copies compiled for that stride, whose whole words unroll
+ * into eight entries8. */
+static void pack(word *out, int64_t out_stride, const uint8_t *d,
+                 int64_t d_stride, int64_t col_stride, int64_t rows,
+                 int64_t cols, int nonzero)
+{
+    if (col_stride != 1)
+        pack_rows(out, out_stride, d, d_stride, col_stride, rows, cols,
+                  nonzero);
+    else if (nonzero)
+        pack_rows(out, out_stride, d, d_stride, 1, rows, cols, 1);
+    else
+        pack_rows(out, out_stride, d, d_stride, 1, rows, cols, 0);
 }
 
 /* The module: one METH_FASTCALL entry per engine and the packer. The
@@ -802,12 +766,10 @@ static PyObject *py_pack(PyObject *self, PyObject *const *args,
     const uint8_t *d = PyArray_DATA(dense);
     int64_t d_stride = PyArray_STRIDE(dense, 0);
     int64_t col_stride = PyArray_STRIDE(dense, 1);
+    int nonzero = PyArray_TYPE(dense) == NPY_BOOL;
     Py_BEGIN_ALLOW_THREADS
-    if (col_stride == 1 || cols <= 1)
-        packer(out.p, out.stride, d, d_stride, rows, cols);
-    else
-        pack_strided(out.p, out.stride, d, d_stride, col_stride, rows,
-                     cols);
+    pack(out.p, out.stride, d, d_stride, cols <= 1 ? 1 : col_stride, rows,
+         cols, nonzero);
     Py_END_ALLOW_THREADS
     Py_DECREF(out.words);
     Py_RETURN_NONE;
@@ -828,8 +790,7 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* Picks the engine and packer copies for this CPU; `isa` names the
- * engine's. */
+/* Picks the engine copy for this CPU; `isa` names it. */
 PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
 {
     const char *isa = "default";
@@ -837,12 +798,9 @@ PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         engine = m4rm_avx512f;
-        packer = __builtin_cpu_supports("avx512bw") ? pack_avx512bw
-                                                    : pack_avx2;
         isa = "avx512f";
     } else if (__builtin_cpu_supports("avx2")) {
         engine = m4rm_avx2;
-        packer = pack_avx2;
         isa = "avx2";
     }
 #endif

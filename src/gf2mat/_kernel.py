@@ -38,8 +38,8 @@ which tracemalloc traces, and release the interpreter lock around the
 engine; its `pack` fills a matrix's words from a dense bool/uint8 array
 in one read of it (core.from_dense). Its init function is the one
 symbol the binary exports. On x86-64 the binary holds the M4RM engine
-and the packer once per instruction set, and the module picks the
-widest ones the CPU has when it loads (`isa()` names the engine's).
+once per instruction set, and the module picks the widest copy the CPU
+has when it loads (`isa()` names it).
 Without a compiler, without the Python headers or without a writable
 cache the default kernel is `numpy`; there is no second binding.
 """
@@ -103,9 +103,10 @@ class NumpyKernel:
 
     @staticmethod
     def pack(out, dense: np.ndarray) -> None:
-        """out's words = the low bits of dense's entries, trailing bits
-        zero; out is a matrix of dense's shape, dense a bool or uint8
-        array (core.from_dense checks both).
+        """out's words = dense's entries, trailing bits zero: a uint8
+        byte's low bit, a bool's truth (any nonzero byte); out is a matrix
+        of dense's shape, dense a bool or uint8 array (core.from_dense
+        checks both).
 
         Bool input, and uint8 input whose maximum is at most 1, are packed
         from their own memory, whatever their strides. Other values are
@@ -173,10 +174,8 @@ class CKernel(NumpyKernel):
     cubic(c, a, b, l, n): c += a @ b; the extension allocates b
         transposed for the call.
     pack(out, dense): as NumpyKernel.pack, in one read of dense and with
-        no copy of it: whole words from 64 consecutive bytes at a time
-        (AVX-512BW or AVX2 registers where the CPU has them, an 8-byte
-        multiply gather otherwise), byte by byte where a row's bytes are
-        not consecutive.
+        no copy of it: 8 consecutive bytes at a time by a multiply
+        gather, byte by byte where a row's bytes are not consecutive.
 
     The operands are matrices or windows (see core); the extension reads
     each one's `words` through numpy's C API. c may be a window,

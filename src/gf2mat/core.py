@@ -427,16 +427,17 @@ def to_dense(a: Mat) -> np.ndarray:
 
 def from_dense(dense: np.ndarray) -> BitMatrix:
     """Pack a 2-D array into a BitMatrix whose entry (r, c) is the low bit
-    of dense[r, c], with zero trailing bits. Other dtypes than bool and
-    uint8 are cast to uint8 first (numpy's unsafe cast keeps an integer's
-    low bit).
+    of dense[r, c], or for bool input its truth, with zero trailing bits.
+    Other dtypes than bool and uint8 are cast to uint8 first (numpy's
+    unsafe cast keeps an integer's low bit).
 
     The active kernel's `pack` fills the matrix. The compiled one reads
     bool and uint8 input once, in place, whatever its strides and values:
     no copy the size of the dense input is made. The Python kernels' pack
     copies uint8 input with values over 1 to mask it (see
-    _kernel.NumpyKernel.pack). Bool input is read as numpy stores it, one
-    byte of 0 or 1 per entry.
+    _kernel.NumpyKernel.pack). A bool entry is 1 when its byte is
+    nonzero, on every kernel, also for bytes other than 0 and 1 (a view
+    of other bytes as bool).
     """
     dense = np.asarray(dense)
     if dense.ndim != 2:

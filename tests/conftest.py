@@ -23,9 +23,8 @@ def no_stray_kernel_builds():
         pytest.fail(f"stray files in {_kernel._CACHE_DIR}: {stray}")
 
 
-# Edits of _kernel.c that leave the M4RM engine and the packer fewer
-# instruction sets: AVX-512 never chosen, and the copies beyond the
-# portable ones compiled out.
+# Edits of _kernel.c that leave the M4RM engine fewer instruction sets:
+# AVX-512 never chosen, and the copies beyond the portable one compiled out.
 ISA_EDITS = {
     "no-avx512": ('__builtin_cpu_supports("avx512f")', "0"),
     "portable": ("#if defined(__x86_64__) && defined(__GNUC__)", "#if 0"),

@@ -1061,13 +1061,14 @@ def test_cubic_reads_stay_inside_operands(isa_kernels, which, n):
                       **scratch_guard(which)).strip() == "ok"
 
 
-# Packs dense uint8 arrays whose bytes lie in guarded memory (see
-# GUARD_PAGES), at argv[2] ("end" or "start") of it, with every packer
-# copy (the binaries in argv[3:]), in the layout argv[1] names: rows of
-# consecutive bytes, every other row, rows reversed, every third column,
-# rows and columns reversed, or transposed. Each layout's first and last
-# bytes in memory are the buffer's, so a read before or past it, such as
-# a whole 64-byte chunk of a partial last word, kills the child. 21 rows
+# Packs dense uint8 arrays, and bool views of them, whose bytes lie in
+# guarded memory (see GUARD_PAGES), at argv[2] ("end" or "start") of it,
+# with every kernel build (the binaries in argv[3:]), in the layout
+# argv[1] names: rows of consecutive bytes, every other row, rows
+# reversed, every third column, rows and columns reversed, or transposed.
+# Each layout's first and last bytes in memory are the buffer's, so a
+# read before or past it, such as a whole 64-byte chunk of a partial last
+# word, kills the child. 21 rows
 # of 1, 63, 189 (two whole words, then 8-byte groups and single bytes)
 # and 256 columns; the words must equal the numpy kernel's.
 GUARDED_PACK = GUARD_PAGES + """
@@ -1084,14 +1085,14 @@ for ncols in (1, 63, 189, 256):
     }[layout]
     buf = guarded(shape[0] * shape[1], at).reshape(shape)
     buf[:] = np.random.default_rng(ncols).integers(0, 256, shape, np.uint8)
-    dense = view(buf)
-    expected = core.create(rows, ncols)
-    _kernel.get("numpy").pack(expected, dense.copy())
-    for path in sys.argv[3:]:
-        kernel = _kernel.CKernel(_kernel._load(Path(path)))
-        out = core.create(rows, ncols)
-        kernel.pack(out, dense)
-        assert np.array_equal(out.words, expected.words), (path, ncols)
+    for dense in (view(buf), view(buf.view(np.bool_))):
+        expected = core.create(rows, ncols)
+        _kernel.get("numpy").pack(expected, dense.copy())
+        for path in sys.argv[3:]:
+            kernel = _kernel.CKernel(_kernel._load(Path(path)))
+            out = core.create(rows, ncols)
+            kernel.pack(out, dense)
+            assert np.array_equal(out.words, expected.words), (path, ncols)
 print("ok")
 """
 
@@ -1102,8 +1103,8 @@ print("ok")
 @pytest.mark.parametrize("layout", ["plain", "rows", "flipped", "cols",
                                     "reversed", "transposed"])
 def test_pack_reads_stay_inside_its_input(isa_kernels, layout, at):
-    """Every packer copy reads only the dense input's own bytes, the last
-    row's partial chunk included, in every stride layout."""
+    """Every kernel build's packer reads only the dense input's own bytes,
+    the last row's partial chunk included, in every stride layout."""
     paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
     assert run_python(GUARDED_PACK, layout, at, *paths).strip() == "ok"
 

@@ -450,8 +450,8 @@ class TestFromDense:
     @given(dense=dense_inputs())
     def test_packs_the_low_bit_of_every_entry(self, isa_kernels, dense):
         """Exact words, the entries' low bits and zero trailing bits, on
-        every backend and from every copy of the compiled packer, which
-        must also overwrite whatever its target held."""
+        every backend and from every build of the compiled kernel, whose
+        packer must also overwrite whatever its target held."""
         nrows, ncols = dense.shape
         width = (ncols + 63) // 64
         expected = packed_words(dense)
@@ -474,6 +474,26 @@ class TestFromDense:
             out.words[:] = ~out.words
             kernel.pack(out, dense)
             assert words_of(out) == expected, name
+
+    @pytest.mark.parametrize("ncols", [4, 8, 64, 71, 130])
+    def test_bool_bytes_other_than_0_and_1_are_true(self, isa_kernels,
+                                                   ncols):
+        """A bool view of other bytes packs each nonzero byte as 1 on every
+        backend and build, consecutive, transposed or column-sliced."""
+        rng = np.random.default_rng(ncols)
+        raw = rng.choice(np.array([0, 1, 2, 3, 128, 254, 255], np.uint8),
+                         size=(5, 2 * ncols))
+        for dense in (raw[:, :ncols], raw.T[:ncols], raw[:, ::2]):
+            expected = packed_words(dense != 0)
+            dense = dense.view(np.bool_)
+            for backend in _kernel.available():
+                with _kernel.using(backend):
+                    assert words_of(core.from_dense(dense)) == expected, \
+                        backend
+            for name, kernel in isa_kernels.items():
+                out = core.create(*dense.shape)
+                kernel.pack(out, dense)
+                assert words_of(out) == expected, name
 
     def test_leaves_its_input_as_it_was(self):
         dense = np.array([[0, 1, 2, 3], [255, 254, 1, 0]], dtype=np.uint8)
