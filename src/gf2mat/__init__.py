@@ -58,6 +58,7 @@ from .strassen import (
 )
 from .tuning import (
     auto_params,
+    base_k,
     choose_k,
     default_params,
     load_config,
@@ -83,6 +84,7 @@ __all__ = [
     "augment",
     "auto_params",
     "backend",
+    "base_k",
     "build_gray",
     "choose_k",
     "copy_into",

@@ -260,15 +260,35 @@ def read_bits(a: Mat, r: int, sc: int, k: int) -> int:
     if not (0 <= r < a.nrows and 0 <= sc and sc + k <= a.ncols):
         raise IndexError(
             f"read_bits row {r} cols [{sc},{sc + k}) out of range")
-    row = a.words[r]
+    return int(_read_bits_rows(a, r, r + 1, sc, k)[0])
+
+
+def _read_bits_rows(a: Mat, r0: int, r1: int, sc: int,
+                    k: int) -> np.ndarray:
+    """read_bits for rows [r0, r1) at once, unchecked; returns the M4RM
+    table indices."""
     wi, off = divmod(sc, WORD_BITS)
-    hi = int(row[wi])
+    mask = np.uint64((1 << k) - 1)
+    w = a.words
     if off + k <= WORD_BITS:
-        return (hi >> (WORD_BITS - off - k)) & ((1 << k) - 1)
-    nlo = off + k - WORD_BITS
-    lo = int(row[wi + 1])
-    return ((hi & ((1 << (WORD_BITS - off)) - 1)) << nlo) \
-        | (lo >> (WORD_BITS - nlo))
+        ids = (w[r0:r1, wi] >> np.uint64(WORD_BITS - off - k)) & mask
+    else:
+        nlo = off + k - WORD_BITS
+        ids = ((w[r0:r1, wi] << np.uint64(nlo))
+               | (w[r0:r1, wi + 1] >> np.uint64(WORD_BITS - nlo))) & mask
+    return ids.astype(np.intp)
+
+
+def check_product(a: Mat, b: Mat, c: Mat | None = None) -> None:
+    """Raise DimensionError unless a's columns are b's rows and, when a
+    target c is given, c is sized to the product. Every public product
+    entry calls it before it allocates or writes anything."""
+    if a.ncols != b.nrows:
+        raise DimensionError(
+            f"inner dimensions {a.ncols} and {b.nrows} differ")
+    if c is not None and (c.nrows != a.nrows or c.ncols != b.ncols):
+        raise DimensionError(
+            f"target {c.nrows}x{c.ncols} != product {a.nrows}x{b.ncols}")
 
 
 def _masked_last(words_2d: np.ndarray, ncols: int) -> np.ndarray:

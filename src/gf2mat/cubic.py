@@ -82,15 +82,10 @@ def mul_cubic(a: core.Mat, b: core.Mat,
     Without c, the product in a fresh matrix. c may be a window: bits
     beyond its right edge are kept. c must not overlap a or b.
     """
-    if a.ncols != b.nrows:
-        raise DimensionError(
-            f"inner dimensions {a.ncols} and {b.nrows} differ")
+    core.check_product(a, b, c)
     m, l, n = a.nrows, a.ncols, b.ncols
     if c is None:
         c = core.create(m, n)
-    elif c.nrows != m or c.ncols != n:
-        raise DimensionError(
-            f"target {c.nrows}x{c.ncols} != product {m}x{n}")
     if m and l and n:
         _cubic_into(a, b, c)
     return c

@@ -12,6 +12,12 @@ of each destination row.
 Ragged edges are handled throughout: a final stripe of width l mod k uses
 a smaller table, and trailing stripe groups use fewer than t tables.
 
+Each product runs by one Plan (_table_layout): its Gray width, row block
+and table count, the tables' layout and its counter deltas. The engines
+take the plan and the operands alone; the width comes from the caller,
+an explicit k on the public entries here, tuning.base_k on strassen's
+base route.
+
 On the compiled kernel (see _kernel) the whole engine, table builds and
 index reads included, runs in one native call per product, which also
 allocates the tables; the Python loop below serves the numpy and scalar
@@ -26,8 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel, core
+# Bound here under the name through which perfbench's tracer times the
+# Python engine's index reads (m4rm.index_read_s).
+from .core import _read_bits_rows
 from .counters import counters
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .graycode import MAX_K, CombinationTable, make_table
 from .tuning import MAX_T
 
@@ -58,29 +67,17 @@ def _stripes(l: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _read_bits_rows(a: core.Mat, r0: int, r1: int, sc: int,
-                    k: int) -> np.ndarray:
-    """read_bits for rows [r0, r1) at once; returns table indices."""
-    wi, off = divmod(sc, core.WORD_BITS)
-    mask = np.uint64((1 << k) - 1)
-    w = a.words
-    if off + k <= core.WORD_BITS:
-        ids = (w[r0:r1, wi] >> np.uint64(core.WORD_BITS - off - k)) & mask
-    else:
-        nlo = off + k - core.WORD_BITS
-        ids = ((w[r0:r1, wi] << np.uint64(nlo))
-               | (w[r0:r1, wi + 1] >> np.uint64(core.WORD_BITS - nlo))) & mask
-    return ids.astype(np.intp)
-
-
 class Plan(NamedTuple):
-    """An M4RM product's plan: Gray width k (at most l); ntables tables of
-    2^k rows, table_stride words apart as core.padded_cols pads them,
-    table_bytes in all; and the counter deltas the Python engine records
-    for it (table_adds, row_adds, c_writes), which _mul_into adds in one
-    step on the compiled kernel."""
+    """An M4RM product's plan, all that the engines take besides the
+    operands: Gray width k (at most l), row blocks of b_s rows and up to
+    t tables per stripe group; ntables tables of 2^k rows, table_stride
+    words apart as core.padded_cols pads them, table_bytes in all; and the
+    counter deltas the Python engine records for it (table_adds, row_adds,
+    c_writes), which _mul_into adds in one step on the compiled kernel."""
 
     k: int
+    b_s: int
+    t: int
     ntables: int
     table_stride: int
     table_bytes: int
@@ -103,7 +100,7 @@ def _table_layout(m: int, l: int, n: int, k: int, b_s: int,
     stride = core.words_per_row(core.padded_cols(n))
     # A ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
     built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
-    return Plan(k, ntables, stride, (ntables << k) * stride * 8,
+    return Plan(k, b_s, t, ntables, stride, (ntables << k) * stride * 8,
                 built, built + m * nstripes, m * -(-nstripes // t))
 
 
@@ -118,8 +115,7 @@ def _fit_budget(plan: Plan | None, budget: int) -> Plan | None:
     return plan
 
 
-def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
-              t: int) -> None:
+def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan) -> None:
     """c += a @ b by `plan`, which _table_layout made for this non-empty
     product and _fit_budget passed; c is sized to the product and may be
     a window: bits beyond its right edge are kept, because table rows are
@@ -131,7 +127,8 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
     kernel = _kernel.active()
     if kernel.compiled:
         # One unpacking: a NamedTuple's fields read one by one cost more.
-        k, _, stride, table_bytes, table_adds, row_adds, c_writes = plan
+        (k, b_s, t, _, stride, table_bytes, table_adds, row_adds,
+         c_writes) = plan
         kernel.m4rm(c, a, b, a.ncols, b.ncols, k, b_s, t, stride)
         counters.words_allocated += table_bytes >> 3
         counters.table_adds += table_adds
@@ -139,7 +136,7 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan, b_s: int,
         counters.c_writes += c_writes
         return
     m, l, n = a.nrows, a.ncols, b.ncols
-    k = plan.k
+    k, b_s, t = plan.k, plan.b_s, plan.t
     stripes = _stripes(l, k)
     tables = [CombinationTable(k, n) for _ in range(plan.ntables)]
     table_words = [tbl.words for tbl in tables]
@@ -167,19 +164,15 @@ def _m4rm_entry(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
     """c += a @ b, or without c (None) the product in a fresh matrix;
     returns c. Every public M4RM product comes here, and every check is
     made here, before anything is allocated or written."""
-    m, l, n = a.nrows, a.ncols, b.ncols
-    if l != b.nrows:
-        raise DimensionError(f"inner dimensions {l} and {b.nrows} differ")
+    core.check_product(a, b, c)
     StripeSpec(k, t, b_s)
-    if c is not None and (c.nrows != m or c.ncols != n):
-        raise DimensionError(
-            f"target {c.nrows}x{c.ncols} != product {m}x{n}")
+    m, l, n = a.nrows, a.ncols, b.ncols
     plan = _fit_budget(_table_layout(m, l, n, k, b_s, t),
                        _kernel.MAX_TABLE_BYTES)
     if c is None:
         c = core.create(m, n)
     if plan is not None:
-        _mul_into(c, a, b, plan, b_s, t)
+        _mul_into(c, a, b, plan)
     return c
 
 

@@ -8,6 +8,10 @@ up the remaining rows and columns with the base-case multipliers only.
 Over GF(2) subtraction equals addition, so every S/T/U step below is an
 XOR. Each level performs exactly 7 recursive products and 15 quadrant
 additions and touches two scratch quadrant buffers beyond the output.
+
+Every product below the recursion (a flat product, a leaf, a peeled
+strip) takes its route from _base_route: tuning.base_k picks cubic or
+the Gray width, and the M4RM plan is memoized with its budget check.
 """
 
 from __future__ import annotations
@@ -23,20 +27,9 @@ from .counters import counters
 from .cubic import _cubic_into as mul_cubic
 from .errors import DimensionError
 from .m4rm import Plan, _fit_budget, _mul_into, _table_layout
-from .tuning import MulParams
+from .tuning import MulParams, base_k
 
 _WORD = core.WORD_BITS
-# The base route sends a product to cubic when B is narrower than a word
-# and m * n < _CUBIC_ROWS * 64 * ceil(l / 64): A is short against B's row
-# length, so M4RM's 2^k - 1 table row additions per stripe serve too few
-# rows of A. Fitted on the compiled kernel (AVX-512, fitted k, t=8,
-# b_s=8192) with a kernel-only sweep, min of 21 rounds of 5 calls per
-# shape, over m in 16..1024, ceil(l / 64) in 1..16 and n in 16..63. In
-# each of three sweeps the total is within 0.3% of the best at 5, 6 and
-# 10, 0.6-0.8% higher at 12, 1.6-1.9% at 2 and 2.4-4.3% at 20; over
-# small-batch's 200 shapes it is within 0.2% for 3..6 and 2.8-3.3% higher
-# at 20 (BENCH_19.json).
-_CUBIC_ROWS = 5
 
 
 class PeelSplit(NamedTuple):
@@ -71,22 +64,23 @@ def peel_split(m: int, l: int, n: int, cutoff: int) -> PeelSplit:
 @functools.lru_cache(maxsize=4096)
 def _base_route(m: int, l: int, n: int, params: MulParams,
                 budget: int) -> Plan | None:
-    """The engine of an m x l x n base product: None for cubic, when B is
-    narrower than a word and A short against B's rows (see _CUBIC_ROWS),
-    and for the empty products, else the whole M4RM plan
-    (m4rm._table_layout) at the Gray width params give for m rows and n
-    columns. Raises ParameterError if that plan's tables exceed `budget`
-    bytes, so a plan is refused before anything is allocated or written.
+    """The engine of an m x l x n base product: None for cubic (base_k
+    gives 0) and for the empty products, else the whole M4RM plan
+    (m4rm._table_layout) at the Gray width base_k gives, with params'
+    row block and table count. Raises ParameterError if that plan's
+    tables exceed `budget` bytes, so a plan is refused before anything is
+    allocated or written.
 
     Memoized, since every public entry asks once per base shape of its
     plan: the route memo is the only memo on the product path, and a hit
     is the whole route with its budget check. Callers pass the kernel's
     budget, _kernel.MAX_TABLE_BYTES, read on every call, so the memo
     follows it when it changes; a refusal raises, and is not memoized."""
-    if n < _WORD and m * n < _CUBIC_ROWS * _WORD * -(-l // _WORD):
+    k = base_k(m, l, n, params)
+    if not k:
         return None
-    return _fit_budget(_table_layout(m, l, n, params.effective_k(n, nrows=m),
-                                     params.b_s, params.t), budget)
+    return _fit_budget(_table_layout(m, l, n, k, params.b_s, params.t),
+                       budget)
 
 
 def _check_tables(shapes, params: MulParams) -> list[Plan | None]:
@@ -99,8 +93,7 @@ def _check_tables(shapes, params: MulParams) -> list[Plan | None]:
 
 
 def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
-                   plan: Plan | None, params: MulParams,
-                   accumulate: bool) -> core.Mat:
+                   plan: Plan | None, accumulate: bool) -> core.Mat:
     """dst = a @ b, or dst += a @ b when accumulating, by `plan`, the
     route _base_route gives this product's shape (None: cubic); returns
     dst. With dst None, the product in a fresh matrix.
@@ -118,7 +111,7 @@ def _base_mul_into(dst: core.Mat | None, a: core.Mat, b: core.Mat,
     elif not accumulate:
         core.clear(dst)
     if plan is not None:
-        _mul_into(dst, a, b, plan, params.b_s, params.t)
+        _mul_into(dst, a, b, plan)
     elif a.nrows and a.ncols and b.ncols:  # an empty product's route is None
         mul_cubic(a, b, dst)
     return dst
@@ -149,9 +142,8 @@ def schedule_winograd(a: core.Mat, b: core.Mat, c: core.Mat, temps: tuple,
     own quadrants serve as the remaining workspace, so c must not alias
     a or b.
     """
+    core.check_product(a, b, c)
     m, l, n = a.nrows, a.ncols, b.ncols
-    if c.nrows != m or c.ncols != n:
-        raise DimensionError(f"target {c.shape} != product {m}x{n}")
     if m % 2 or l % (2 * _WORD) or n % (2 * _WORD):
         raise DimensionError(
             f"dimensions {m}x{l}x{n} not halvable on word boundaries")
@@ -206,17 +198,16 @@ def schedule_winograd(a: core.Mat, b: core.Mat, c: core.Mat, temps: tuple,
 
 
 def _mul_rec(c: core.Mat, a: core.Mat, b: core.Mat, depth: int,
-             params: MulParams, arena: list, leaf: Plan | None) -> None:
+             arena: list, leaf: Plan | None) -> None:
     """c = a @ b over len(arena) levels; every leaf has one shape, whose
     route is `leaf`."""
     counters.strassen_entries += 1
     if depth == len(arena):
-        _base_mul_into(c, a, b, leaf, params, accumulate=False)
+        _base_mul_into(c, a, b, leaf, accumulate=False)
         return
     schedule_winograd(
         a, b, c, arena[depth],
-        lambda cc, aa, bb: _mul_rec(cc, aa, bb, depth + 1, params, arena,
-                                    leaf))
+        lambda cc, aa, bb: _mul_rec(cc, aa, bb, depth + 1, arena, leaf))
 
 
 def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
@@ -239,8 +230,7 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
     m, l, n = a.nrows, a.ncols, b.ncols
     strips = _fixup_strips(m, l, n, m2, l2, n2)
     if _plans is None:
-        if c.nrows != m or c.ncols != n:
-            raise DimensionError(f"target {c.shape} != product {m}x{n}")
+        core.check_product(a, b, c)
         if not (0 <= m2 <= m and 0 <= l2 <= l and 0 <= n2 <= n):
             raise DimensionError(
                 f"peel dims ({m2},{l2},{n2}) exceed ({m},{l},{n})")
@@ -250,7 +240,7 @@ def peel_fixup(c: core.Mat, a: core.Mat, b: core.Mat, m2: int, l2: int,
         _base_mul_into(core.window(c, r0, c0, rows, cols),
                        core.window(a, r0, i0, rows, inner),
                        core.window(b, i0, c0, inner, cols),
-                       plan, params, accumulate)
+                       plan, accumulate)
 
 
 def _fixup_strips(m: int, l: int, n: int, m2: int, l2: int,
@@ -281,9 +271,7 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     leaves or a peeled strip) would exceed the kernel's bound raise
     ParameterError before C is allocated.
     """
-    if a.ncols != b.nrows:
-        raise DimensionError(
-            f"inner dimensions {a.ncols} and {b.nrows} differ")
+    core.check_product(a, b)
     if params is None:
         params = tuning.auto_params()
     m, l, n = a.nrows, a.ncols, b.ncols
@@ -292,7 +280,7 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     if m <= cutoff or l <= cutoff or n <= cutoff \
             or not (ps := peel_split(m, l, n, cutoff)).depth:
         plan = _base_route(m, l, n, params, _kernel.MAX_TABLE_BYTES)
-        return _base_mul_into(None, a, b, plan, params, accumulate=False)
+        return _base_mul_into(None, a, b, plan, accumulate=False)
     strips = _fixup_strips(m, l, n, ps.m, ps.l, ps.n)
     leaf, *plans = _check_tables(
         [(ps.m >> ps.depth, ps.l >> ps.depth, ps.n >> ps.depth),
@@ -302,6 +290,6 @@ def mul_strassen(a: core.Mat, b: core.Mat,
     _mul_rec(core.window(c, 0, 0, ps.m, ps.n),
              core.window(a, 0, 0, ps.m, ps.l),
              core.window(b, 0, 0, ps.l, ps.n),
-             0, params, arena, leaf)
+             0, arena, leaf)
     peel_fixup(c, a, b, ps.m, ps.l, ps.n, params, _plans=plans)
     return c

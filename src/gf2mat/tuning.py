@@ -1,9 +1,9 @@
 """Multiplication parameters (MulParams): the paper's cache formula, and
-the automatic parameters of mul_strassen(a, b).
+the route of every base product of mul_strassen.
 
-The paper's formula (default_params, choose_k without a row count): the
-crossover is sized so two square operands fit in L2 (2 * cutoff^2 / 8
-bytes), the M4RM block size is half of that, and the Gray-table width is
+The paper's formula (default_params, choose_k): the crossover is sized so
+two square operands fit in L2 (2 * cutoff^2 / 8 bytes), the M4RM block
+size is half of that, and the Gray-table width is
 floor(0.75 * log2(b_s)) - 2, dropping by one more only when that makes all
 t tables fit in L1 while the larger tables do not. The subtraction of 2
 compensates for running 8 tables and is kept even for smaller t; pass an
@@ -13,14 +13,18 @@ The automatic parameters (auto_params) come from the config file that
 GF2MAT_CONFIG names, when it is set, and otherwise from a rule fitted to
 the compiled kernel, whose cost is C row updates more than cache misses:
 no Strassen level at or below 8192 (one level lost to flat M4RM at 4096
-and 8192), one row block up to that size, and a Gray width chosen per
-product from its rows and columns (choose_k with a row count), the larger
-of two:
+and 8192) and one row block up to that size.
+
+Every base product below the recursion takes its engine and Gray width
+from base_k, the one place that holds the fitted route: cubic for B
+narrower than a word when A is short against B's rows (CUBIC_ROWS), an
+explicit k, or else a Gray width chosen per product from its rows and
+columns, the larger of two:
 - the t tables span at most a quarter of the rows they serve and stay
-  within half of L2, and k is never below 4. The L2 of that rule is the
-  2 MiB of the host it was fitted on; with 1 MiB the tables of 4133- and
-  8192-column products drop to k = 6, which measured 6-9% slower than
-  k = 7.
+  within half of L2, and k is never below MIN_FITTED_K. The L2 of that
+  rule is the 2 MiB of the host it was fitted on; with 1 MiB the tables
+  of 4133- and 8192-column products drop to k = 6, which measured 6-9%
+  slower than k = 7.
 - the t tables fit in half of L1 and have no more rows than the product
   has, as the paper sizes its tables to L1. At t = 8 it decides only
   below 1024 rows, where the first gives 4: k = 5 from 256 rows for B up
@@ -40,7 +44,7 @@ import os
 from dataclasses import dataclass, replace
 
 from ._kernel import MAX_K, MAX_T
-from .core import padded_cols, words_per_row
+from .core import WORD_BITS, padded_cols, words_per_row
 from .errors import ParameterError
 
 DEFAULT_L1_BYTES = 32 * 1024
@@ -48,6 +52,17 @@ DEFAULT_L2_BYTES = 1 << 20
 FITTED_CUTOFF = 8192  # auto crossover and row block without a config
 FITTED_L2_BYTES = 2 << 20  # L2 of the host the auto rule was fitted on
 MIN_FITTED_K = 4
+# base_k sends a product to cubic when B is narrower than a word and
+# m * n < CUBIC_ROWS * 64 * ceil(l / 64): A is short against B's row
+# length, so M4RM's 2^k - 1 table row additions per stripe serve too few
+# rows of A. Fitted on the compiled kernel (AVX-512, fitted k, t=8,
+# b_s=8192) with a kernel-only sweep, min of 21 rounds of 5 calls per
+# shape, over m in 16..1024, ceil(l / 64) in 1..16 and n in 16..63. In
+# each of three sweeps the total is within 0.3% of the best at 5, 6 and
+# 10, 0.6-0.8% higher at 12, 1.6-1.9% at 2 and 2.4-4.3% at 20; over
+# small-batch's 200 shapes it is within 0.2% for 3..6 and 2.8-3.3% higher
+# at 20 (BENCH_19.json).
+CUBIC_ROWS = 5
 CONFIG_ENV = "GF2MAT_CONFIG"
 
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
@@ -96,46 +111,23 @@ class MulParams:
     def __hash__(self) -> int:
         return self._hash
 
-    def effective_k(self, ncols: int, t: int | None = None,
-                    nrows: int | None = None) -> int:
-        """Gray-table width of a product whose B has ncols columns (and A
-        nrows rows): k, or for k == 0 the choose_k rule at this block
-        size and these caches with t tables (default self.t)."""
+    def effective_k(self, ncols: int, t: int | None = None) -> int:
+        """Gray-table width of a product whose B has ncols columns: k, or
+        for k == 0 the paper's choose_k rule at this block size and L1
+        with t tables (default self.t)."""
         if self.k:
             return self.k
         return choose_k(max(self.b_s, 2), self.l1_bytes,
-                        self.t if t is None else t, ncols, nrows,
-                        self.l2_bytes)
+                        self.t if t is None else t, ncols)
 
 
 def choose_k(b_s: int, l1_bytes: int, t: int = 8,
-             ncols: int | None = None, nrows: int | None = None,
-             l2_bytes: int = DEFAULT_L2_BYTES) -> int:
-    """Gray-table width for a given block size and cache capacities.
-
-    Without nrows, the paper's rule from b_s and L1. With nrows (and
-    ncols), the rule fitted to the compiled kernel, the larger k of two:
-    - the largest k with t * 2^k <= min(nrows, b_s) / 4 (the t tables
-      span at most a quarter of the rows they serve) and
-      t * 2^k * row_bytes <= l2_bytes / 2, but never below 4;
-    - the largest k whose t tables, rows padded as core.padded_cols pads
-      them, fit in half of l1_bytes and have no more rows than the
-      product has: t * 2^k <= min(nrows, b_s).
-    Not memoized: mul_strassen's products ask through
-    strassen._base_route, whose memo holds the answer.
-    """
+             ncols: int | None = None) -> int:
+    """The paper's Gray-table width for row blocks of b_s rows:
+    floor(0.75 * log2(b_s)) - 2 within 1..MAX_K, one less when only the
+    narrower t tables of ncols columns fit in l1_bytes."""
     if b_s < 2:
         raise ParameterError(f"block size {b_s} < 2")
-    if nrows is not None:
-        rows = min(nrows, b_s)
-        row_bytes = max(words_per_row(ncols), 1) * 8
-        by_rows = (rows // (4 * t)).bit_length() - 1
-        by_l2 = (l2_bytes // (2 * t * row_bytes)).bit_length() - 1
-        stride_bytes = max(words_per_row(padded_cols(ncols)), 1) * 8
-        in_l1 = min((rows // t).bit_length() - 1,
-                    (l1_bytes // (2 * t * stride_bytes)).bit_length() - 1)
-        return max(MIN_FITTED_K, min(by_rows, by_l2, MAX_K),
-                   min(in_l1, MAX_K))
     k0 = int(math.floor(0.75 * math.log2(b_s))) - 2
     k0 = max(1, min(MAX_K, k0))
     if ncols is not None and k0 > 1:
@@ -149,6 +141,48 @@ def choose_k(b_s: int, l1_bytes: int, t: int = 8,
     return k0
 
 
+def base_k(m: int, l: int, n: int, params: MulParams) -> int:
+    """The route of an m x l x n base product under params: 0 for cubic,
+    when B is narrower than a word and m * n < CUBIC_ROWS * 64 *
+    ceil(l / 64), whatever params.k is; else the M4RM Gray width, params.k
+    when set and otherwise the fitted rule (_fitted_k). Not memoized:
+    mul_strassen's products ask through strassen._base_route, whose memo
+    holds the whole plan."""
+    if n < WORD_BITS and m * n < CUBIC_ROWS * WORD_BITS * -(-l // WORD_BITS):
+        return 0
+    return params.k or _fitted_k(m, n, params)
+
+
+def _fitted_k(m: int, n: int, params: MulParams) -> int:
+    """The fitted Gray width of a product with m rows and n columns, the
+    larger k of two, with t = params.t:
+    - the largest k with t * 2^k <= min(m, b_s) / 4 (the t tables span at
+      most a quarter of the rows they serve) and
+      t * 2^k * row_bytes <= l2_bytes / 2, but never below MIN_FITTED_K;
+    - the largest k whose t tables, rows padded as core.padded_cols pads
+      them, fit in half of l1_bytes and have no more rows than the
+      product has: t * 2^k <= min(m, b_s)."""
+    t = params.t
+    rows = min(m, max(params.b_s, 2))
+    row_bytes = max(words_per_row(n), 1) * 8
+    by_rows = (rows // (4 * t)).bit_length() - 1
+    by_l2 = (params.l2_bytes // (2 * t * row_bytes)).bit_length() - 1
+    stride_bytes = max(words_per_row(padded_cols(n)), 1) * 8
+    in_l1 = min((rows // t).bit_length() - 1,
+                (params.l1_bytes // (2 * t * stride_bytes)).bit_length() - 1)
+    return max(MIN_FITTED_K, min(by_rows, by_l2, MAX_K), min(in_l1, MAX_K))
+
+
+def _l2_cutoff(l2_bytes: int) -> int:
+    """The largest multiple of 64 whose two square operands fit in L2."""
+    # isqrt rejects negatives; any L2 <= 0 is simply too small below
+    cutoff = math.isqrt(4 * max(l2_bytes, 0))
+    cutoff -= cutoff % 64
+    if cutoff < 64:
+        raise ParameterError(f"L2 of {l2_bytes} bytes is too small to tune")
+    return cutoff
+
+
 def default_params(l1_bytes: int = DEFAULT_L1_BYTES,
                    l2_bytes: int = DEFAULT_L2_BYTES) -> MulParams:
     """MulParams for the given cache sizes.
@@ -157,13 +191,7 @@ def default_params(l1_bytes: int = DEFAULT_L1_BYTES,
     L2; b_s and t keep the MulParams defaults; k follows effective_k with
     table rows sized at the crossover width.
     """
-    # isqrt rejects negatives; any L2 <= 0 is simply too small below
-    cutoff = math.isqrt(4 * max(l2_bytes, 0))
-    cutoff -= cutoff % 64
-    if cutoff < 64:
-        raise ParameterError(f"L2 of {l2_bytes} bytes is too small to tune")
-    params = MulParams(cutoff=cutoff, l1_bytes=l1_bytes, l2_bytes=l2_bytes)
-    return replace(params, k=params.effective_k(cutoff))
+    return resolve_params(l1_bytes=l1_bytes, l2_bytes=l2_bytes)
 
 
 def parse_config(text: str) -> dict[str, int]:
@@ -213,7 +241,7 @@ def env_config() -> dict[str, int] | None:
 
 
 # The fitted rule: cutoff and row block FITTED_CUTOFF, k chosen per
-# product against the fitting host's L2, FITTED_L2_BYTES.
+# product by base_k against the fitting host's L2, FITTED_L2_BYTES.
 _FITTED = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
                     l2_bytes=FITTED_L2_BYTES)
 
@@ -234,8 +262,8 @@ def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,
                    k: int | None = None, t: int | None = None,
                    config: dict[str, int] | None = None) -> MulParams:
     """Explicit values over config-file values; whatever neither gives
-    comes from default_params (the cutoff) and MulParams, and an unset k
-    from effective_k at the cutoff width."""
+    comes from the paper's formula: the cutoff from L2, the rest from
+    MulParams, and an unset k from effective_k at the cutoff width."""
     explicit = {"l1_bytes": l1_bytes, "l2_bytes": l2_bytes,
                 "cutoff": cutoff, "bs": bs, "k": k, "t": t}
     cfg = config or {}
@@ -245,9 +273,7 @@ def resolve_params(l1_bytes: int | None = None, l2_bytes: int | None = None,
         if value is not None:
             given["b_s" if key == "bs" else key] = value
     if "cutoff" not in given:
-        caches = {name: given[name] for name in ("l1_bytes", "l2_bytes")
-                  if name in given}
-        given["cutoff"] = default_params(**caches).cutoff
+        given["cutoff"] = _l2_cutoff(given.get("l2_bytes", DEFAULT_L2_BYTES))
     params = MulParams(**given)
     if "k" not in given:
         params = replace(params, k=params.effective_k(params.cutoff))

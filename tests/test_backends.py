@@ -126,7 +126,7 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     before = core.to_dense(c.parent)
     params = MulParams(cutoff=64, k=5)
     plan = _base_route(40, 100, n, params, _kernel.MAX_TABLE_BYTES)
-    _base_mul_into(c, a, b, plan, params, accumulate)
+    _base_mul_into(c, a, b, plan, accumulate)
     if not accumulate:
         before[2:42, 64:64 + n] = 0
     expect_added(c, before, ref.naive_product(a, b))

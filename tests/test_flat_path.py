@@ -124,9 +124,9 @@ def test_config_set_between_products_changes_the_route(tmp_path,
     routes = []
     real = strassen._mul_into
 
-    def spy(c, a, b, plan, b_s, t):
-        routes.append((plan.k, b_s, t))
-        real(c, a, b, plan, b_s, t)
+    def spy(c, a, b, plan):
+        routes.append((plan.k, plan.b_s, plan.t))
+        real(c, a, b, plan)
 
     monkeypatch.setattr(strassen, "_mul_into", spy)
     products = [mul_strassen(a, b)]
@@ -138,8 +138,8 @@ def test_config_set_between_products_changes_the_route(tmp_path,
     products.append(mul_strassen(a, b))
     fitted = tuning.auto_params()
     assert routes == [
-        (fitted.effective_k(200, nrows=70), fitted.b_s, fitted.t),
+        (tuning.base_k(70, 300, 200, fitted), fitted.b_s, fitted.t),
         (3, 512, 2),
-        (fitted.effective_k(200, nrows=70), fitted.b_s, fitted.t)]
+        (tuning.base_k(70, 300, 200, fitted), fitted.b_s, fitted.t)]
     for got in products:
         assert ref.first_mismatch(got, expected) is None

@@ -13,7 +13,6 @@ from gf2mat.cubic import mul_cubic
 from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.m4rm import _table_layout, mul_m4rm
 from gf2mat.strassen import (
-    _CUBIC_ROWS,
     MulParams,
     _base_route,
     _temp_arena,
@@ -22,6 +21,7 @@ from gf2mat.strassen import (
     peel_split,
     schedule_winograd,
 )
+from gf2mat.tuning import CUBIC_ROWS, base_k
 
 
 class TestMulParams:
@@ -134,6 +134,21 @@ class TestScheduleWinograd:
         assert np.array_equal(core.to_dense(a), da)
         assert np.array_equal(core.to_dense(b), db)
 
+    @pytest.mark.parametrize("brows", [512, 128])
+    def test_other_inner_dimension_rejected_before_writing(self, brows):
+        a = core.random(128, 256, seed=23)
+        b = core.random(brows, 256, seed=24)
+        c = core.random(128, 256, seed=25)
+        temps = self._temps(64, 128, 128)
+        before = [m.words.copy() for m in (c, *temps)]
+        calls = []
+        with pytest.raises(DimensionError,
+                           match=f"inner dimensions 256 and {brows} differ"):
+            schedule_winograd(a, b, c, temps, lambda *args: calls.append(1))
+        assert not calls
+        for m, words in zip((c, *temps), before):
+            assert np.array_equal(m.words, words)
+
 
 class TestPeelFixup:
     def test_noop_when_conforming(self):
@@ -200,6 +215,19 @@ class TestPeelFixup:
             assert counters.table_adds > adds
         assert ref.first_mismatch(c, ref.naive_product(a, b)) is None
 
+    @pytest.mark.parametrize("brows", [200, 100])
+    def test_other_inner_dimension_rejected_before_writing(self, brows):
+        a = core.random(130, 130, seed=26)
+        b = core.random(brows, 130, seed=27)
+        c = core.random(130, 130, seed=28)
+        before = c.words.copy()
+        for params in (None, MulParams(cutoff=64)):
+            with pytest.raises(
+                    DimensionError,
+                    match=f"inner dimensions 130 and {brows} differ"):
+                peel_fixup(c, a, b, 64, 64, 64, params)
+            assert np.array_equal(c.words, before)
+
     def test_inconsistent_primes_rejected(self):
         a = core.random(10, 10, seed=20)
         with pytest.raises(DimensionError):
@@ -260,8 +288,8 @@ class TestMulStrassen:
     def test_route_follows_shape(self, m, l, n):
         # Only the product's shape picks the engine: cubic, which builds
         # no Gray tables, exactly when B is narrower than a word and
-        # m * n < _CUBIC_ROWS * 64 * ceil(l / 64).
-        cubic = n < 64 and m * n < _CUBIC_ROWS * 64 * core.words_per_row(l)
+        # m * n < CUBIC_ROWS * 64 * ceil(l / 64).
+        cubic = n < 64 and m * n < CUBIC_ROWS * 64 * core.words_per_row(l)
         a = core.random(m, l, seed=m)
         b = core.random(l, n, seed=n)
         adds = counters.table_adds
@@ -313,15 +341,15 @@ class TestBaseRoute:
     def test_memo_equals_the_rule(self, params):
         """The memoized route, computed and then recalled, is the rule:
         cubic (None) where B is narrower than a word and m * n <
-        _CUBIC_ROWS * 64 * ceil(l / 64), else the M4RM plan _table_layout
+        CUBIC_ROWS * 64 * ceil(l / 64), else the M4RM plan _table_layout
         makes at the Gray width params give for m rows and n columns."""
         budget = _kernel.MAX_TABLE_BYTES
         for m in ROUTE_DIMS:
             for l in ROUTE_DIMS:
                 for n in ROUTE_DIMS:
-                    cubic = n < 64 and m * n < _CUBIC_ROWS * 64 * -(-l // 64)
+                    cubic = n < 64 and m * n < CUBIC_ROWS * 64 * -(-l // 64)
                     rule = None if cubic else _table_layout(
-                        m, l, n, params.effective_k(n, nrows=m), params.b_s,
+                        m, l, n, base_k(m, l, n, params), params.b_s,
                         params.t)
                     for _ in range(2):
                         assert _base_route(m, l, n, params, budget) \

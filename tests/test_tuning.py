@@ -19,7 +19,9 @@ from gf2mat.tuning import (
     FITTED_CUTOFF,
     FITTED_L2_BYTES,
     MulParams,
+    _fitted_k,
     auto_params,
+    base_k,
     choose_k,
     default_params,
     parse_config,
@@ -135,6 +137,19 @@ class TestResolveParams:
         with pytest.raises(ParameterError):
             resolve_params(config={"cutoff": 256, "l1_bytes": 0})
 
+    @pytest.mark.parametrize("caches, message", [
+        ({"l2_bytes": 512}, "L2 of 512 bytes is too small to tune"),
+        ({"l2_bytes": -1}, "L2 of -1 bytes is too small to tune"),
+        ({"l1_bytes": -1},
+         "cache sizes must be positive, got L1=-1 L2=1048576"),
+        ({"l1_bytes": 0, "l2_bytes": 0}, "L2 of 0 bytes is too small"),
+    ])
+    def test_cache_errors_are_the_same_on_both_entries(self, caches,
+                                                       message):
+        for entry in (default_params, resolve_params):
+            with pytest.raises(ParameterError, match=message):
+                entry(**caches)
+
     def test_k_uses_resolved_t(self):
         # with one table, 2^5 rows of 256 bytes fit 32 KiB L1, so k stays 5
         p1 = resolve_params(cutoff=2048, t=1)
@@ -161,11 +176,11 @@ FITTED = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF,
 
 
 class TestFittedGrayWidth:
-    """choose_k with a row count: the rule of the automatic parameters."""
+    """base_k's fitted Gray width: the rule of the automatic parameters."""
 
     @staticmethod
     def auto_k(m, n, t=8):
-        return FITTED.effective_k(n, t, nrows=m)
+        return _fitted_k(m, n, dataclasses.replace(FITTED, t=t))
 
     def test_measured_shapes(self):
         assert self.auto_k(2048, 2048) == 6
@@ -175,9 +190,9 @@ class TestFittedGrayWidth:
 
     def test_half_the_l2_lowers_wide_rows(self):
         p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF)  # 1 MiB L2
-        assert p.effective_k(4096, nrows=4096) == 7
-        assert p.effective_k(4133, nrows=4133) == 6
-        assert p.effective_k(8192, nrows=8192) == 6
+        assert _fitted_k(4096, 4096, p) == 7
+        assert _fitted_k(4133, 4133, p) == 6
+        assert _fitted_k(8192, 8192, p) == 6
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 1023), st.integers(1, 1 << 20),
@@ -192,7 +207,7 @@ class TestFittedGrayWidth:
         row_bytes = 8 * core.words_per_row(core.padded_cols(n))
         fits = [k for k in range(1, 17)
                 if 8 * (1 << k) <= m and 8 * (1 << k) * row_bytes <= l1 // 2]
-        assert p.effective_k(n, nrows=m) == max([4, *fits])
+        assert _fitted_k(m, n, p) == max([4, *fits])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 1 << 16), st.integers(1, 1 << 16),
@@ -214,7 +229,7 @@ class TestFittedGrayWidth:
                      * 8 <= l1 // 2 and (1 << k) * t <= rows)
             return in_l2 or in_l1
 
-        k = p.effective_k(n, nrows=m)
+        k = _fitted_k(m, n, p)
         assert 4 <= k <= 16
         if k > 4:
             assert allowed(k)
@@ -230,7 +245,7 @@ class TestFittedGrayWidth:
         term (the quarter of the rows within half of L2, at least 4)."""
         p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t,
                       l1_bytes=l1, l2_bytes=FITTED_L2_BYTES)
-        plan = _table_layout(m, l, n, p.effective_k(n, nrows=m), p.b_s, t)
+        plan = _table_layout(m, l, n, _fitted_k(m, n, p), p.b_s, t)
         in_l2 = [k for k in range(1, 17) if (1 << k) * 4 * t <= m
                  and t * (1 << k) * core.words_per_row(n) * 8
                  <= FITTED_L2_BYTES // 2]
@@ -241,7 +256,7 @@ class TestFittedGrayWidth:
     @given(st.integers(64, 1 << 16), st.integers(1, 8))
     def test_non_decreasing_in_rows(self, n, t):
         p = MulParams(cutoff=FITTED_CUTOFF, b_s=FITTED_CUTOFF, t=t)
-        ks = [p.effective_k(n, nrows=m) for m in range(1, 20000, 37)]
+        ks = [_fitted_k(m, n, p) for m in range(1, 20000, 37)]
         assert ks == sorted(ks)
 
     def test_without_rows_is_the_paper_rule(self):
@@ -254,8 +269,8 @@ class TestFittedGrayWidth:
                             _paper_k(b_s, l1, t, ncols), (b_s, l1, t, ncols)
 
     def test_explicit_k_wins(self):
-        assert MulParams(cutoff=8192, b_s=8192, k=3).effective_k(
-            4096, nrows=4096) == 3
+        assert base_k(4096, 4096, 4096,
+                      MulParams(cutoff=8192, b_s=8192, k=3)) == 3
 
 
 def _config(tmp_path, monkeypatch, text, name="gf2mat.conf"):
@@ -283,9 +298,9 @@ class TestAutoParams:
         monkeypatch.delenv(CONFIG_ENV, raising=False)
         calls = []
 
-        def record(c, a, b, plan, b_s, t):
-            calls.append((plan.k, b_s, t))
-            real(c, a, b, plan, b_s, t)
+        def record(c, a, b, plan):
+            calls.append((plan.k, plan.b_s, plan.t))
+            real(c, a, b, plan)
 
         real = strassen._mul_into
         monkeypatch.setattr(strassen, "_mul_into", record)

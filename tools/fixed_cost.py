@@ -56,7 +56,7 @@ def measure(m: int, l: int, n: int, repeat: int, number: int) -> dict:
                 kernel.cubic(c, a, b, l, n)
         else:
             def bare():
-                kernel.m4rm(c, a, b, l, n, plan.k, params.b_s, params.t,
+                kernel.m4rm(c, a, b, l, n, plan.k, plan.b_s, plan.t,
                             plan.table_stride)
         fns["extension"] = bare
     out = {"extension": None, "python": None,
