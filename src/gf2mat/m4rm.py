@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernel, core
 # Bound here under the name through which perfbench's tracer times the
 # Python engine's index reads (m4rm.index_read_s).

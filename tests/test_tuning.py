@@ -160,7 +160,7 @@ class TestResolveParams:
 
 def _paper_k(b_s, l1_bytes, t, ncols):
     """The paper's Gray-width rule as first written, kept here to pin
-    choose_k without a row count."""
+    choose_k."""
     k0 = max(1, min(16, int(math.floor(0.75 * math.log2(b_s))) - 2))
     if k0 > 1:
         row_bytes = -(-ncols // 64) * 8
