@@ -458,7 +458,8 @@ INLINE word entries(const uint8_t *p, int64_t col_stride, int n,
 
 /* out = the entries of rows x cols bytes whose rows start d_stride bytes
  * apart and whose bytes are col_stride apart (negative or zero included),
- * bits past cols zero. */
+ * bits past cols zero: with `nonzero` (bool input) whether each byte is
+ * nonzero, else (uint8 input) its low bit. */
 INLINE void pack_rows(word *out, int64_t out_stride, const uint8_t *d,
                       int64_t d_stride, int64_t col_stride, int64_t rows,
                       int64_t cols, int nonzero)
@@ -474,23 +475,6 @@ INLINE void pack_rows(word *out, int64_t out_stride, const uint8_t *d,
             o[w] = entries(p + w * 64 * col_stride, col_stride,
                            (int)(cols % 64), nonzero);
     }
-}
-
-/* pack_rows, with bool input (`nonzero`) read by whether each byte is
- * nonzero and uint8 input by its bytes' low bits; rows of consecutive
- * bytes take copies compiled for that stride, whose whole words unroll
- * into eight entries8. */
-static void pack(word *out, int64_t out_stride, const uint8_t *d,
-                 int64_t d_stride, int64_t col_stride, int64_t rows,
-                 int64_t cols, int nonzero)
-{
-    if (col_stride != 1)
-        pack_rows(out, out_stride, d, d_stride, col_stride, rows, cols,
-                  nonzero);
-    else if (nonzero)
-        pack_rows(out, out_stride, d, d_stride, 1, rows, cols, 1);
-    else
-        pack_rows(out, out_stride, d, d_stride, 1, rows, cols, 0);
 }
 
 /* The module: one METH_FASTCALL entry per engine and the packer. The
@@ -768,8 +752,8 @@ static PyObject *py_pack(PyObject *self, PyObject *const *args,
     int64_t col_stride = PyArray_STRIDE(dense, 1);
     int nonzero = PyArray_TYPE(dense) == NPY_BOOL;
     Py_BEGIN_ALLOW_THREADS
-    pack(out.p, out.stride, d, d_stride, cols <= 1 ? 1 : col_stride, rows,
-         cols, nonzero);
+    pack_rows(out.p, out.stride, d, d_stride, cols <= 1 ? 1 : col_stride,
+              rows, cols, nonzero);
     Py_END_ALLOW_THREADS
     Py_DECREF(out.words);
     Py_RETURN_NONE;

@@ -2,10 +2,12 @@
 
 With B stored transposed, entry C[i,j] is the parity of the AND of row i
 of A with row j of B^T, accumulated word-wise with XOR. The per-word
-parity step has no native instruction, so 64 accumulator words are
-transposed as a 64x64 bit matrix and folded, yielding 64 parities at once;
-narrow leftovers fall back to per-word popcount parity. As in M4RM, the
-product is XORed into its target, which may be a window.
+parity step has no native instruction, so each block of 64 accumulator
+words is folded in six halving rounds with the masks of the 64x64 bit
+transpose, yielding 64 parities in one word, as `_kernel.c`'s parity64
+does; narrow leftovers take per-word popcount parity, as the kernel's
+__builtin_parityll. As in M4RM, the product is XORed into its target,
+which may be a window.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from . import _kernel, core
 from .counters import counters
 from .errors import DimensionError
 
+# The shift of each of the six rounds of the 64x64 bit transpose, and its
+# low-half mask: `_kernel.c`'s lo[].
 _TRANSPOSE_ROUNDS = (
     (32, np.uint64(0x00000000FFFFFFFF)),
     (16, np.uint64(0x0000FFFF0000FFFF)),
@@ -30,25 +34,20 @@ _TRANSPOSE_ROUNDS = (
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
-def _transpose64_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Transpose each 64-word block as a 64x64 bit matrix (in place)."""
-    cols = np.arange(64)
-    for sh, mask in _TRANSPOSE_ROUNDS:
-        lo = np.nonzero((cols & sh) == 0)[0]
-        hi = lo + sh
-        shift = np.uint64(sh)
-        a = blocks[:, lo]
-        b = blocks[:, hi]
-        t = (a ^ (b >> shift)) & mask
-        blocks[:, lo] = a ^ t
-        blocks[:, hi] = b ^ (t << shift)
-    return blocks
-
-
 def _parity64_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Per-block packed parities: bit 63-i of the result is parity(block[i])."""
-    t = _transpose64_blocks(blocks.copy())
-    return np.bitwise_xor.reduce(t, axis=1)
+    """Per-block packed parities: bit 63-i of the result is parity(block[i]).
+
+    The fold of `_kernel.c`'s parity64, on every block at once: each round
+    pairs word i with word i + sh and folds every group of the pair to half
+    its width, the first word's groups kept in the high halves and the
+    second's in the low halves. After six rounds one word per block
+    remains. The input is not changed."""
+    v = blocks
+    for sh, lo in _TRANSPOSE_ROUNDS:
+        x, y = v[:, :sh], v[:, sh:]
+        shift = np.uint64(sh)
+        v = ((x ^ (x << shift)) & ~lo) | ((y ^ (y >> shift)) & lo)
+    return v[:, 0]
 
 
 def _popcount_parity(words: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Exception classes shared across the library."""
+"""Exception classes shared across the library, and the integer check of
+its parameters."""
+
+import operator
 
 
 class GF2MatError(ValueError):
@@ -19,3 +22,14 @@ class ParameterError(GF2MatError):
 
 class FormatError(GF2MatError):
     """A matrix file is malformed; the message names the byte offset."""
+
+
+def integer(value, name: str) -> int:
+    """value as an int, when it is an integer (has __index__, as numpy's
+    integers do); a float, a string or None raises ParameterError naming
+    the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, not {value!r}") from None

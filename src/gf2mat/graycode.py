@@ -7,6 +7,10 @@ entry; tabulating each combination independently would cost on the order
 of (k/2) * 2^k additions instead. The finished table is indexed directly
 by the integer read from a k-bit stripe, so the Gray order matters only
 during construction.
+
+The code is the reflected binary code in closed form, as `_kernel.c`'s
+gray_table walks it: step j writes slot j ^ (j >> 1), and the bit it
+flips is ctz(j). make_table walks it the same way on every Python kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from . import _kernel, core
 from ._kernel import MAX_K
 from .counters import counters
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, integer
 
 
 @dataclass(frozen=True)
@@ -36,34 +40,19 @@ class GrayCode:
 
 
 def build_gray(k: int) -> GrayCode:
-    """Reflect-and-prefix construction of the k-bit Gray code."""
+    """The k-bit reflected Gray code: code[j] = j ^ (j >> 1), and step j
+    flips bit ctz(j)."""
+    k = integer(k, "gray code width")
     if not 1 <= k <= MAX_K:
         raise ParameterError(f"gray code width {k} outside 1..{MAX_K}")
-    code = [0, 1]
-    for bit in range(1, k):
-        code += [c | (1 << bit) for c in reversed(code)]
-    changed = [0] * (1 << k)
-    for j in range(1, 1 << k):
-        changed[j] = (code[j] ^ code[j - 1]).bit_length() - 1
-    return GrayCode(k, tuple(code), tuple(changed))
+    return GrayCode(k, tuple(j ^ (j >> 1) for j in range(1 << k)),
+                    (0, *((j & -j).bit_length() - 1
+                          for j in range(1, 1 << k))))
 
 
-@functools.cache
-def gray_code(k: int) -> GrayCode:
-    """Cached accessor; codes are immutable and shared."""
-    return build_gray(k)
-
-
-@functools.cache
-def _table_steps(k: int) -> tuple[tuple[int, int], ...]:
-    """Gray walk as (destination slot, source row) pairs, cached per k.
-
-    Step j writes slot code[j]; the flipped bit changed_bit[j] names the
-    source row under the big-endian index convention (bit k-1 = row 0).
-    """
-    g = gray_code(k)
-    return tuple((g.code[j], k - 1 - g.changed_bit[j])
-                 for j in range(1, 1 << k))
+# Codes are immutable and shared. Typed, so a float width is never served
+# the code of its integer value: it reaches build_gray and raises.
+gray_code = functools.lru_cache(maxsize=None, typed=True)(build_gray)
 
 
 class CombinationTable:
@@ -78,6 +67,7 @@ class CombinationTable:
     """
 
     def __init__(self, k: int, ncols: int):
+        k = integer(k, "table width")
         if not 1 <= k <= MAX_K:
             raise ParameterError(f"table width {k} outside 1..{MAX_K}")
         self.capacity = k
@@ -103,9 +93,13 @@ def make_table(b: core.Mat, start_row: int, k: int,
                table: CombinationTable) -> None:
     """Fill `table` with all combinations of rows [start_row, start_row+k).
 
-    Performs exactly 2^k - 1 row additions: each Gray step XORs one source
-    row into the previously written slot.
+    Performs exactly 2^k - 1 row additions, as `_kernel.c`'s gray_table:
+    step j XORs source row k-1-ctz(j) into the previously written slot and
+    writes slot j ^ (j >> 1). A window source may carry live bits beyond
+    its right edge; the table's last word is masked once after the walk,
+    so its rows stay clean.
     """
+    k = integer(k, "table fill width")
     if not 1 <= k <= table.capacity:
         raise ParameterError(
             f"table fill width {k} outside 1..{table.capacity}")
@@ -120,21 +114,15 @@ def make_table(b: core.Mat, start_row: int, k: int,
     counters.row_adds += (1 << k) - 1
     if table.ncols == 0:
         return
-    # Table rows must stay clean; window sources may carry live bits
-    # beyond their right edge, so those rows are copied and masked.
-    # Owned matrices have clean tails by invariant.
-    if isinstance(b, core.BitMatrix):
-        src = b.words[start_row:start_row + k]
-    else:
-        src = b.words[start_row:start_row + k].copy()
-        src[:, -1] &= core.tail_mask(b.ncols)
     # One xor per Gray step, on 1-D row views: the walk makes one kernel
     # call per step, and a row view is the cheapest operand to hand it.
     xor = _kernel.active().xor
     rows = list(table.rows)
-    src_rows = list(src)
+    src = list(b.words[start_row:start_row + k])
     prev = rows[0]
     prev[:] = 0
-    for slot, row in _table_steps(k):
-        xor(prev, src_rows[row], rows[slot])
-        prev = rows[slot]
+    for j in range(1, 1 << k):
+        dst = rows[j ^ (j >> 1)]
+        xor(prev, src[k - (j & -j).bit_length()], dst)
+        prev = dst
+    table.rows[:, -1] &= core.tail_mask(b.ncols)

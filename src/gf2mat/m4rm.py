@@ -26,7 +26,7 @@ kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import _kernel, core
@@ -34,7 +34,7 @@ from . import _kernel, core
 # Python engine's index reads (m4rm.index_read_s).
 from .core import _read_bits_rows
 from .counters import counters
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .graycode import MAX_K, CombinationTable, make_table
 from .tuning import MAX_T
 
@@ -48,6 +48,9 @@ class StripeSpec:
     b_s: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               integer(getattr(self, f.name), f.name))
         if not 1 <= self.k <= MAX_K:
             raise ParameterError(f"k={self.k} outside 1..{MAX_K}")
         if not 1 <= self.t <= MAX_T:
@@ -163,9 +166,9 @@ def _m4rm_entry(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,
     returns c. Every public M4RM product comes here, and every check is
     made here, before anything is allocated or written."""
     core.check_product(a, b, c)
-    StripeSpec(k, t, b_s)
+    spec = StripeSpec(k, t, b_s)
     m, l, n = a.nrows, a.ncols, b.ncols
-    plan = _fit_budget(_table_layout(m, l, n, k, b_s, t),
+    plan = _fit_budget(_table_layout(m, l, n, spec.k, spec.b_s, spec.t),
                        _kernel.MAX_TABLE_BYTES)
     if c is None:
         c = core.create(m, n)

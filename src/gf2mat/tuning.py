@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ._kernel import MAX_K, MAX_T
 from .core import WORD_BITS, padded_cols, words_per_row
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_L2_BYTES = 1 << 20
@@ -89,6 +89,10 @@ class MulParams:
     l2_bytes: int = DEFAULT_L2_BYTES
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "b_s" or value is not None:  # None: cutoff / 2
+                object.__setattr__(self, f.name, integer(value, f.name))
         if self.b_s is None:
             object.__setattr__(self, "b_s", max(self.cutoff // 2, 1))
         if self.cutoff < 64:
@@ -175,6 +179,7 @@ def _fitted_k(m: int, n: int, params: MulParams) -> int:
 
 def _l2_cutoff(l2_bytes: int) -> int:
     """The largest multiple of 64 whose two square operands fit in L2."""
+    l2_bytes = integer(l2_bytes, "l2_bytes")
     # isqrt rejects negatives; any L2 <= 0 is simply too small below
     cutoff = math.isqrt(4 * max(l2_bytes, 0))
     cutoff -= cutoff % 64

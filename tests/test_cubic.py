@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import from_rows, random_triple
 from gf2mat import _kernel, core, cubic
@@ -40,6 +42,20 @@ class TestParity:
         with _kernel.using("numpy"):
             got = mul_cubic(a, b)
         assert ref.first_mismatch(got, ref.naive_product(a, b)) is None
+
+    @given(st.integers(1, 16).flatmap(lambda nb: st.lists(
+        st.sampled_from([0, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1),
+        min_size=64 * nb, max_size=64 * nb)))
+    def test_parity64_blocks_match_popcounts(self, words):
+        blocks = np.array(words, dtype=np.uint64).reshape(-1, 64)
+        kept = blocks.copy()
+        packed = cubic._parity64_blocks(blocks)
+        assert np.array_equal(blocks, kept)
+        assert packed.shape == (len(blocks),)
+        for i, block in enumerate(blocks.tolist()):
+            expected = sum((w.bit_count() & 1) << (63 - j)
+                           for j, w in enumerate(block))
+            assert int(packed[i]) == expected, i
 
     def test_parity64_wrong_length(self):
         with pytest.raises(DimensionError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import from_rows
-from gf2mat import core
+from gf2mat import _kernel, core
 from gf2mat.counters import counters
 from gf2mat.errors import DimensionError, ParameterError
 from gf2mat.graycode import CombinationTable, build_gray, gray_code, make_table
@@ -54,6 +54,29 @@ class TestBuildGray:
 
     def test_cache_returns_shared_object(self):
         assert gray_code(5) is gray_code(5)
+
+
+@pytest.mark.parametrize("bad", [4.5, 32.0, "4"])
+def test_non_integer_widths_raise_before_allocating(bad):
+    gray_code(4)  # a cached width-4 code must not serve 4.0
+    b = core.random(6, 10, seed=13)
+    table = CombinationTable(8, 10)
+    before = counters.words_allocated
+    for make in (build_gray, gray_code, lambda k: CombinationTable(k, 10),
+                 lambda k: make_table(b, 0, k, table)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make(bad)
+    assert counters.words_allocated == before
+
+
+def test_numpy_integer_widths_accepted():
+    assert build_gray(np.int64(4)) == build_gray(4)
+    b = core.random(6, 10, seed=14)
+    t1, t2 = CombinationTable(np.int64(4), 10), CombinationTable(4, 10)
+    assert t1.capacity == 4
+    make_table(b, np.int64(1), np.int64(4), t1)
+    make_table(b, 1, 4, t2)
+    assert core.equal(t1.matrix, t2.matrix)
 
 
 class TestMakeTable:
@@ -146,6 +169,24 @@ class TestMakeTable:
         dense = core.to_dense(t.matrix)
         for x in range(16):
             assert np.array_equal(dense[x], combination_oracle(win, 1, 4, x))
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_window_source_on_python_kernels(self, k, width, backend):
+        # The parent holds random bits on both sides of the window, so the
+        # window's last word carries live bits beyond its right edge
+        # unless the width is a whole number of words.
+        parent = core.random(k + 2, 64 + width + 70, seed=8 + k + width)
+        win = core.window(parent, 0, 64, k + 2, width)
+        t = CombinationTable(k, width)
+        with _kernel.using(backend):
+            make_table(win, 1, k, t)
+        assert core.trailing_bits_clean(t.matrix)
+        assert not t.matrix.parent.words[:, t.matrix.width:].any()
+        dense = core.to_dense(t.matrix)
+        for x in range(1 << k):
+            assert np.array_equal(dense[x], combination_oracle(win, 1, k, x))
 
     def test_range_and_width_errors(self):
         b = core.random(4, 50, seed=9)

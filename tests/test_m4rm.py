@@ -33,6 +33,41 @@ class TestStripeSpec:
         with pytest.raises(ParameterError):
             StripeSpec(k=4, t=1, b_s=0)
 
+    @pytest.mark.parametrize("bad", [4.5, 32.0, "4"])
+    @pytest.mark.parametrize("field", ["k", "t", "b_s"])
+    def test_non_integer_raises_before_allocating(self, field, bad):
+        a = core.random(70, 130, seed=90)
+        b = core.random(130, 90, seed=91)
+        c = core.random(70, 90, seed=92)
+        kept = core.copy_out(c)
+        args = {"k": 4, "t": 2, "b_s": 32, field: bad}
+        k, t, b_s = args["k"], args["t"], args["b_s"]
+        calls = [lambda: StripeSpec(**args),
+                 lambda: mul_m4rm_multitable(a, b, k, t, b_s),
+                 lambda: mul_m4rm_into(c, a, b, k, b_s, t)]
+        if field != "t":
+            calls.append(lambda: mul_m4rm_blocked(a, b, k, b_s))
+        if field == "k":
+            calls.append(lambda: mul_m4rm(a, b, k))
+        before = counters.words_allocated
+        for call in calls:
+            with pytest.raises(ParameterError,
+                               match=f"{field} must be an integer"):
+                call()
+        assert counters.words_allocated == before
+        assert core.equal(c, kept)
+
+    def test_numpy_integers_accepted(self):
+        s = StripeSpec(np.int64(4), np.uint8(2), np.int32(32))
+        assert (s.k, s.t, s.b_s) == (4, 2, 32)
+        assert all(type(v) is int for v in (s.k, s.t, s.b_s))
+        a = core.random(70, 130, seed=93)
+        b = core.random(130, 90, seed=94)
+        assert core.equal(
+            mul_m4rm_multitable(a, b, np.int64(4), np.int64(2),
+                                np.int64(32)),
+            mul_m4rm_multitable(a, b, 4, 2, 32))
+
 
 class TestReadBitsRows:
     def test_matches_scalar_read_bits(self):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,49 @@ class TestDefaultParams:
             default_params(l2_bytes=512)
         with pytest.raises(ParameterError):
             default_params(l2_bytes=-1)
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("bad", [4.5, 32.0, "4"])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(MulParams)])
+    def test_mul_params_field(self, field, bad):
+        before = counters.words_allocated
+        with pytest.raises(ParameterError,
+                           match=f"{field} must be an integer"):
+            MulParams(**{field: bad})
+        assert counters.words_allocated == before
+
+    @pytest.mark.parametrize("bad", [4.5, 32.0, "4"])
+    @pytest.mark.parametrize("field", ["l1_bytes", "l2_bytes"])
+    @pytest.mark.parametrize("entry", [default_params, resolve_params])
+    def test_cache_size(self, entry, field, bad):
+        before = counters.words_allocated
+        with pytest.raises(ParameterError,
+                           match=f"{field} must be an integer"):
+            entry(**{field: bad})
+        assert counters.words_allocated == before
+
+    def test_fractional_block_size_raises_before_allocating(self):
+        a = core.random(70, 130, seed=95)
+        b = core.random(130, 90, seed=96)
+        before = counters.words_allocated
+        with pytest.raises(ParameterError, match="b_s must be an integer"):
+            mul_strassen(a, b, MulParams(cutoff=128, b_s=7.5))
+        assert counters.words_allocated == before
+
+    def test_numpy_integers_accepted(self):
+        ints = {"cutoff": 128, "b_s": 32, "k": 3, "t": 2,
+                "l1_bytes": 1 << 15, "l2_bytes": 1 << 20}
+        p = MulParams(**{f: np.int64(v) for f, v in ints.items()})
+        assert p == MulParams(**ints) and hash(p) == hash(MulParams(**ints))
+        assert all(type(getattr(p, f)) is int for f in ints)
+        assert default_params(np.int32(1 << 15), np.int64(1 << 20)) \
+            == default_params(1 << 15, 1 << 20)
+        a = core.random(70, 130, seed=97)
+        b = core.random(130, 90, seed=98)
+        assert _reference.first_mismatch(
+            mul_strassen(a, b, p), _reference.naive_product(a, b)) is None
 
 
 class TestChooseK:
