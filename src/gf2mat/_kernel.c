@@ -1,17 +1,19 @@
-/* Compiled kernels of gf2mat: the whole M4RM engine and cubic.
+/* Compiled kernels of gf2mat: the whole M4RM engine, directly and on the
+ * transpose, cubic, and the packed 64x64 block transpose.
  *
  * Matrices are bit-packed row-major words: column c of a row lives in word
  * c / 64 at bit 63 - c % 64. Every matrix argument is the address of its
  * first word plus a row stride in words, so windows of a larger parent are
  * passed without a copy. Bits beyond a matrix's last column may be live
  * (window parents); the kernels neither read them as entries nor change
- * them in C. Each product's scratch (the M4RM tables, cubic's B
- * transposed) is the extension's own: taken from the interpreter's raw
- * allocator, which tracemalloc traces, before the interpreter lock is
- * released, started on a 64-byte cache line, never zeroed, and freed when
- * the engine returns. M4RM table rows are the caller's row stride apart:
- * rows of 8 words or more are padded to whole cache lines, so each table
- * row starts on one, and narrower rows to a power of two words.
+ * them in C. Each product's scratch (the M4RM tables, and on the
+ * transpose C^T and the windows of A and B; cubic's B transposed) is the
+ * extension's own: taken from the interpreter's raw allocator, which
+ * tracemalloc traces, before the interpreter lock is released, started
+ * on a 64-byte cache line, not zeroed, and freed when the engine returns.
+ * M4RM table rows are the caller's row stride apart: rows of 8 words or
+ * more are padded to whole cache lines, so each table row starts on one,
+ * and narrower rows to a power of two words.
  *
  * The index step: M4RM reads one 64-bit window of a row of a per group of
  * t stripes and slices the t table indices out of it, in vector registers
@@ -34,9 +36,9 @@
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's and numpy's headers and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture
- * (and is rebuilt for another numpy). On x86-64 the M4RM engine is also
- * compiled for AVX2 and AVX-512; the module's init function picks the
- * widest copy the CPU supports, once. That function
+ * (and is rebuilt for another numpy). On x86-64 both M4RM engines and the
+ * transpose are also compiled for AVX2 and AVX-512; the module's init
+ * function picks the widest copies the CPU supports, once. That function
  * is the only exported symbol. The module's entries, at the end of this
  * file, take the operand matrices and integer arguments, check their
  * parameters and that the operands cover the product, and release the
@@ -58,6 +60,8 @@ typedef uint64_t word;
 #define MAX_TABLES 8
 /* read_bits reads at most 16 entries: the widest Gray table. */
 #define MAX_K 16
+/* Words of a's rows (64 columns each) m4rm_t transposes at a time. */
+#define WINDOW 4
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GF2MAT_DISPATCH
@@ -129,18 +133,23 @@ INLINE int64_t read_bits(const word *row, int64_t sc, int k)
  * source row 0. Walks the reflected Gray code: step j writes slot
  * j ^ (j >> 1) as the previous slot plus source row k-1-ctz(j), so the
  * table costs 2^k - 1 row additions. Source rows are masked with `tail`
- * so table rows stay clean. */
+ * so table rows stay clean, unless `clean` says they are: then each row
+ * is added whole. */
 INLINE void gray_table(int vw, word *restrict table, int64_t t_stride,
                        const word *src, int64_t src_stride, int k,
-                       int64_t width, word tail)
+                       int64_t width, word tail, int clean)
 {
     memset(table, 0, (size_t)width * sizeof(word));
     const word *prev = table;
     for (int64_t j = 1; j < ((int64_t)1 << k); j++) {
         word *dst = table + (j ^ (j >> 1)) * t_stride;
         const word *s = src + (k - 1 - __builtin_ctzll((word)j)) * src_stride;
-        CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
-        dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
+        if (clean) {
+            CHUNKED(vw, width, EACH AT(dst) = AT(prev) ^ AT(s););
+        } else {
+            CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
+            dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
+        }
         prev = dst;
     }
 }
@@ -246,7 +255,7 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                 kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
                 gray_table(vw, tables + ng * table_words, t_stride,
                            b + sc[ng] * b_stride, b_stride, kw[ng], width,
-                           tail);
+                           tail, 0);
             }
             if (sc[ng - 1] + kw[ng - 1] - g0 > 64) {
                 for (int64_t r = r0; r < r1; r++) {
@@ -290,25 +299,342 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
 #define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, \
     t, tables, t_stride
 
-/* One copy of the engine per instruction set. */
-static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }
-#ifdef GF2MAT_DISPATCH
-__attribute__((target("avx2")))
-static void m4rm_avx2(M4RM_PARAMS) { m4rm(4, M4RM_ARGS); }
-__attribute__((target("avx512f")))
-static void m4rm_avx512f(M4RM_PARAMS) { m4rm(8, M4RM_ARGS); }
-#endif
-
-/* The copy of the engine products run on: the widest this CPU supports,
- * chosen once by PyInit_gf2mat_kernel. */
-static void (*engine)(M4RM_PARAMS) = m4rm_default;
-
 /* Low-half masks of the 64x64 bit transpose's six rounds, for swaps of
  * 32, 16, 8, 4, 2 and 1 bits. */
 static const word lo[6] = {
     0x00000000FFFFFFFFull, 0x0000FFFF0000FFFFull, 0x00FF00FF00FF00FFull,
     0x0F0F0F0F0F0F0F0Full, 0x3333333333333333ull, 0x5555555555555555ull,
 };
+
+/* The lanes of x then y, picked by the constant indices that follow. */
+#ifdef __clang__
+#define SHUFFLE(x, y, ...) __builtin_shufflevector(x, y, __VA_ARGS__)
+#else
+#define SHUFFLE(x, y, ...) \
+    __builtin_shuffle(x, y, (__typeof__(x)){__VA_ARGS__})
+#endif
+
+/* One round of the transpose on registers r[i] and r[i + d], whose lanes
+ * are rows sh apart: the swap of the off-diagonal sh x sh blocks. */
+#define SWAP_ROWS(r, i, d, sh, round)                                     \
+    {                                                                     \
+        V x = (r[i] ^ (r[(i) + (d)] >> (sh))) & lo[round];                \
+        r[i] ^= x;                                                        \
+        r[(i) + (d)] ^= x << (sh);                                        \
+    }
+
+/* The transpose's rounds on the 64 / VW registers r of VW words each (the
+ * 64 rows in order), every loop unrolled. A round of sh >= VW pairs whole
+ * registers, d = sh / VW apart. A round of sh < VW pairs the lanes of one
+ * register: lane i's partner, lane i ^ sh, comes from the permute, and
+ * each lane keeps its own half of every 2sh-bit group (the high one in
+ * the pair's first row, the low one in its second) and takes the other
+ * half from its partner, shifted. */
+#define WHOLE_ROUND(VW, sh, round)                                        \
+    _Pragma("GCC unroll 32")                                              \
+    for (int j = 0; j < 64 / (VW); j++)                                   \
+        if (!(j & (sh) / (VW)))                                           \
+            SWAP_ROWS(r, j, (sh) / (VW), sh, round)
+#define LANE_ROUND(VW, sh, round, ...)                                    \
+    {                                                                     \
+        V keep;                                                           \
+        _Pragma("GCC unroll 8")                                           \
+        for (int i = 0; i < (VW); i++)                                    \
+            keep[i] = i & (sh) ? lo[round] : ~lo[round];                  \
+        _Pragma("GCC unroll 32")                                          \
+        for (int j = 0; j < 64 / (VW); j++) {                             \
+            V p = SHUFFLE(r[j], r[j], __VA_ARGS__);                       \
+            V rot = ((p >> (sh)) & lo[round]) | ((p << (sh)) & ~lo[round]); \
+            r[j] = (r[j] & keep) | (rot & ~keep);                         \
+        }                                                                 \
+    }
+
+/* Transpose v (64 words, 64-byte aligned) as a 64x64 bit matrix in place:
+ * each round swaps the off-diagonal blocks of every 2sh x 2sh diagonal
+ * block, in registers of vw words. */
+INLINE void transpose64(int vw, word *v)
+{
+    if (vw == 8) {
+        typedef v8 V;
+        V r[8];
+        memcpy(r, v, sizeof r);
+        WHOLE_ROUND(8, 32, 0)
+        WHOLE_ROUND(8, 16, 1)
+        WHOLE_ROUND(8, 8, 2)
+        LANE_ROUND(8, 4, 3, 4, 5, 6, 7, 0, 1, 2, 3)
+        LANE_ROUND(8, 2, 4, 2, 3, 0, 1, 6, 7, 4, 5)
+        LANE_ROUND(8, 1, 5, 1, 0, 3, 2, 5, 4, 7, 6)
+        memcpy(v, r, sizeof r);
+    } else if (vw == 4) {
+        typedef v4 V;
+        V r[16];
+        memcpy(r, v, sizeof r);
+        WHOLE_ROUND(4, 32, 0)
+        WHOLE_ROUND(4, 16, 1)
+        WHOLE_ROUND(4, 8, 2)
+        WHOLE_ROUND(4, 4, 3)
+        LANE_ROUND(4, 2, 4, 2, 3, 0, 1)
+        LANE_ROUND(4, 1, 5, 1, 0, 3, 2)
+        memcpy(v, r, sizeof r);
+    } else {
+        typedef v2 V;
+        V r[32];
+        memcpy(r, v, sizeof r);
+        WHOLE_ROUND(2, 32, 0)
+        WHOLE_ROUND(2, 16, 1)
+        WHOLE_ROUND(2, 8, 2)
+        WHOLE_ROUND(2, 4, 3)
+        WHOLE_ROUND(2, 2, 4)
+        LANE_ROUND(2, 1, 5, 1, 0)
+        memcpy(v, r, sizeof r);
+    }
+}
+
+/* Lanes i and i + s of X swap their off-diagonal blocks of s lanes:
+ * after the stages of s = 1, 2, 4 (< VW), lane b of X[i] is lane i of
+ * the X[b] before them. */
+#define SWAP_LANES(VW, s, LO, HI)                                         \
+    for (int i = 0; i < (VW); i++)                                        \
+        if (!(i & (s))) {                                                 \
+            V x0 = X[i], x1 = X[i + (s)];                                 \
+            X[i] = SHUFFLE(x0, x1, UNPAREN LO);                           \
+            X[i + (s)] = SHUFFLE(x0, x1, UNPAREN HI);                     \
+        }
+#define UNPAREN(...) __VA_ARGS__
+
+/* out = in transposed, or out ^= it when `add`, for a whole tile of 64 *
+ * VW rows of VW words of in, with in registers of VW words (V) holding
+ * one row's words. Each of its VW row blocks is 64 registers r, on which
+ * the six rounds pair whole registers: every lane is the same round of
+ * its own 64x64 block. The rounds commute (each swaps one bit of the row
+ * index with the same bit of the column index), so the 4-, 2- and
+ * 1-rounds run on each 8 consecutive rows, then the 32-, 16- and 8-rounds
+ * on each 8 rows congruent mod 8, 8 registers at work at a time. Lane b
+ * of row i of block k is then word k of out's row 64 b + i: the VW
+ * blocks' rows i become VW rows of out by swapping lanes between
+ * registers, and each is stored whole. */
+#define TILE(VW, STAGES)                                                  \
+    {                                                                     \
+        V R[VW][64];                                                      \
+        for (int k = 0; k < (VW); k++) {                                  \
+            V *r = R[k];                                                  \
+            for (int i = 0; i < 64; i++)                                  \
+                r[i] = *(const V *)(in + (64 * k + i) * in_stride);       \
+            _Pragma("GCC unroll 8")                                       \
+            for (int g = 0; g < 64; g += 8)                               \
+                _Pragma("GCC unroll 3")                                   \
+                for (int round = 3, sh = 4; round < 6; round++, sh >>= 1) \
+                    _Pragma("GCC unroll 8")                               \
+                    for (int i = g; i < g + 8; i++)                       \
+                        if (!(i & sh))                                    \
+                            SWAP_ROWS(r, i, sh, sh, round)                \
+            _Pragma("GCC unroll 8")                                       \
+            for (int g = 0; g < 8; g++)                                   \
+                _Pragma("GCC unroll 3")                                   \
+                for (int round = 0, sh = 32; round < 3; round++, sh >>= 1) \
+                    _Pragma("GCC unroll 8")                               \
+                    for (int i = g; i < 64; i += 8)                       \
+                        if (!(i & sh))                                    \
+                            SWAP_ROWS(r, i, sh, sh, round)                \
+        }                                                                 \
+        for (int i = 0; i < 64; i++) {                                    \
+            V X[VW];                                                      \
+            for (int k = 0; k < (VW); k++)                                \
+                X[k] = R[k][i];                                           \
+            STAGES                                                        \
+            for (int b = 0; b < (VW); b++) {                              \
+                V *o = (V *)(out + (64 * b + i) * out_stride);            \
+                if (add)                                                  \
+                    X[b] ^= *o;                                           \
+                *o = X[b];                                                \
+            }                                                             \
+        }                                                                 \
+    }
+
+INLINE void transpose_tile(int vw, word *out, int64_t out_stride,
+                           const word *in, int64_t in_stride, int add)
+{
+    if (vw == 8) {
+        typedef v8 V;
+        TILE(8, SWAP_LANES(8, 1, (0, 8, 2, 10, 4, 12, 6, 14),
+                           (1, 9, 3, 11, 5, 13, 7, 15))
+                SWAP_LANES(8, 2, (0, 1, 8, 9, 4, 5, 12, 13),
+                           (2, 3, 10, 11, 6, 7, 14, 15))
+                SWAP_LANES(8, 4, (0, 1, 2, 3, 8, 9, 10, 11),
+                           (4, 5, 6, 7, 12, 13, 14, 15)))
+    } else if (vw == 4) {
+        typedef v4 V;
+        TILE(4, SWAP_LANES(4, 1, (0, 4, 2, 6), (1, 5, 3, 7))
+                SWAP_LANES(4, 2, (0, 1, 4, 5), (2, 3, 6, 7)))
+    } else {
+        typedef v2 V;
+        TILE(2, SWAP_LANES(2, 1, (0, 2), (1, 3)))
+    }
+}
+
+/* out = in transposed, or out ^= it when `add`: in holds rows x cols
+ * entries, row i at in + i * in_stride; out gets cols rows, out_stride
+ * words apart, of ceil(rows / 64) words. Rows past `rows` read as zero,
+ * so out's bits beyond column `rows` are clear, or kept when added;
+ * entries past column cols land in rows past cols, which are dropped.
+ * Whole tiles of 64 * vw rows and columns go through transpose_tile; the
+ * rest one 64x64 block at a time (64 words gathered, transposed in
+ * registers by transpose64, stored). */
+INLINE void transpose(int vw, word *out, int64_t out_stride, const word *in,
+                      int64_t in_stride, int64_t rows, int64_t cols, int add)
+{
+    word v[64] __attribute__((aligned(64)));
+    int64_t span = 64 * vw;
+    for (int64_t t0 = 0; t0 < cols; t0 += span)
+        for (int64_t s0 = 0; s0 < rows; s0 += span) {
+            if (s0 + span <= rows && t0 + span <= cols) {
+                transpose_tile(vw, out + t0 * out_stride + (s0 >> 6),
+                               out_stride, in + s0 * in_stride + (t0 >> 6),
+                               in_stride, add);
+                continue;
+            }
+            for (int64_t j0 = t0; j0 < cols && j0 < t0 + span; j0 += 64)
+                for (int64_t i0 = s0; i0 < rows && i0 < s0 + span;
+                     i0 += 64) {
+                    int nr = rows - i0 < 64 ? (int)(rows - i0) : 64;
+                    int nc = cols - j0 < 64 ? (int)(cols - j0) : 64;
+                    const word *p = in + i0 * in_stride + (j0 >> 6);
+                    for (int r = 0; r < nr; r++)
+                        v[r] = p[r * in_stride];
+                    for (int r = nr; r < 64; r++)
+                        v[r] = 0;
+                    transpose64(vw, v);
+                    word *o = out + j0 * out_stride + (i0 >> 6);
+                    for (int r = 0; r < nc; r++)
+                        o[r * out_stride] = add ? o[r * out_stride] ^ v[r]
+                                                : v[r];
+                }
+        }
+}
+
+/* c += a @ b by M4RM on the transpose, c^T += b^T @ a^T, for products
+ * whose n is far below m: the engine steps through n rows of c^T, each
+ * ceil(m/64) words wide, where m4rm steps through m rows of ceil(n/64).
+ *
+ * Groups of t stripes of k columns of a, as in m4rm, with t * k <= 64.
+ * a's columns are the tables' source rows and b's rows the index windows,
+ * both transposed WINDOW words (WINDOW * 64 columns) at a time: `at`
+ * holds a's columns [ws, ws + 64 * WINDOW) as rows of t_stride words
+ * and `bw` b's rows [ws, ...) as WINDOW words per column of b, and a
+ * group that ends past the window moves it to the word of the group's
+ * first column. So each row of c^T reads its group's indices from one or
+ * two words of bw, as m4rm reads them from a row of a, each line of a is
+ * read once per window, and the scratch is bounded by c^T (`ct`, n rows
+ * of t_stride words, zeroed first), the windows and the tables: no
+ * transpose of all of a is made. Each group builds its tables once per
+ * row block of b_s rows of c^T, as m4rm does per row block of c. c^T is
+ * added to c, transposed, at the end, so c's bits beyond column n are
+ * kept. */
+INLINE void m4rm_t(int vw, word *c, int64_t c_stride, const word *a,
+                   int64_t a_stride, const word *b, int64_t b_stride,
+                   int64_t m, int64_t l, int64_t n, int k, int64_t b_s,
+                   int t, word *tables, int64_t t_stride)
+{
+    int64_t wm = (m + 63) / 64, wl = (l + 63) / 64;
+    int64_t ww = wl < WINDOW ? wl : WINDOW;
+    int64_t table_words = t_stride << k;
+    int64_t stripes = (l + k - 1) / k;
+    word *ct = tables + (t < stripes ? t : stripes) * table_words;
+    word *at = ct + n * t_stride, *bw = at + 64 * ww * t_stride;
+    word row_bytes = (word)t_stride * sizeof(word);
+    int row_shift = (t_stride & (t_stride - 1)) == 0
+                    ? __builtin_ctzll(row_bytes) : -1;
+    int64_t sc[MAX_TABLES], ws = -64 * ww;
+    int kw[MAX_TABLES];
+
+    /* c^T's rows, the tables' and at's are t_stride words wide, padding
+     * included: the padding of at is zero, so the tables' and c^T's stay
+     * zero, and every row is whole chunks of CHUNKED when t_stride is a
+     * power of two or a multiple of 8. */
+    memset(ct, 0, (size_t)(n * t_stride) * sizeof(word));
+    for (int64_t r = 0; r < 64 * ww && t_stride > wm; r++)
+        memset(at + r * t_stride + wm, 0,
+               (size_t)(t_stride - wm) * sizeof(word));
+    for (int64_t g0 = 0; g0 < l; g0 += (int64_t)t * k) {
+        int ng = 0;
+        for (; ng < t && g0 + (int64_t)ng * k < l; ng++) {
+            sc[ng] = g0 + (int64_t)ng * k;
+            kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
+        }
+        if (sc[ng - 1] + kw[ng - 1] > ws + 64 * ww) {
+            ws = g0 & ~(int64_t)63;
+            int64_t cols = l - ws < 64 * ww ? l - ws : 64 * ww;
+            transpose(vw, at, t_stride, a + (ws >> 6), a_stride, m, cols,
+                      0);
+            transpose(vw, bw, ww, b + ws * b_stride, b_stride, cols, n, 0);
+        }
+        lanes shift = {0}, mask = {0}, base = {0};
+        for (int g = 0; g < ng; g++) {
+            shift[g] = (word)(64 - (sc[g] - g0) - kw[g]);
+            mask[g] = ((word)1 << kw[g]) - 1;
+            base[g] = (word)(uintptr_t)(tables + g * table_words);
+        }
+        int64_t wi = (g0 - ws) >> 6;
+        int bit = (int)(g0 & 63);
+        int two = bit > 0 && ws + 64 * (wi + 1) < l && wi + 1 < ww;
+        for (int64_t r0 = 0; r0 < n; r0 += b_s) {
+            int64_t r1 = r0 + b_s < n ? r0 + b_s : n;
+            for (int g = 0; g < ng; g++)
+                gray_table(vw, tables + g * table_words, t_stride,
+                           at + (sc[g] - ws) * t_stride, t_stride, kw[g],
+                           t_stride, 0, 1);
+            if (row_shift >= 0)
+                window_rows(vw, 1, ct + r0 * t_stride, t_stride,
+                            bw + r0 * ww, ww, r1 - r0, wi, bit, two, &shift,
+                            &mask, &base, row_shift, ng, t_stride);
+            else
+                window_rows(vw, 0, ct + r0 * t_stride, t_stride,
+                            bw + r0 * ww, ww, r1 - r0, wi, bit, two, &shift,
+                            &mask, &base, row_bytes, ng, t_stride);
+        }
+    }
+    transpose(vw, c, c_stride, ct, t_stride, n, m, 1);
+}
+
+#define TRANSPOSE_PARAMS                                                  \
+    word *out, int64_t out_stride, const word *in, int64_t in_stride,     \
+    int64_t rows, int64_t cols
+#define TRANSPOSE_ARGS out, out_stride, in, in_stride, rows, cols, 0
+
+/* One copy of each engine per instruction set: M4RM, M4RM on the
+ * transpose, and the packed transpose (aligned, not added). */
+static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }
+static void m4rm_t_default(M4RM_PARAMS) { m4rm_t(2, M4RM_ARGS); }
+static void transpose_default(TRANSPOSE_PARAMS)
+{
+    transpose(2, TRANSPOSE_ARGS);
+}
+#ifdef GF2MAT_DISPATCH
+__attribute__((target("avx2")))
+static void m4rm_avx2(M4RM_PARAMS) { m4rm(4, M4RM_ARGS); }
+__attribute__((target("avx2")))
+static void m4rm_t_avx2(M4RM_PARAMS) { m4rm_t(4, M4RM_ARGS); }
+__attribute__((target("avx2")))
+static void transpose_avx2(TRANSPOSE_PARAMS)
+{
+    transpose(4, TRANSPOSE_ARGS);
+}
+__attribute__((target("avx512f")))
+static void m4rm_avx512f(M4RM_PARAMS) { m4rm(8, M4RM_ARGS); }
+__attribute__((target("avx512f")))
+static void m4rm_t_avx512f(M4RM_PARAMS) { m4rm_t(8, M4RM_ARGS); }
+__attribute__((target("avx512f")))
+static void transpose_avx512f(TRANSPOSE_PARAMS)
+{
+    transpose(8, TRANSPOSE_ARGS);
+}
+#endif
+
+/* The copies products run on: the widest this CPU supports, chosen once
+ * by PyInit_gf2mat_kernel. */
+static void (*engine)(M4RM_PARAMS) = m4rm_default;
+static void (*engine_t)(M4RM_PARAMS) = m4rm_t_default;
+static void (*transposer)(TRANSPOSE_PARAMS) = transpose_default;
 
 /* Parities of 64 words packed into one, parity(s[i]) at bit 63 - i.
  *
@@ -333,40 +659,6 @@ static word parity64(const word *s)
     return v[0];
 }
 
-/* Transpose v as a 64x64 bit matrix in place: each round swaps the
- * off-diagonal blocks of every 2sh x 2sh diagonal block. */
-static void transpose64(word *v)
-{
-    for (int round = 0, sh = 32; sh; round++, sh >>= 1)
-        for (int i0 = 0; i0 < 64; i0 += 2 * sh)
-            for (int i = i0; i < i0 + sh; i++) {
-                word x = (v[i] ^ (v[i + sh] >> sh)) & lo[round];
-                v[i] ^= x;
-                v[i + sh] ^= x << sh;
-            }
-}
-
-/* bt = b transposed: b is l x n, bt is n rows of wl = ceil(l/64) words
- * (stride wl). Rows past l read as zero, so bt's bits beyond column l are
- * clear; b's bits beyond column n land in rows past n, which are dropped. */
-static void transpose(word *bt, const word *b, int64_t b_stride, int64_t l,
-                      int64_t n)
-{
-    int64_t wl = (l + 63) / 64;
-    word v[64];
-    for (int64_t i0 = 0; i0 < l; i0 += 64) {
-        int rows = l - i0 < 64 ? (int)(l - i0) : 64;
-        for (int64_t j0 = 0; j0 < n; j0 += 64) {
-            int cols = n - j0 < 64 ? (int)(n - j0) : 64;
-            for (int r = 0; r < 64; r++)
-                v[r] = r < rows ? b[(i0 + r) * b_stride + (j0 >> 6)] : 0;
-            transpose64(v);
-            for (int r = 0; r < cols; r++)
-                bt[(j0 + r) * wl + (i0 >> 6)] = v[r];
-        }
-    }
-}
-
 /* c += a @ b by AND, XOR-accumulate and parity over b transposed.
  *
  * a is m x l, b is l x n, c is m x n and may be a window: each output word
@@ -388,7 +680,7 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
 {
     int64_t wl = (l + 63) / 64;
     word sums[64];
-    transpose(bt, b, b_stride, l, n);
+    transposer(bt, wl, b, b_stride, l, n);
     for (int64_t i = 0; i < m; i++) {
         const word *arow = a + i * a_stride;
         word *crow = c + i * c_stride;
@@ -477,8 +769,9 @@ INLINE void pack_rows(word *out, int64_t out_stride, const uint8_t *d,
     }
 }
 
-/* The module: one METH_FASTCALL entry per engine and the packer. The
- * engines' first three arguments are the operands c, a and b: objects
+/* The module: one METH_FASTCALL entry per engine, the transpose and the
+ * packer. The engines' first three arguments are the operands c, a and b:
+ * objects
  * (gf2mat's matrices and windows) whose `words` attribute is a 2-D numpy
  * array of 64-bit words, one row per matrix row, with unit word stride.
  * The entry reads each one's first word, rows, words per row and row
@@ -489,8 +782,9 @@ INLINE void pack_rows(word *out, int64_t out_stride, const uint8_t *d,
  * checks its arguments before anything is allocated or written, since
  * the engines would otherwise divide by zero or read and write out of
  * bounds: M4RM parameters outside 1 <= k <= min(l, 16), 1 <= t <= 8 and
- * b_s >= 1 raise gf2mat's ParameterError; operands that do not cover the
- * product, or M4RM table rows closer than a row of b, its
+ * b_s >= 1, or on the transpose t * k > 64, raise gf2mat's
+ * ParameterError; operands that do not cover the product, or M4RM table
+ * rows closer than a row of b (on the transpose, a row of c^T), its
  * DimensionError. The public entries have checked the same parameters
  * (StripeSpec, MulParams, the table budget) and call the engines only for
  * non-empty products; an empty M4RM product returns here. */
@@ -590,15 +884,16 @@ static int64_t words_of(int64_t n)
 
 /* 0 if l, n >= 0 and c, a and b cover an m x l x n product (m: c's
  * rows) and, when `tables` is set, table rows t_stride words apart hold
- * a row of b; else -1 with gf2mat.errors.DimensionError set. */
-static int cover(operand *op, int64_t l, int64_t n, int tables,
+ * a row of `tables` columns; else -1 with gf2mat.errors.DimensionError
+ * set. */
+static int cover(operand *op, int64_t l, int64_t n, int64_t tables,
                  int64_t t_stride)
 {
     operand *c = &op[0], *a = &op[1], *b = &op[2];
     int64_t m = c->rows, wl = words_of(l), wn = words_of(n);
     if (l >= 0 && n >= 0 && c->width >= wn && a->rows >= m
         && a->width >= wl && b->rows >= l && b->width >= wn
-        && (!tables || t_stride >= wn))
+        && (!tables || t_stride >= words_of(tables)))
         return 0;
     char apart[48] = "";
     if (tables)
@@ -613,17 +908,19 @@ static int cover(operand *op, int64_t l, int64_t n, int tables,
                 (long long)n);
 }
 
-/* Scratch of rows x width words from the raw domain, starting on a
- * 64-byte line; *block gets what PyMem_RawFree takes back. Not zeroed:
+/* Scratch of rows x width + extra words from the raw domain, starting on
+ * a 64-byte line; *block gets what PyMem_RawFree takes back. Not zeroed:
  * each engine writes every scratch word it reads. NULL with MemoryError
  * set when the size overflows or the allocation fails. Called with the
  * interpreter lock held. */
-static word *scratch(word rows, word width, void **block)
+static word *scratch(word rows, word width, word extra, void **block)
 {
-    if (width && rows > ((word)PY_SSIZE_T_MAX - 63) / sizeof(word) / width)
+    word words, limit = ((word)PY_SSIZE_T_MAX - 63) / sizeof(word);
+    if (__builtin_mul_overflow(rows, width, &words)
+        || __builtin_add_overflow(words, extra, &words) || words > limit)
         *block = NULL;
     else
-        *block = PyMem_RawMalloc(rows * width * sizeof(word) + 63);
+        *block = PyMem_RawMalloc(words * sizeof(word) + 63);
     if (*block == NULL) {
         PyErr_NoMemory();
         return NULL;
@@ -631,20 +928,22 @@ static word *scratch(word rows, word width, void **block)
     return (word *)(((uintptr_t)*block + 63) & ~(uintptr_t)63);
 }
 
-/* m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM, with
- * tables for min(t, ceil(l / k)) stripes of 2^k rows, t_stride words
- * apart. */
-static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
-                         Py_ssize_t nargs)
+/* The M4RM entries, m4rm and m4rm_t (c, a, b, l, n, k, b_s, t,
+ * t_stride): c += a @ b by `run`, with tables for min(t, ceil(l / k))
+ * stripes of 2^k rows, t_stride words apart, of n columns (m4rm) or of m
+ * (m4rm_t, which also takes c^T, its window of a and b and t * k <= 64:
+ * see m4rm_t). */
+static PyObject *m4rm_entry(const char *name, int transposed,
+                            void (*run)(M4RM_PARAMS), PyObject *const *args,
+                            Py_ssize_t nargs)
 {
     operand op[3];
     word w[6];
     void *block;
-    (void)self;
-    if (parse("m4rm", args, nargs, 9, op, w) < 0)
+    if (parse(name, args, nargs, 9, op, w) < 0)
         return NULL;
     int64_t l = (int64_t)w[0], n = (int64_t)w[1], b_s = (int64_t)w[3];
-    int64_t t_stride = (int64_t)w[5];
+    int64_t t_stride = (int64_t)w[5], m = op[0].rows;
     word k = w[2], t = w[4];
     word *tables = NULL;
     int ok = 0;
@@ -654,19 +953,28 @@ static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
     else if (t < 1 || t > MAX_TABLES)
         fail("ParameterError", "t=%lld outside 1..%d", (long long)t,
              MAX_TABLES);
+    else if (transposed && t * k > 64)
+        fail("ParameterError", "t*k=%lld over 64", (long long)(t * k));
     else if (b_s < 1)
         fail("ParameterError", "block size %lld < 1", (long long)b_s);
-    else if (cover(op, l, n, 1, t_stride) == 0) {
-        word stripes = (w[0] + k - 1) / k;
-        ok = op[0].rows == 0 || n == 0
-             || (tables = scratch((t < stripes ? t : stripes) << k, w[5],
-                                  &block)) != NULL;
+    else if (cover(op, l, n, transposed ? m : n, t_stride) == 0) {
+        word stripes = (w[0] + k - 1) / k, rows = (t < stripes ? t : stripes)
+                                                   << k, extra = 0;
+        /* m4rm_t's c^T and a's window, in rows as wide as the tables'
+         * (t_stride words), and b's window follow the tables. */
+        if (transposed) {
+            word ww = (word)words_of(l) < WINDOW ? (word)words_of(l)
+                                                 : WINDOW;
+            rows += (word)n + 64 * ww;
+            extra = (word)n * ww;
+        }
+        ok = m == 0 || n == 0
+             || (tables = scratch(rows, w[5], extra, &block)) != NULL;
     }
     if (tables != NULL) {
         Py_BEGIN_ALLOW_THREADS
-        engine(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
-               op[2].stride, op[0].rows, l, n, (int)k, b_s, (int)t, tables,
-               t_stride);
+        run(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
+            op[2].stride, m, l, n, (int)k, b_s, (int)t, tables, t_stride);
         Py_END_ALLOW_THREADS
         PyMem_RawFree(block);
     }
@@ -674,6 +982,20 @@ static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
+}
+
+static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    (void)self;
+    return m4rm_entry("m4rm", 0, engine, args, nargs);
+}
+
+static PyObject *py_m4rm_t(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    (void)self;
+    return m4rm_entry("m4rm_t", 1, engine_t, args, nargs);
 }
 
 /* cubic(c, a, b, l, n): c += a @ b by cubic, with B transposed in n rows
@@ -690,7 +1012,7 @@ static PyObject *py_cubic(PyObject *self, PyObject *const *args,
     int64_t l = (int64_t)w[0], n = (int64_t)w[1];
     word *bt = NULL;
     if (cover(op, l, n, 0, 0) == 0
-        && (bt = scratch(w[1], (word)words_of(l), &block)) != NULL) {
+        && (bt = scratch(w[1], (word)words_of(l), 0, &block)) != NULL) {
         Py_BEGIN_ALLOW_THREADS
         gf2mat_cubic(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
                      op[2].stride, op[0].rows, l, n, bt);
@@ -699,6 +1021,49 @@ static PyObject *py_cubic(PyObject *self, PyObject *const *args,
     }
     release(op);
     if (bt == NULL)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* transpose(out, a, m, n): out's words = the m x n entries of a
+ * transposed, n rows of ceil(m / 64) words whose bits beyond column m are
+ * clear; a's bits beyond column n are not read as entries. Operands that
+ * do not hold these words raise gf2mat's DimensionError before anything
+ * is written. */
+static PyObject *py_transpose(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    operand op[2];
+    (void)self;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "transpose takes 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    int64_t m = PyLong_AsLongLong(args[2]), n = PyLong_AsLongLong(args[3]);
+    if (PyErr_Occurred() || get_operand(args[0], 1, &op[0]) < 0)
+        return NULL;
+    if (get_operand(args[1], 0, &op[1]) < 0) {
+        Py_DECREF(op[0].words);
+        return NULL;
+    }
+    int ok = m >= 0 && n >= 0 && op[1].rows >= m
+             && op[1].width >= words_of(n) && op[0].rows >= n
+             && op[0].width >= words_of(m);
+    if (!ok)
+        fail("DimensionError", "transpose operands (out %lldx%lld, a "
+             "%lldx%lld words) do not hold a %lldx%lld transpose",
+             (long long)op[0].rows, (long long)op[0].width,
+             (long long)op[1].rows, (long long)op[1].width, (long long)m,
+             (long long)n);
+    else if (m && n) {
+        Py_BEGIN_ALLOW_THREADS
+        transposer(op[0].p, op[0].stride, op[1].p, op[1].stride, m, n);
+        Py_END_ALLOW_THREADS
+    }
+    Py_DECREF(op[0].words);
+    Py_DECREF(op[1].words);
+    if (!ok)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -762,8 +1127,14 @@ static PyObject *py_pack(PyObject *self, PyObject *const *args,
 static PyMethodDef methods[] = {
     {"m4rm", (PyCFunction)(void (*)(void))py_m4rm, METH_FASTCALL,
      "m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM."},
+    {"m4rm_t", (PyCFunction)(void (*)(void))py_m4rm_t, METH_FASTCALL,
+     "m4rm_t(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b by M4RM on "
+     "the transpose."},
     {"cubic", (PyCFunction)(void (*)(void))py_cubic, METH_FASTCALL,
      "cubic(c, a, b, l, n): c += a @ b by cubic."},
+    {"transpose", (PyCFunction)(void (*)(void))py_transpose, METH_FASTCALL,
+     "transpose(out, a, m, n): out's words = a's m x n entries "
+     "transposed."},
     {"pack", (PyCFunction)(void (*)(void))py_pack, METH_FASTCALL,
      "pack(out, dense): out's words = the low bits of dense's entries."},
     {NULL, NULL, 0, NULL},
@@ -782,9 +1153,13 @@ PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         engine = m4rm_avx512f;
+        engine_t = m4rm_t_avx512f;
+        transposer = transpose_avx512f;
         isa = "avx512f";
     } else if (__builtin_cpu_supports("avx2")) {
         engine = m4rm_avx2;
+        engine_t = m4rm_t_avx2;
+        transposer = transpose_avx2;
         isa = "avx2";
     }
 #endif

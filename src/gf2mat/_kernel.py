@@ -9,9 +9,11 @@ accumulate into C. Three kernels exist, with bit-identical results and
 identical operation counts:
 
 c       adds whole products: the M4RM engine (table builds, stripe index
-        reads, fused combine) and cubic (transpose of B, row loop) run in
-        `_kernel.c`, one call per product; `xor` and `add` are numpy's.
-numpy   `xor` is np.bitwise_xor.
+        reads, fused combine), directly or on the transpose, and cubic
+        (transpose of B, row loop) run in `_kernel.c`, one call per
+        product, as does `transpose`; `xor` and `add` are numpy's.
+numpy   `xor` is np.bitwise_xor; `transpose` is transpose_words, the
+        kernel's rounds on every block at once.
 scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
         comparisons.
 
@@ -30,16 +32,18 @@ digest is a 64-bit BLAKE2b, 16 hex digits, from the interpreter's own
 process (about 3.5 ms of a 4 ms import) for these two digests. Loading a
 cached build starts no process and imports neither subprocess nor
 tempfile; the source and the binary are hashed in 8 KiB chunks. The
-module's `m4rm` and `cubic` are METH_FASTCALL functions of the operand
-matrices, whose arrays they read through numpy's C API, and plain
-integers (see CKernel) that allocate the product's scratch (M4RM's
-tables, cubic's B transposed) from the interpreter's raw allocator,
-which tracemalloc traces, and release the interpreter lock around the
-engine; its `pack` fills a matrix's words from a dense bool/uint8 array
-in one read of it (core.from_dense). Its init function is the one
-symbol the binary exports. On x86-64 the binary holds the M4RM engine
-once per instruction set, and the module picks the widest copy the CPU
-has when it loads (`isa()` names it).
+module's `m4rm`, `m4rm_t` and `cubic` are METH_FASTCALL functions of
+the operand matrices, whose arrays they read through numpy's C API, and
+plain integers (see CKernel) that allocate the product's scratch (M4RM's
+tables, and on the transpose C^T and the windows of A and B; cubic's B
+transposed) from the interpreter's raw allocator, which tracemalloc
+traces, and release the interpreter lock around the engine; its
+`transpose` writes a matrix's transpose, packed to packed
+(core.transpose), and its `pack` fills a matrix's words from a dense
+bool/uint8 array in one read of it (core.from_dense). Its init function
+is the one symbol the binary exports. On x86-64 the binary holds both
+M4RM engines and the transpose once per instruction set, and the module
+picks the widest copies the CPU has when it loads (`isa()` names them).
 Without a compiler, without the Python headers or without a writable
 cache the default kernel is `numpy`; there is no second binding.
 """
@@ -89,11 +93,42 @@ MAX_T = 8
 # refused before anything is allocated rather than left to exhaust memory.
 MAX_TABLE_BYTES = 64 << 20
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+# The shift of each of the six rounds of the 64x64 bit transpose, and its
+# low-half mask: `_kernel.c`'s lo[].
+TRANSPOSE_ROUNDS = (
+    (32, np.uint64(0x00000000FFFFFFFF)),
+    (16, np.uint64(0x0000FFFF0000FFFF)),
+    (8, np.uint64(0x00FF00FF00FF00FF)),
+    (4, np.uint64(0x0F0F0F0F0F0F0F0F)),
+    (2, np.uint64(0x3333333333333333)),
+    (1, np.uint64(0x5555555555555555)),
+)
+
+
+def transpose_words(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols entries of `words` transposed, as `_kernel.c`'s
+    transpose makes them: entry (i, j) at bit 63 - j % 64 of
+    words[i, j // 64] lands in a (cols, ceil(rows / 64)) word array whose
+    bits beyond column `rows` are clear; entries past column cols are not
+    read. Every 64x64 block at once, in the kernel's six rounds: each
+    swaps the off-diagonal blocks of every 2sh x 2sh diagonal block."""
+    wr, wc = -(-rows // 64), -(-cols // 64)
+    padded = np.zeros((wr * 64, wc), np.uint64)
+    padded[:rows] = words[:rows, :wc]
+    # Block (i, j) of 64 rows of word j, as v[i, j].
+    v = padded.reshape(wr, 64, wc).transpose(0, 2, 1).copy()
+    for sh, lo in TRANSPOSE_ROUNDS:
+        pairs = v.reshape(wr, wc, 32 // sh, 2, sh)
+        top, bottom = pairs[:, :, :, 0], pairs[:, :, :, 1]
+        x = (top ^ (bottom >> np.uint64(sh))) & lo
+        top ^= x
+        bottom ^= x << np.uint64(sh)
+    return v.transpose(1, 2, 0).reshape(wc * 64, wr)[:cols]
 
 
 class NumpyKernel:
-    """Vectorised word-array XOR, and the masked add and the packer every
-    Python kernel shares."""
+    """Vectorised word-array XOR, and the masked add, the transpose and
+    the packer every Python kernel shares."""
 
     name = "numpy"
     compiled = False
@@ -128,6 +163,13 @@ class NumpyKernel:
             last[:, :packed.shape[1] - 8 * full] = packed[:, 8 * full:]
             out.words[:, full] = last.view(">u8")[:, 0]
 
+    @staticmethod
+    def transpose(out, a, m: int, n: int) -> None:
+        """out's words = the m x n entries of a transposed, bits beyond
+        column m clear (transpose_words); out is a matrix of n rows."""
+        if m and n:
+            out.words[:] = transpose_words(a.words, m, n)
+
     def add(self, out: np.ndarray, x: np.ndarray, y: np.ndarray,
             tail: np.uint64) -> None:
         """out = x ^ y on (rows, width) word arrays; bits of out's last
@@ -157,11 +199,12 @@ class ScalarKernel(NumpyKernel):
 
 
 class CKernel(NumpyKernel):
-    """M4RM and cubic products whole in compiled C, and the packer; `xor`
-    and `add` as numpy.
+    """M4RM and cubic products whole in compiled C, the transpose and the
+    packer; `xor` and `add` as numpy.
 
-    `m4rm`, `cubic` and `pack` are the extension's entries themselves, so
-    a product crosses into C in one call with no Python frame between:
+    `m4rm`, `m4rm_t`, `cubic`, `transpose` and `pack` are the extension's
+    entries themselves, so a product crosses into C in one call with no
+    Python frame between:
 
     m4rm(c, a, b, l, n, k, b_s, t, t_stride): c += a @ b (a: m x l, b:
         l x n entries, none of them 0, m the rows of c) with stripes of
@@ -171,8 +214,14 @@ class CKernel(NumpyKernel):
         stride of the plan m4rm._table_layout made; k, t and b_s were
         checked, and the plan's tables passed the budget, once at the
         public entry.
+    m4rm_t(c, a, b, l, n, k, b_s, t, t_stride): the same product as
+        c^T += b^T a^T, for a transposed plan: row blocks of c^T's n
+        rows, tables of a's columns, t * k <= 64; it also allocates c^T
+        and the windows of a and b (plan.scratch_words in all).
     cubic(c, a, b, l, n): c += a @ b; the extension allocates b
         transposed for the call.
+    transpose(out, a, m, n): out's words = a's m x n entries transposed,
+        bits beyond column m clear; out has n rows.
     pack(out, dense): as NumpyKernel.pack, in one read of dense and with
         no copy of it: 8 consecutive bytes at a time by a multiply
         gather, byte by byte where a row's bytes are not consecutive.
@@ -182,8 +231,9 @@ class CKernel(NumpyKernel):
     and its bits beyond column n are kept. The entries' checks are
     independent of the callers', since the engines would otherwise divide
     by zero or read or write out of bounds: M4RM's k outside 1..min(l,
-    16), t outside 1..8 or b_s under 1 raise ParameterError; operands that
-    do not cover these words, or table rows closer than a row of b, raise
+    16), t outside 1..8, b_s under 1 or, on the transpose, t * k over 64
+    raise ParameterError; operands that do not cover these words, or
+    table rows closer than a row of b (of c^T on the transpose), raise
     DimensionError; a dense of the wrong type, rank or shape for `out`
     raises ParameterError or DimensionError. All of them raise before
     anything is allocated or written. The entries release the interpreter
@@ -198,8 +248,10 @@ class CKernel(NumpyKernel):
         self._mod = mod
         self.isa = mod.isa
         self.m4rm = mod.m4rm
+        self.m4rm_t = mod.m4rm_t
         self.cubic = mod.cubic
         self.pack = mod.pack
+        self.transpose = mod.transpose
 
 
 def _compiler() -> str | None:

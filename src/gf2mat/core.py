@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernel
 from .counters import counters
-from .errors import AlignmentError, DimensionError, FormatError
+from .errors import AlignmentError, DimensionError, FormatError, integer
 
 WORD_BITS = 64
 _LINE_WORDS = 8  # words in a 64-byte cache line
@@ -110,6 +110,7 @@ class BitMatrix(_Matrix):
     __slots__ = ("nrows", "ncols", "width", "words")
 
     def __init__(self, nrows: int, ncols: int):
+        nrows, ncols = integer(nrows, "nrows"), integer(ncols, "ncols")
         if nrows < 0 or ncols < 0:
             raise DimensionError(f"negative dimensions {nrows}x{ncols}")
         width = (ncols + WORD_BITS - 1) // WORD_BITS
@@ -136,9 +137,13 @@ class BitMatrix(_Matrix):
 
 
 def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
-                  ncols: int) -> None:
-    """Raise unless the nrows x ncols region at the offsets lies inside a
-    and starts on a word boundary."""
+                  ncols: int) -> tuple[int, int, int, int]:
+    """The offsets and sizes as ints; raise unless they are integers and
+    the nrows x ncols region at the offsets lies inside a and starts on a
+    word boundary."""
+    row_offset = integer(row_offset, "row_offset")
+    col_offset = integer(col_offset, "col_offset")
+    nrows, ncols = integer(nrows, "nrows"), integer(ncols, "ncols")
     if col_offset % WORD_BITS != 0:
         raise AlignmentError(
             f"window column offset {col_offset} is not a multiple of 64")
@@ -150,6 +155,7 @@ def _check_region(a: Mat, row_offset: int, col_offset: int, nrows: int,
         raise DimensionError(
             f"window {nrows}x{ncols}@({row_offset},{col_offset}) exceeds "
             f"{a.nrows}x{a.ncols}")
+    return row_offset, col_offset, nrows, ncols
 
 
 class MatrixWindow(_Matrix):
@@ -165,7 +171,8 @@ class MatrixWindow(_Matrix):
 
     def __init__(self, parent: BitMatrix, row_offset: int, col_offset: int,
                  nrows: int, ncols: int):
-        _check_region(parent, row_offset, col_offset, nrows, ncols)
+        row_offset, col_offset, nrows, ncols = _check_region(
+            parent, row_offset, col_offset, nrows, ncols)
         self.parent = parent
         self.row_offset = row_offset
         self.col_offset = col_offset
@@ -225,10 +232,11 @@ def _splitmix64(seed: int, count: int) -> np.ndarray:
 
 def random(nrows: int, ncols: int, seed: int) -> BitMatrix:
     """Uniform random matrix, deterministic for a given seed."""
+    seed = integer(seed, "seed")
     m = BitMatrix(nrows, ncols)
     if m.data.size:
         m.data[:] = _splitmix64(seed, m.data.size)
-        m.words[:, -1] &= tail_mask(ncols)
+        m.words[:, -1] &= tail_mask(m.ncols)
     return m
 
 
@@ -357,7 +365,8 @@ def window(a: Mat, row_offset: int, col_offset: int,
     """Non-owning view; a window of a window must lie inside it and
     flattens onto the root matrix."""
     if isinstance(a, MatrixWindow):
-        _check_region(a, row_offset, col_offset, nrows, ncols)
+        row_offset, col_offset, nrows, ncols = _check_region(
+            a, row_offset, col_offset, nrows, ncols)
         return MatrixWindow(a.parent, a.row_offset + row_offset,
                             a.col_offset + col_offset, nrows, ncols)
     return MatrixWindow(a, row_offset, col_offset, nrows, ncols)
@@ -403,8 +412,15 @@ def stack(a: Mat, b: Mat) -> BitMatrix:
 
 
 def transpose(a: Mat) -> BitMatrix:
-    """New matrix with result[j, i] == a[i, j]."""
-    return from_dense(to_dense(a).T)
+    """New matrix with result[j, i] == a[i, j], packed to packed by the
+    active kernel's transpose: 64x64 blocks in the kernel's six rounds,
+    vectorized in each engine copy on the compiled kernel. a may be a
+    window; what lies beyond its right edge is not read as entries."""
+    if not isinstance(a, _Matrix):
+        raise DimensionError(f"transpose takes a matrix, not {a!r}")
+    out = BitMatrix(a.ncols, a.nrows)
+    _kernel.active().transpose(out, a, a.nrows, a.ncols)
+    return out
 
 
 def equal(a: Mat, b: Mat) -> bool:

@@ -20,17 +20,6 @@ from . import _kernel, core
 from .counters import counters
 from .errors import DimensionError
 
-# The shift of each of the six rounds of the 64x64 bit transpose, and its
-# low-half mask: `_kernel.c`'s lo[].
-_TRANSPOSE_ROUNDS = (
-    (32, np.uint64(0x00000000FFFFFFFF)),
-    (16, np.uint64(0x0000FFFF0000FFFF)),
-    (8, np.uint64(0x00FF00FF00FF00FF)),
-    (4, np.uint64(0x0F0F0F0F0F0F0F0F)),
-    (2, np.uint64(0x3333333333333333)),
-    (1, np.uint64(0x5555555555555555)),
-)
-
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
@@ -43,7 +32,7 @@ def _parity64_blocks(blocks: np.ndarray) -> np.ndarray:
     second's in the low halves. After six rounds one word per block
     remains. The input is not changed."""
     v = blocks
-    for sh, lo in _TRANSPOSE_ROUNDS:
+    for sh, lo in _kernel.TRANSPOSE_ROUNDS:
         x, y = v[:, :sh], v[:, sh:]
         shift = np.uint64(sh)
         v = ((x ^ (x << shift)) & ~lo) | ((y ^ (y >> shift)) & lo)

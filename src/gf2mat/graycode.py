@@ -100,6 +100,7 @@ def make_table(b: core.Mat, start_row: int, k: int,
     so its rows stay clean.
     """
     k = integer(k, "table fill width")
+    start_row = integer(start_row, "start_row")
     if not 1 <= k <= table.capacity:
         raise ParameterError(
             f"table fill width {k} outside 1..{table.capacity}")

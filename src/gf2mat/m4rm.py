@@ -13,14 +13,17 @@ Ragged edges are handled throughout: a final stripe of width l mod k uses
 a smaller table, and trailing stripe groups use fewer than t tables.
 
 Each product runs by one Plan (_table_layout): its Gray width, row block
-and table count, the tables' layout and its counter deltas. The engines
-take the plan and the operands alone; the width comes from the caller,
-an explicit k on the public entries here, tuning.base_k on strassen's
-base route.
+and table count, the tables' layout, its orientation and its counter
+deltas. The engines take the plan and the operands alone; the width comes
+from the caller, an explicit k on the public entries here, which always
+run directly, and tuning.base_k on strassen's base route, which runs a
+product as C^T = B^T A^T where tuning.transposed_k says so: for B far
+narrower than A is tall, the transposed product takes n steps a stripe
+group where the direct one takes m.
 
 On the compiled kernel (see _kernel) the whole engine, table builds and
 index reads included, runs in one native call per product, which also
-allocates the tables; the Python loop below serves the numpy and scalar
+allocates the tables; the Python loops below serve the numpy and scalar
 kernels.
 """
 
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import NamedTuple
+
+import numpy as np
 
 from . import _kernel, core
 # Bound here under the name through which perfbench's tracer times the
@@ -37,6 +42,10 @@ from .counters import counters
 from .errors import ParameterError, integer
 from .graycode import MAX_K, CombinationTable, make_table
 from .tuning import MAX_T
+
+# Words of A's rows (64 columns each) a transposed plan transposes at a
+# time: `_kernel.c`'s WINDOW.
+WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,13 @@ class Plan(NamedTuple):
     t tables per stripe group; ntables tables of 2^k rows, table_stride
     words apart as core.padded_cols pads them, table_bytes in all; and the
     counter deltas the Python engine records for it (table_adds, row_adds,
-    c_writes), which _mul_into adds in one step on the compiled kernel."""
+    c_writes), which _mul_into adds in one step on the compiled kernel.
+
+    A `transposed` plan runs the product as C^T += B^T A^T (_mul_t_into):
+    its rows are C's columns and its tables A's columns, so every field
+    but scratch_words is the direct plan's of the n x l x m product.
+    scratch_words counts every word the engine allocates: the tables,
+    and for a transposed plan C^T and the windows of A and B."""
 
     k: int
     b_s: int
@@ -85,24 +100,33 @@ class Plan(NamedTuple):
     table_adds: int
     row_adds: int
     c_writes: int
+    transposed: bool
+    scratch_words: int
 
 
-def _table_layout(m: int, l: int, n: int, k: int, b_s: int,
-                  t: int) -> Plan | None:
+def _table_layout(m: int, l: int, n: int, k: int, b_s: int, t: int,
+                  transposed: bool = False) -> Plan | None:
     """The plan of an m x l x n product at Gray width k, row blocks of b_s
-    and t tables; None when the product is empty. Shape arithmetic only:
-    _fit_budget compares the bytes with the kernel's budget, which may
-    change."""
+    and t tables, run directly or `transposed`; None when the product is
+    empty. Shape arithmetic only: _fit_budget compares the bytes with the
+    kernel's budget, which may change."""
     if not (m and l and n):
         return None
+    rows, cols = (n, m) if transposed else (m, n)
     k = min(k, l)
     nstripes = -(-l // k)
     ntables = min(t, nstripes)
-    stride = core.words_per_row(core.padded_cols(n))
+    stride = core.words_per_row(core.padded_cols(cols))
+    table_words = (ntables << k) * stride
     # A ragged last stripe of l % k columns costs 2^(l % k) - 1 additions.
-    built = -(-m // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
-    return Plan(k, b_s, t, ntables, stride, (ntables << k) * stride * 8,
-                built, built + m * nstripes, m * -(-nstripes // t))
+    built = -(-rows // b_s) * ((l // k) * ((1 << k) - 1) + (1 << l % k) - 1)
+    # C^T and A's columns of one window, transposed, in rows as wide as
+    # the tables' (stride words), and B's rows of the window, transposed.
+    window = min(WINDOW, core.words_per_row(l))
+    extra = (n + 64 * window) * stride + n * window if transposed else 0
+    return Plan(k, b_s, t, ntables, stride, table_words * 8, built,
+                built + rows * nstripes, rows * -(-nstripes // t),
+                transposed, table_words + extra)
 
 
 def _fit_budget(plan: Plan | None, budget: int) -> Plan | None:
@@ -120,44 +144,96 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan) -> None:
     """c += a @ b by `plan`, which _table_layout made for this non-empty
     product and _fit_budget passed; c is sized to the product and may be
     a window: bits beyond its right edge are kept, because table rows are
-    masked to B's width. Nothing is checked here; only the table scratch
-    is allocated: by the extension itself on the compiled kernel, which
-    books its words as core.create books the Python engine's tables.
-    There the product is one extension call, and the plan's counter
-    deltas are booked here, in one step."""
+    masked to B's width (or, transposed, C^T's rows beyond n read as
+    zero). Nothing is checked here; only the engine's scratch is
+    allocated: by the extension itself on the compiled kernel, which
+    books its words as core.create books the Python engine's. There the
+    product is one extension call, and the plan's counter deltas are
+    booked here, in one step."""
     kernel = _kernel.active()
     if kernel.compiled:
         # One unpacking: a NamedTuple's fields read one by one cost more.
-        (k, b_s, t, _, stride, table_bytes, table_adds, row_adds,
-         c_writes) = plan
-        kernel.m4rm(c, a, b, a.ncols, b.ncols, k, b_s, t, stride)
-        counters.words_allocated += table_bytes >> 3
+        (k, b_s, t, _, stride, _, table_adds, row_adds, c_writes,
+         transposed, scratch_words) = plan
+        engine = kernel.m4rm_t if transposed else kernel.m4rm
+        engine(c, a, b, a.ncols, b.ncols, k, b_s, t, stride)
+        counters.words_allocated += scratch_words
         counters.table_adds += table_adds
         counters.row_adds += row_adds
         counters.c_writes += c_writes
         return
+    if plan.transposed:
+        _mul_t_into(kernel, c, a, b, plan)
+        return
     m, l, n = a.nrows, a.ncols, b.ncols
-    k, b_s, t = plan.k, plan.b_s, plan.t
-    stripes = _stripes(l, k)
-    tables = [CombinationTable(k, n) for _ in range(plan.ntables)]
-    table_words = [tbl.words for tbl in tables]
-    for r0 in range(0, m, b_s):
-        r1 = min(r0 + b_s, m)
-        dst = c.words[r0:r1]
-        for g0 in range(0, len(stripes), t):
-            group = stripes[g0:g0 + t]
-            for gi, (sc, kw) in enumerate(group):
-                make_table(b, sc, kw, tables[gi])
-            # All indices are read from A before any table lookups; the
-            # group's t lookups are gathered and summed, then added to C
-            # by one xor.
-            ids = [_read_bits_rows(a, r0, r1, sc, kw) for sc, kw in group]
-            rows = table_words[0][ids[0]]
-            for words, idx in zip(table_words[1:], ids[1:]):
-                rows ^= words[idx]
-            kernel.xor(dst, rows, dst)
-            counters.c_writes += r1 - r0
-            counters.row_adds += (r1 - r0) * len(group)
+    stripes = _stripes(l, plan.k)
+    tables = [CombinationTable(plan.k, n) for _ in range(plan.ntables)]
+    for r0 in range(0, m, plan.b_s):
+        r1 = min(r0 + plan.b_s, m)
+        for g0 in range(0, len(stripes), plan.t):
+            _add_group(kernel, c.words[r0:r1], a, r0, r1, b,
+                       stripes[g0:g0 + plan.t], tables, 0)
+
+
+def _add_group(kernel, dst: np.ndarray, a: core.Mat, r0: int, r1: int,
+               b: core.Mat, group: list, tables: list, col0: int) -> None:
+    """dst += rows [r0, r1) of a @ b over one group of stripes (sc, kw):
+    the group's tables from rows sc - col0 of b, then every row's indices
+    from columns sc - col0 of a, all read before any table lookup; the
+    group's lookups are gathered and summed, then added to dst by one
+    xor."""
+    for table, (sc, kw) in zip(tables, group):
+        make_table(b, sc - col0, kw, table)
+    ids = [_read_bits_rows(a, r0, r1, sc - col0, kw) for sc, kw in group]
+    rows = tables[0].words[ids[0]]
+    for table, idx in zip(tables[1:], ids[1:]):
+        rows ^= table.words[idx]
+    kernel.xor(dst, rows, dst)
+    counters.c_writes += r1 - r0
+    counters.row_adds += (r1 - r0) * len(group)
+
+
+def _mul_t_into(kernel, c: core.Mat, a: core.Mat, b: core.Mat,
+                plan: Plan) -> None:
+    """c += a @ b as C^T += B^T A^T on a Python kernel, step for step as
+    `_kernel.c`'s m4rm_t: stripe groups of at most 64 columns, whose
+    tables come from a's columns and indices from b's rows, both
+    transposed WINDOW words at a time into windows that move to the word
+    of a group's first column when it ends past them; C^T is added to c,
+    transposed, at the end. It allocates what m4rm_t allocates
+    (plan.scratch_words)."""
+    m, l, n = a.nrows, a.ncols, b.ncols
+    span = core.WORD_BITS * min(WINDOW, a.width)
+    ct = _padded(n, m)
+    at = _padded(span, m)  # a's columns [ws, ws + span), transposed
+    bw = core.create(n, span)  # b's rows [ws, ws + span), transposed
+    tables = [CombinationTable(plan.k, m) for _ in range(plan.ntables)]
+    stripes = _stripes(l, plan.k)
+    ws = -span
+    for g0 in range(0, len(stripes), plan.t):
+        group = stripes[g0:g0 + plan.t]
+        if sum(group[-1]) > ws + span:
+            ws = group[0][0] - group[0][0] % core.WORD_BITS
+            cols = min(span, l - ws)
+            wi = ws // core.WORD_BITS
+            at.words[:cols] = _kernel.transpose_words(
+                a.words[:, wi:wi + bw.width], m, cols)
+            bw.words[:, :core.words_per_row(cols)] = \
+                _kernel.transpose_words(b.words[ws:ws + cols], cols, n)
+        for r0 in range(0, n, plan.b_s):
+            r1 = min(r0 + plan.b_s, n)
+            _add_group(kernel, ct.words[r0:r1], bw, r0, r1, at, group,
+                       tables, ws)
+    product = _kernel.transpose_words(ct.words, n, m)
+    kernel.xor(c.words, product, c.words)
+
+
+def _padded(nrows: int, ncols: int) -> core.MatrixWindow:
+    """An nrows x ncols window of a zeroed matrix whose rows are padded as
+    table rows are (core.padded_cols), as m4rm_t lays out C^T and A's
+    window."""
+    return core.window(core.create(nrows, core.padded_cols(ncols)), 0, 0,
+                       nrows, ncols)
 
 
 def _m4rm_entry(c: core.Mat | None, a: core.Mat, b: core.Mat, k: int,

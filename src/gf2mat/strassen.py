@@ -11,7 +11,8 @@ additions and touches two scratch quadrant buffers beyond the output.
 
 Every product below the recursion (a flat product, a leaf, a peeled
 strip) takes its route from _base_route: tuning.base_k picks cubic or
-the Gray width, and the M4RM plan is memoized with its budget check.
+the Gray width, tuning.transposed_k the orientation, and the M4RM plan
+is memoized with its budget check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .counters import counters
 from .cubic import _cubic_into as mul_cubic
 from .errors import DimensionError
 from .m4rm import Plan, _fit_budget, _mul_into, _table_layout
-from .tuning import MulParams, base_k
+from .tuning import MulParams, base_k, transposed_k
 
 _WORD = core.WORD_BITS
 
@@ -66,10 +67,11 @@ def _base_route(m: int, l: int, n: int, params: MulParams,
                 budget: int) -> Plan | None:
     """The engine of an m x l x n base product: None for cubic (base_k
     gives 0) and for the empty products, else the whole M4RM plan
-    (m4rm._table_layout) at the Gray width base_k gives, with params'
-    row block and table count. Raises ParameterError if that plan's
-    tables exceed `budget` bytes, so a plan is refused before anything is
-    allocated or written.
+    (m4rm._table_layout) with params' row block and table count: at the
+    Gray width base_k gives, or run as C^T = B^T A^T at the one
+    tuning.transposed_k gives when the orientation model prices that
+    lower. Raises ParameterError if the plan's tables exceed `budget`
+    bytes, so a plan is refused before anything is allocated or written.
 
     Memoized, since every public entry asks once per base shape of its
     plan: the route memo is the only memo on the product path, and a hit
@@ -79,8 +81,9 @@ def _base_route(m: int, l: int, n: int, params: MulParams,
     k = base_k(m, l, n, params)
     if not k:
         return None
-    return _fit_budget(_table_layout(m, l, n, k, params.b_s, params.t),
-                       budget)
+    kt = transposed_k(m, l, n, k, params)
+    return _fit_budget(_table_layout(m, l, n, kt or k, params.b_s, params.t,
+                                     transposed=bool(kt)), budget)
 
 
 def _check_tables(shapes, params: MulParams) -> list[Plan | None]:

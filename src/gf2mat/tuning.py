@@ -63,6 +63,16 @@ MIN_FITTED_K = 4
 # small-batch's 200 shapes it is within 0.2% for 3..6 and 2.8-3.3% higher
 # at 20 (BENCH_19.json).
 CUBIC_ROWS = 5
+# The orientation model (transposed_k): the modelled time of an M4RM
+# product, in ns, per (row, stripe group) step, per word looked up and
+# added into a row, per word of table rows built, and per word through
+# the 64x64 transpose. Fitted by least squares on kernel-only times of
+# small-batch's M4RM products run both ways (tools/orientation_fit.py;
+# BENCH_27.json).
+STEP_NS = 6.81
+LOOKUP_WORD_NS = 0.012
+TABLE_WORD_NS = 0.41
+TRANSPOSE_WORD_NS = 0.79
 CONFIG_ENV = "GF2MAT_CONFIG"
 
 _CONFIG_KEYS = ("l1_bytes", "l2_bytes", "cutoff", "bs", "k", "t")
@@ -155,6 +165,52 @@ def base_k(m: int, l: int, n: int, params: MulParams) -> int:
     if n < WORD_BITS and m * n < CUBIC_ROWS * WORD_BITS * -(-l // WORD_BITS):
         return 0
     return params.k or _fitted_k(m, n, params)
+
+
+def transposed_k(m: int, l: int, n: int, k: int, params: MulParams) -> int:
+    """The orientation of an m x l x n M4RM product whose direct Gray
+    width is k (base_k): the Gray width of the product run as C^T = B^T
+    A^T, when the orientation model prices it below the direct product,
+    else 0. Transposed, the product has n rows of m columns, padded as
+    table rows are, its width is params.k or the fitted one for that
+    shape, and it runs only where a stripe group fits in a word
+    (t * min(k, l) <= 64). The model weighs each plan's steps, looked-up
+    words and table words, plus, transposed, the words through the 64x64
+    transpose: A and B once each (their windows) and C^T. Shape
+    arithmetic only, the same on every backend; not memoized:
+    strassen._base_route's memo holds the plan. Cubic's route (k 0) and
+    an empty product stay as they are: 0."""
+    kt = params.k or _fitted_k(n, m, params)
+    if not (k and m and l and n) or params.t * min(kt, l) > WORD_BITS:
+        return 0
+    direct = _m4rm_cost(m, l, words_per_row(n), k, params)
+    transposed = _m4rm_cost(n, l, words_per_row(padded_cols(m)), kt,
+                            params) \
+        + TRANSPOSE_WORD_NS * transposed_words(m, l, n)
+    return kt if transposed < direct else 0
+
+
+def transposed_words(m: int, l: int, n: int) -> int:
+    """Words an m x l x n product run transposed puts through the 64x64
+    transpose, in whole blocks: A (m x l) and B (l x n) in, C^T (n x m)
+    back."""
+    wm, wl, wn = words_per_row(m), words_per_row(l), words_per_row(n)
+    return WORD_BITS * (wl * (wm + wn) + wm * wn)
+
+
+def _m4rm_cost(rows: int, l: int, width: int, k: int,
+               params: MulParams) -> float:
+    """The orientation model's ns for an M4RM product of `rows` rows of
+    `width` words over an inner dimension l at Gray width k, with
+    params' row block and table count, as m4rm._table_layout counts its
+    work."""
+    k = min(k, l)
+    stripes = -(-l // k)
+    steps = rows * -(-stripes // params.t)
+    built = -(-rows // params.b_s) * ((l // k) * ((1 << k) - 1)
+                                      + (1 << l % k) - 1)
+    return (STEP_NS * steps + LOOKUP_WORD_NS * rows * stripes * width
+            + TABLE_WORD_NS * built * width)
 
 
 def _fitted_k(m: int, n: int, params: MulParams) -> int:

@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nested_windows
 import gf2mat
 from gf2mat import _kernel, cli, core
 from gf2mat import _reference as ref
 from gf2mat.counters import Counters, counters
 from gf2mat.cubic import mul_cubic
-from gf2mat.errors import DimensionError, ParameterError
+from gf2mat.errors import DimensionError, GF2MatError, ParameterError
 from gf2mat.m4rm import (_table_layout, mul_m4rm, mul_m4rm_into,
                          mul_m4rm_multitable)
 from gf2mat.strassen import (MulParams, _base_mul_into, _base_route,
@@ -130,6 +131,76 @@ def test_base_case_writes_into_window(backend, n, accumulate):
     if not accumulate:
         before[2:42, 64:64 + n] = 0
     expect_added(c, before, ref.naive_product(a, b))
+
+
+@st.composite
+def transposed_products(draw, most=200):
+    """(m, l, n, k, t, b_s) of a product the transposed engine runs: m, l
+    and n ragged in 1..most, k in 1..8 and t with t * k <= 64, dividing
+    64 or not; l over several windows of 256 columns included, so groups
+    cross a window's edge; b_s under n included."""
+    k = draw(st.integers(1, 8))
+    t = draw(st.integers(1, min(8, 64 // k)))
+    l = draw(st.one_of(st.integers(1, most), st.integers(250, 600)))
+    m = draw(st.integers(1, most))
+    n = draw(st.integers(1, most // 2))
+    return m, l, n, k, t, draw(st.one_of(st.just(8192),
+                                         st.integers(1, max(1, n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(transposed_products(), st.booleans(), st.integers(0, 2 ** 16))
+def test_transposed_products_match_the_oracle(product, accumulate, seed):
+    """A transposed plan gives the oracle's product on every backend, into
+    a window whose parent's bits around it, beyond its right edge
+    included, are kept, as dst = a @ b or dst += a @ b; every backend
+    books the same counter deltas, the scratch words the plan states."""
+    m, l, n, k, t, b_s = product
+    a = dirty_window(m, l, seed)
+    b = dirty_window(l, n, seed + 1)
+    plan = _table_layout(m, l, n, k, b_s, t, transposed=True)
+    expected = ref.naive_product(a, b)
+    names = [f.name for f in fields(counters)]
+    deltas = {}
+    for name in BACKENDS:
+        c = dirty_window(m, n, seed + 2)
+        before = core.to_dense(c.parent)
+        if not accumulate:
+            before[2:2 + m, 64:64 + n] = 0
+        start = {f: getattr(counters, f) for f in names}
+        with _kernel.using(name):
+            _base_mul_into(c, a, b, plan, accumulate)
+        deltas[name] = {f: getattr(counters, f) - start[f] for f in names}
+        expect_added(c, before, expected)
+    assert all(d == deltas["numpy"] for d in deltas.values()), deltas
+    assert deltas["numpy"]["words_allocated"] == plan.scratch_words
+    assert (deltas["numpy"]["table_adds"], deltas["numpy"]["row_adds"],
+            deltas["numpy"]["c_writes"]) == (plan.table_adds, plan.row_adds,
+                                             plan.c_writes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(BACKENDS))
+def test_transpose_matches_dense(data, name):
+    """core.transpose on every backend: a matrix or a window with live
+    bits around it, empty dimensions included, gives to_dense(a).T with
+    clean trailing bits, and transposing back gives a."""
+    _, a, _, _ = data.draw(nested_windows())
+    with _kernel.using(name):
+        at = core.transpose(a)
+        back = core.transpose(at)
+    assert at.shape == (a.ncols, a.nrows)
+    assert np.array_equal(core.to_dense(at), core.to_dense(a).T)
+    assert core.trailing_bits_clean(at)
+    assert core.equal(back, a)
+
+
+def test_transpose_of_a_non_matrix_raises():
+    allocated = counters.words_allocated
+    for bad in (1, None, np.zeros((2, 2), np.uint8)):
+        with pytest.raises(GF2MatError):
+            core.transpose(bad)
+    assert counters.words_allocated == allocated
 
 
 @pytest.mark.parametrize("operands", ["rows", "window-blocks"])
@@ -684,12 +755,17 @@ def test_concurrent_products_on_c_backend():
 
 
 # One engine call per case that runs for 50 ms or more: M4RM at k=1,
-# t=1 over 4096 x 2048 x 2048 (70 ms on a 2-vCPU AVX-512 Xeon), and
-# cubic over 4096 x 4096 x 1024 (70 ms there too).
+# t=1 over 4096 x 2048 x 2048 (70 ms on a 2-vCPU AVX-512 Xeon), directly
+# and on the transpose (70 ms there too), and cubic over 4096 x 4096 x
+# 1024 (70 ms).
 ENGINE_CALLS = {
     "m4rm": ((4096, 2048, 2048),
              lambda kernel, c, a, b, l, n: kernel.m4rm(
                  c, a, b, l, n, 1, 4096, 1, n // 64)),
+    "m4rm_t": ((4096, 2048, 2048),
+               lambda kernel, c, a, b, l, n: kernel.m4rm_t(
+                   c, a, b, l, n, 1, 4096, 1, 64)),
+
     "cubic": ((4096, 4096, 1024),
               lambda kernel, c, a, b, l, n: kernel.cubic(c, a, b, l, n)),
 }
@@ -946,6 +1022,60 @@ def test_m4rm_identical_on_every_isa(isa_kernels, m, l, n, k, t, b_s):
         assert np.array_equal(words, parents["shipped"])
 
 
+@needs_c
+@settings(max_examples=40, deadline=None)
+@given(transposed_products(most=300), st.integers(0, 2 ** 16))
+def test_m4rm_t_identical_on_every_isa(isa_kernels, product, seed):
+    """Every engine copy's m4rm_t adds the oracle's product into a window
+    whose parent's bits around it are kept, with identical words."""
+    m, l, n, k, t, b_s = product
+    a = dirty_window(m, l, seed)
+    b = dirty_window(l, n, seed + 1)
+    plan = _table_layout(m, l, n, k, b_s, t, transposed=True)
+    expected = ref.naive_product(a, b)
+    parents = []
+    for kernel in isa_kernels.values():
+        c = dirty_window(m, n, seed + 2)
+        before = core.to_dense(c.parent)
+        kernel.m4rm_t(c, a, b, l, n, plan.k, b_s, t, plan.table_stride)
+        expect_added(c, before, expected)
+        parents.append(c.parent.words)
+    for words in parents:
+        assert np.array_equal(words, parents[0])
+
+
+@needs_c
+@pytest.mark.parametrize("m,l,n", [(1100, 300, 600), (530, 700, 1030)])
+def test_m4rm_t_whole_tiles_on_every_isa(isa_kernels, m, l, n):
+    """C^T added back into C through whole tiles of the transpose (512
+    rows and columns on the avx512f copy) and the blocks around them, on
+    every engine copy."""
+    a = dirty_window(m, l, seed=27)
+    b = dirty_window(l, n, seed=28)
+    plan = _table_layout(m, l, n, 4, 8192, 8, transposed=True)
+    expected = ref.naive_product(a, b)
+    for kernel in isa_kernels.values():
+        c = dirty_window(m, n, seed=29)
+        before = core.to_dense(c.parent)
+        kernel.m4rm_t(c, a, b, l, n, plan.k, 8192, 8, plan.table_stride)
+        expect_added(c, before, expected)
+
+
+@needs_c
+@pytest.mark.parametrize("m,n", [(0, 5), (5, 0), (1, 1), (63, 65), (64, 64),
+                                 (130, 1000), (1024, 1024), (1000, 130)])
+def test_transpose_identical_on_every_isa(isa_kernels, m, n):
+    """Every engine copy's transpose entry gives to_dense(a).T, bits
+    beyond the last column clear, from a window with live bits around
+    it."""
+    a = dirty_window(m, n, seed=m + n)
+    for kernel in isa_kernels.values():
+        out = core.random(n, m, seed=1)
+        kernel.transpose(out, a, m, n)
+        assert np.array_equal(core.to_dense(out), core.to_dense(a).T)
+        assert core.trailing_bits_clean(out)
+
+
 # guarded(nbytes, at) in a child: nbytes of writable memory between two
 # PROT_NONE guard pages, flush against the page after them (at "end") or
 # the one before (at "start"); a read or write past them kills the child.
@@ -978,7 +1108,7 @@ def guarded(nbytes, at="end"):
         (ctypes.c_uint8 * nbytes).from_address(start))
 """
 
-# Runs one product (argv[1]: "m4rm" or "cubic") per engine copy (the
+# Runs one product (argv[1]: "m4rm", "m4rm_t" or "cubic") per engine copy (the
 # binaries in argv[4:]) with the operand named argv[2] ("a", "b" or "c")
 # placed so that its last word ends where a guard page starts (see
 # GUARD_PAGES). argv[2] "tables" (M4RM) or "bt" (cubic) names the
@@ -1017,6 +1147,9 @@ for path in sys.argv[4:]:
     if product == "m4rm":
         kernel.m4rm(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
                     core.words_per_row(core.padded_cols(n)))
+    elif product == "m4rm_t":
+        kernel.m4rm_t(ops["c"], ops["a"], ops["b"], l, n, k, 8, t,
+                      core.words_per_row(core.padded_cols(m)))
     else:
         kernel.cubic(ops["c"], ops["a"], ops["b"], l, n)
     if which == "c":
@@ -1046,6 +1179,19 @@ def test_m4rm_reads_stay_inside_operands(isa_kernels, which, n):
     inside that word would overrun."""
     paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
     assert run_python(GUARDED_PRODUCT, "m4rm", which, n, *paths,
+                      **scratch_guard(which)).strip() == "ok"
+
+
+@needs_c
+@guard_page
+@pytest.mark.parametrize("n", [100, 64 * 40 - 3])
+@pytest.mark.parametrize("which", ["a", "b", "tables", "c"])
+def test_m4rm_t_reads_stay_inside_operands(isa_kernels, which, n):
+    """M4RM on the transpose reads and writes only inside its operands
+    and its scratch, B's last row and A's last word included, which its
+    windows of 256 columns reach."""
+    paths = [kernel._mod.__file__ for kernel in isa_kernels.values()]
+    assert run_python(GUARDED_PRODUCT, "m4rm_t", which, n, *paths,
                       **scratch_guard(which)).strip() == "ok"
 
 
@@ -1186,7 +1332,23 @@ ENTRY_CALLS = {
     "m4rm-huge-stride": ("kernel.m4rm(c, a, b, 100, 70, 4, 16, 2, 2**61)",
                          "MemoryError"),
     "m4rm-n0": ("kernel.m4rm(c, a, b, 100, 0, 4, 16, 2, 0)", "None"),
+    "m4rm_t-t-k-over-64": ("kernel.m4rm_t(c, a, b, 100, 70, 9, 16, 8, 1)",
+                           "ParameterError"),
+    "m4rm_t-k0": ("kernel.m4rm_t(c, a, b, 100, 70, 0, 16, 2, 1)",
+                  "ParameterError"),
+    "m4rm_t-short-tables": ("kernel.m4rm_t(c, a, b, 100, 70, 4, 16, 2, 0)",
+                            "DimensionError"),
+    "m4rm_t-huge-stride": (
+        "kernel.m4rm_t(c, a, b, 100, 70, 4, 16, 2, 2**61)", "MemoryError"),
+    "m4rm_t-n0": ("kernel.m4rm_t(c, a, b, 100, 0, 4, 16, 2, 1)", "None"),
     "cubic-l-negative": ("kernel.cubic(c, a, b, -1, 70)", "DimensionError"),
+    "transpose-short-a": ("kernel.transpose(b, a, 41, 100)",
+                          "DimensionError"),
+    "transpose-short-out": ("kernel.transpose(c, a, 40, 100)",
+                            "DimensionError"),
+    "transpose-negative": ("kernel.transpose(c, a, -1, 70)",
+                           "DimensionError"),
+    "transpose-args": ("kernel.transpose(c, a, 40)", "TypeError"),
     "pack-1d": ("kernel.pack(c, dense[0])", "DimensionError"),
     "pack-3d": ("kernel.pack(c, dense[None])", "DimensionError"),
     "pack-rows": ("kernel.pack(c, dense[1:])", "DimensionError"),
@@ -1220,8 +1382,12 @@ def test_entries_check_their_arguments(case):
 # window among them (t * k > 64); n of 1 word, 1 word ragged, 8 words and
 # 9 and 10 words (rows padded to 16); t lowered, to one table at most,
 # to keep the tables near 2^19 words. Cubic: n below, at and above 64
-# columns, over l of one word, ragged and several. A, B and C are windows
-# with live bits around them.
+# columns, over l of one word, ragged and several. M4RM on the transpose:
+# k = 1..8, each with t = min(8, 64 // k) (a group of a whole word, or
+# nearly) and t = k, over C^T rows of 1, 3 and 10 words (padded to 1, 4
+# and 16) and l of one, two and three windows of 256 columns, so groups
+# cross a window's edge. A, B and C are windows with live bits around
+# them.
 SCRATCH_PRODUCTS = """
 import os, sys
 from pathlib import Path
@@ -1265,6 +1431,13 @@ for path in sys.argv[1:]:
         for n in (1, 63, 64, 130):
             check(lambda c, a, b: kernel.cubic(c, a, b, l, n), 21, l, n,
                   seed=l + n)
+    for k in range(1, 9):
+        for t in sorted({min(8, 64 // k), k}):
+            for mt, nt, l in ((37, 5, 70), (150, 70, 300), (600, 37, 530)):
+                plan = _table_layout(mt, l, nt, k, 16, t, transposed=True)
+                check(lambda c, a, b: kernel.m4rm_t(
+                    c, a, b, l, nt, plan.k, 16, t, plan.table_stride),
+                    mt, l, nt, seed=k * l + t)
 print("ok")
 """
 
@@ -1280,23 +1453,31 @@ def test_scratch_is_safe(isa_kernels):
 
 @needs_c
 @pytest.mark.parametrize("m,l,n", [(150, 200, 170), (40, 300, 600),
-                                   (16, 1000, 40), (30, 700, 63)])
+                                   (16, 1000, 40), (30, 700, 63),
+                                   (800, 400, 50), (1000, 200, 40),
+                                   (700, 64, 64)])
 def test_peak_memory_counts_kernel_scratch(m, l, n):
     """tracemalloc sees the extension's scratch: one product on the
     compiled kernel peaks at no less than C's words plus the M4RM plan's
-    tables, or plus B transposed for cubic. The scratch is 5-25 KB, more
-    than the objects of C, so a product whose scratch escaped the trace
-    would fall short."""
+    scratch (its tables, and transposed also C^T and the windows of A and
+    B), or plus B transposed for cubic, and words_allocated books exactly
+    those words. The scratch is 5-25 KB, more than the objects of C, so a
+    product whose scratch escaped the trace would fall short. The last
+    three shapes run transposed."""
     params = MulParams(cutoff=1024, k=8, t=3)
     a = core.random(m, l, seed=m)
     b = core.random(l, n, seed=n)
     plan = _base_route(m, l, n, params, _kernel.MAX_TABLE_BYTES)
-    scratch = n * core.words_per_row(l) * 8 if plan is None \
-        else plan.table_bytes
+    scratch = n * core.words_per_row(l) if plan is None \
+        else plan.scratch_words
+    assert (plan is not None and plan.transposed) == (m >= 700)
+    words = m * core.words_per_row(n) + scratch
+    allocated = counters.words_allocated
     with _kernel.using("c"):
         peak = cli._peak_bytes(
             lambda a, b: mul_strassen(a, b, params), a, b)
-    assert peak >= m * core.words_per_row(n) * 8 + scratch
+    assert peak >= words * 8
+    assert counters.words_allocated - allocated == words
 
 
 # Table row widths in words: narrow ones padded to a power of two (3 and

@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import from_rows, nested_windows, rows_of
 from gf2mat import _kernel, _reference, core
 from gf2mat.counters import counters
-from gf2mat.errors import AlignmentError, DimensionError, FormatError
+from gf2mat.errors import (AlignmentError, DimensionError, FormatError,
+                           ParameterError)
 
 
 def read_bits_oracle(a, r, sc, k):
@@ -72,6 +73,46 @@ class TestCreate:
     def test_negative_dims_rejected(self):
         with pytest.raises(DimensionError):
             core.create(-1, 3)
+
+
+def window_of_parent(*args):
+    return core.window(WINDOW_PARENT, *args)
+
+
+WINDOW_PARENT = core.random(4, 200, seed=2)
+# Every size, offset and seed of the matrix constructors and of window,
+# spoiled in turn: (call, arguments, index of the spoiled one).
+INTEGER_ARGUMENTS = [
+    (core.create, (2, 3), 0), (core.create, (2, 3), 1),
+    (core.identity, (2,), 0),
+    (core.random, (2, 3, 1), 0), (core.random, (2, 3, 1), 1),
+    (core.random, (2, 3, 1), 2),
+    *[(window_of_parent, (1, 64, 2, 3), i) for i in range(4)],
+]
+
+
+@pytest.mark.parametrize("bad", [4.5, 32.0, "4"])
+@pytest.mark.parametrize("call,args,spoiled", INTEGER_ARGUMENTS)
+def test_non_integer_sizes_raise_before_allocating(call, args, spoiled,
+                                                   bad):
+    """A float or string size, offset or seed raises ParameterError
+    before anything is allocated."""
+    args = list(args)
+    args[spoiled] = bad
+    before = counters.words_allocated
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(*args)
+    assert counters.words_allocated == before
+
+
+@pytest.mark.parametrize("call,args,spoiled", INTEGER_ARGUMENTS)
+def test_numpy_integer_sizes_accepted(call, args, spoiled):
+    expected = call(*args)
+    args = list(args)
+    args[spoiled] = np.int64(args[spoiled])
+    got = call(*args)
+    assert core.equal(got, expected)
+    assert all(type(x) is int for x in (got.nrows, got.ncols))
 
 
 class TestGetSetBit:

@@ -69,6 +69,22 @@ def test_non_integer_widths_raise_before_allocating(bad):
     assert counters.words_allocated == before
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_non_integer_start_row_raises_before_counting(bad):
+    """make_table checks its first source row before it books a row
+    addition or fills a slot."""
+    b = core.random(6, 10, seed=15)
+    table = CombinationTable(4, 10)
+    table.words[:] = 7
+    before = (counters.row_adds, counters.table_adds,
+              counters.words_allocated)
+    with pytest.raises(ParameterError, match="start_row must be an integer"):
+        make_table(b, bad, 4, table)
+    assert (counters.row_adds, counters.table_adds,
+            counters.words_allocated) == before
+    assert (table.words == 7).all()
+
+
 def test_numpy_integer_widths_accepted():
     assert build_gray(np.int64(4)) == build_gray(4)
     b = core.random(6, 10, seed=14)

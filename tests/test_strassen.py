@@ -21,7 +21,7 @@ from gf2mat.strassen import (
     peel_split,
     schedule_winograd,
 )
-from gf2mat.tuning import CUBIC_ROWS, base_k
+from gf2mat.tuning import CUBIC_ROWS, base_k, transposed_k
 
 
 class TestMulParams:
@@ -342,15 +342,19 @@ class TestBaseRoute:
         """The memoized route, computed and then recalled, is the rule:
         cubic (None) where B is narrower than a word and m * n <
         CUBIC_ROWS * 64 * ceil(l / 64), else the M4RM plan _table_layout
-        makes at the Gray width params give for m rows and n columns."""
+        makes at the Gray width params give for m rows and n columns, or,
+        where the orientation model prefers it, transposed at the width
+        transposed_k gives."""
         budget = _kernel.MAX_TABLE_BYTES
         for m in ROUTE_DIMS:
             for l in ROUTE_DIMS:
                 for n in ROUTE_DIMS:
                     cubic = n < 64 and m * n < CUBIC_ROWS * 64 * -(-l // 64)
+                    k = base_k(m, l, n, params)
+                    kt = transposed_k(m, l, n, k, params)
                     rule = None if cubic else _table_layout(
-                        m, l, n, base_k(m, l, n, params), params.b_s,
-                        params.t)
+                        m, l, n, kt or k, params.b_s, params.t,
+                        transposed=bool(kt))
                     for _ in range(2):
                         assert _base_route(m, l, n, params, budget) \
                             == rule, (m, l, n)

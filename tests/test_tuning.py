@@ -1,13 +1,15 @@
 import dataclasses
+import importlib.util
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2mat import _reference, core, strassen
+from gf2mat import _reference, core, strassen, tuning
 from gf2mat.counters import counters
 from gf2mat.cubic import mul_cubic
 from gf2mat.errors import ParameterError
@@ -27,7 +29,10 @@ from gf2mat.tuning import (
     default_params,
     parse_config,
     resolve_params,
+    transposed_k,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestDefaultParams:
@@ -457,3 +462,54 @@ class TestAutoParams:
         _config(tmp_path, monkeypatch, "cutoff=32\n")
         with pytest.raises(ParameterError, match="cutoff 32 < 64"):
             mul_strassen(core.random(8, 8, seed=1), core.random(8, 8, seed=2))
+
+
+class TestTransposedK:
+    """The orientation model: a product runs as C^T = B^T A^T only where
+    the transposed engine can run it and the model prices it lower."""
+
+    FITTED = MulParams(cutoff=8192, b_s=8192, l2_bytes=2 << 20)
+
+    @pytest.mark.parametrize("shape,transposed", [
+        ((1024, 1024, 64), True), ((900, 500, 100), True),
+        ((1024, 1024, 1024), False), ((64, 1024, 1024), False),
+        ((990, 179, 996), False), ((4096, 4096, 4096), False),
+        ((4133, 5000, 4133), False)])
+    def test_narrow_products_transpose(self, shape, transposed):
+        k = base_k(*shape, self.FITTED)
+        assert bool(transposed_k(*shape, k, self.FITTED)) == transposed
+
+    def test_group_wider_than_a_word_stays_direct(self):
+        # t * k = 72 > 64: the transposed engine cannot run it.
+        for k, t, expected in ((9, 8, 0), (13, 5, 0), (4, 8, 4),
+                               (6, 8, 6)):
+            params = MulParams(cutoff=8192, b_s=8192, k=k, t=t)
+            assert transposed_k(1024, 1024, 64, k, params) == expected
+
+    @pytest.mark.parametrize("shape", [(0, 10, 10), (10, 0, 10),
+                                       (10, 10, 0)])
+    def test_empty_products_stay_direct(self, shape):
+        assert transposed_k(*shape, 4, self.FITTED) == 0
+
+    def test_fit_tool_counts_what_the_model_counts(self):
+        """tools/orientation_fit.py fits the weights on the terms the
+        model prices: its features of each plan, weighted by the model's
+        weights, are the model's cost of that plan, and the cheaper one is
+        the orientation transposed_k picks."""
+        spec = importlib.util.spec_from_file_location(
+            "orientation_fit", ROOT / "tools" / "orientation_fit.py")
+        fit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fit)
+        weights = [getattr(tuning, name) for name in fit.WEIGHTS]
+        for m, l, n in [(1024, 1024, 64), (700, 300, 129), (45, 999, 300)]:
+            direct, transposed = fit.plans(m, l, n, self.FITTED)
+            costs = [np.dot(fit.features(m, l, n, plan)[:4], weights)
+                     for plan in (direct, transposed)]
+            assert costs[0] == pytest.approx(tuning._m4rm_cost(
+                m, l, core.words_per_row(n), direct.k, self.FITTED))
+            assert costs[1] == pytest.approx(tuning._m4rm_cost(
+                n, l, transposed.table_stride, transposed.k, self.FITTED)
+                + tuning.TRANSPOSE_WORD_NS
+                * tuning.transposed_words(m, l, n))
+            picked = transposed_k(m, l, n, direct.k, self.FITTED)
+            assert bool(picked) == (costs[1] < costs[0])

@@ -55,16 +55,19 @@ def measure(m: int, l: int, n: int, repeat: int, number: int) -> dict:
             def bare():
                 kernel.cubic(c, a, b, l, n)
         else:
+            engine = kernel.m4rm_t if plan.transposed else kernel.m4rm
+
             def bare():
-                kernel.m4rm(c, a, b, l, n, plan.k, plan.b_s, plan.t,
-                            plan.table_stride)
+                engine(c, a, b, l, n, plan.k, plan.b_s, plan.t,
+                       plan.table_stride)
         fns["extension"] = bare
     out = {"extension": None, "python": None,
            **best(fns, repeat, number)}
     if kernel.compiled:
         out["python"] = out["mul_strassen"] - out["extension"]
     out["shape"] = f"{m}x{l}x{n}"
-    out["engine"] = "cubic" if plan is None else f"m4rm k={plan.k}"
+    out["engine"] = "cubic" if plan is None else \
+        f"m4rm{'_t' if plan.transposed else ''} k={plan.k}"
     return out
 
 
