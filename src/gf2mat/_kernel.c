@@ -1,5 +1,5 @@
-/* Compiled kernels of gf2mat: the whole M4RM engine, directly and on the
- * transpose, cubic, and the packed 64x64 block transpose.
+/* Compiled kernels of gf2mat: the whole M4RM engine, run directly or on
+ * the transpose, cubic, and the packed 64x64 block transpose.
  *
  * Matrices are bit-packed row-major words: column c of a row lives in word
  * c / 64 at bit 63 - c % 64. Every matrix argument is the address of its
@@ -36,9 +36,10 @@
  * Built by _kernel.py as a CPython extension module with the system C
  * compiler, the interpreter's and numpy's headers and plain -O3 (no
  * -march), so a cached binary runs on any CPU of the same architecture
- * (and is rebuilt for another numpy). On x86-64 both M4RM engines and the
+ * (and is rebuilt for another numpy). On x86-64 the M4RM engine and the
  * transpose are also compiled for AVX2 and AVX-512; the module's init
- * function picks the widest copies the CPU supports, once. That function
+ * function picks the widest copies the CPU supports, once. M4RM on the
+ * transpose is one portable driver over the chosen copies. That function
  * is the only exported symbol. The module's entries, at the end of this
  * file, take the operand matrices and integer arguments, check their
  * parameters and that the operands cover the product, and release the
@@ -132,24 +133,19 @@ INLINE int64_t read_bits(const word *row, int64_t sc, int k)
  * every XOR combination of the k source rows, index bit k-1 selecting
  * source row 0. Walks the reflected Gray code: step j writes slot
  * j ^ (j >> 1) as the previous slot plus source row k-1-ctz(j), so the
- * table costs 2^k - 1 row additions. Source rows are masked with `tail`
- * so table rows stay clean, unless `clean` says they are: then each row
- * is added whole. */
+ * table costs 2^k - 1 row additions. Source rows' last words are masked
+ * with `tail` so table rows stay clean. */
 INLINE void gray_table(int vw, word *restrict table, int64_t t_stride,
                        const word *src, int64_t src_stride, int k,
-                       int64_t width, word tail, int clean)
+                       int64_t width, word tail)
 {
     memset(table, 0, (size_t)width * sizeof(word));
     const word *prev = table;
     for (int64_t j = 1; j < ((int64_t)1 << k); j++) {
         word *dst = table + (j ^ (j >> 1)) * t_stride;
         const word *s = src + (k - 1 - __builtin_ctzll((word)j)) * src_stride;
-        if (clean) {
-            CHUNKED(vw, width, EACH AT(dst) = AT(prev) ^ AT(s););
-        } else {
-            CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
-            dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
-        }
+        CHUNKED(vw, width - 1, EACH AT(dst) = AT(prev) ^ AT(s););
+        dst[width - 1] = prev[width - 1] ^ (s[width - 1] & tail);
         prev = dst;
     }
 }
@@ -214,25 +210,27 @@ INLINE void window_rows(int vw, int shifted, word *c, int64_t c_stride,
 }
 
 /* c += a @ b by M4RM: a is m x l, b is l x n, c is m x n, with row chunks
- * of vw words.
+ * of vw words; only a's columns [a0, l) and b's rows [a0, l) are added,
+ * so m4rm_t can run the engine over one window of a product's columns.
  *
  * Row blocks of b_s rows outer; inside a block, groups of t stripes of k
- * columns of a (the last stripe may be narrower). Each group builds its t
- * Gray tables from the matching rows of b into `tables` (t tables of 2^k
- * rows of ceil(n/64) words, t_stride >= ceil(n/64) words apart,
- * consecutive), then updates every row of the block once.
+ * columns of a from column a0 (the last stripe may be narrower). Each
+ * group builds its t Gray tables from the matching rows of b into
+ * `tables` (t tables of 2^k rows of ceil(n/64) words, t_stride >=
+ * ceil(n/64) words apart, consecutive), then updates every row of the
+ * block once.
  *
  * The index step: when a group's columns span at most 64 bits, each row
  * reads one 64-bit window of a's row from the group's first column (its
- * second word only where the row has one) and slices all of the group's
+ * second word only where column l reaches it) and slices all of the group's
  * stripe indices, a narrower last stripe's included, from that window:
  * one shift and mask per group, then a shift (or multiply) and add to
  * table row addresses (window_rows). Wider groups (t * k > 64) read each
  * index on its own (read_bits). */
 INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
                  int64_t a_stride, const word *b, int64_t b_stride,
-                 int64_t m, int64_t l, int64_t n, int k, int64_t b_s, int t,
-                 word *tables, int64_t t_stride)
+                 int64_t m, int64_t a0, int64_t l, int64_t n, int k,
+                 int64_t b_s, int t, word *tables, int64_t t_stride)
 {
     int64_t width = (n + 63) / 64, wl = (l + 63) / 64;
     /* The used bits of a row's last word of b. */
@@ -248,14 +246,14 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
 
     for (int64_t r0 = 0; r0 < m; r0 += b_s) {
         int64_t r1 = r0 + b_s < m ? r0 + b_s : m;
-        for (int64_t g0 = 0; g0 < l; g0 += (int64_t)t * k) {
+        for (int64_t g0 = a0; g0 < l; g0 += (int64_t)t * k) {
             int ng = 0;
             for (; ng < t && g0 + (int64_t)ng * k < l; ng++) {
                 sc[ng] = g0 + (int64_t)ng * k;
                 kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
                 gray_table(vw, tables + ng * table_words, t_stride,
                            b + sc[ng] * b_stride, b_stride, kw[ng], width,
-                           tail, 0);
+                           tail);
             }
             if (sc[ng - 1] + kw[ng - 1] - g0 > 64) {
                 for (int64_t r = r0; r < r1; r++) {
@@ -294,10 +292,10 @@ INLINE void m4rm(int vw, word *c, int64_t c_stride, const word *a,
 
 #define M4RM_PARAMS                                                       \
     word *c, int64_t c_stride, const word *a, int64_t a_stride,           \
-    const word *b, int64_t b_stride, int64_t m, int64_t l, int64_t n,     \
-    int k, int64_t b_s, int t, word *tables, int64_t t_stride
-#define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, l, n, k, b_s, \
-    t, tables, t_stride
+    const word *b, int64_t b_stride, int64_t m, int64_t a0, int64_t l,    \
+    int64_t n, int k, int64_t b_s, int t, word *tables, int64_t t_stride
+#define M4RM_ARGS c, c_stride, a, a_stride, b, b_stride, m, a0, l, n, k,  \
+    b_s, t, tables, t_stride
 
 /* Low-half masks of the 64x64 bit transpose's six rounds, for swaps of
  * 32, 16, 8, 4, 2 and 1 bits. */
@@ -512,99 +510,14 @@ INLINE void transpose(int vw, word *out, int64_t out_stride, const word *in,
         }
 }
 
-/* c += a @ b by M4RM on the transpose, c^T += b^T @ a^T, for products
- * whose n is far below m: the engine steps through n rows of c^T, each
- * ceil(m/64) words wide, where m4rm steps through m rows of ceil(n/64).
- *
- * Groups of t stripes of k columns of a, as in m4rm, with t * k <= 64.
- * a's columns are the tables' source rows and b's rows the index windows,
- * both transposed WINDOW words (WINDOW * 64 columns) at a time: `at`
- * holds a's columns [ws, ws + 64 * WINDOW) as rows of t_stride words
- * and `bw` b's rows [ws, ...) as WINDOW words per column of b, and a
- * group that ends past the window moves it to the word of the group's
- * first column. So each row of c^T reads its group's indices from one or
- * two words of bw, as m4rm reads them from a row of a, each line of a is
- * read once per window, and the scratch is bounded by c^T (`ct`, n rows
- * of t_stride words, zeroed first), the windows and the tables: no
- * transpose of all of a is made. Each group builds its tables once per
- * row block of b_s rows of c^T, as m4rm does per row block of c. c^T is
- * added to c, transposed, at the end, so c's bits beyond column n are
- * kept. */
-INLINE void m4rm_t(int vw, word *c, int64_t c_stride, const word *a,
-                   int64_t a_stride, const word *b, int64_t b_stride,
-                   int64_t m, int64_t l, int64_t n, int k, int64_t b_s,
-                   int t, word *tables, int64_t t_stride)
-{
-    int64_t wm = (m + 63) / 64, wl = (l + 63) / 64;
-    int64_t ww = wl < WINDOW ? wl : WINDOW;
-    int64_t table_words = t_stride << k;
-    int64_t stripes = (l + k - 1) / k;
-    word *ct = tables + (t < stripes ? t : stripes) * table_words;
-    word *at = ct + n * t_stride, *bw = at + 64 * ww * t_stride;
-    word row_bytes = (word)t_stride * sizeof(word);
-    int row_shift = (t_stride & (t_stride - 1)) == 0
-                    ? __builtin_ctzll(row_bytes) : -1;
-    int64_t sc[MAX_TABLES], ws = -64 * ww;
-    int kw[MAX_TABLES];
-
-    /* c^T's rows, the tables' and at's are t_stride words wide, padding
-     * included: the padding of at is zero, so the tables' and c^T's stay
-     * zero, and every row is whole chunks of CHUNKED when t_stride is a
-     * power of two or a multiple of 8. */
-    memset(ct, 0, (size_t)(n * t_stride) * sizeof(word));
-    for (int64_t r = 0; r < 64 * ww && t_stride > wm; r++)
-        memset(at + r * t_stride + wm, 0,
-               (size_t)(t_stride - wm) * sizeof(word));
-    for (int64_t g0 = 0; g0 < l; g0 += (int64_t)t * k) {
-        int ng = 0;
-        for (; ng < t && g0 + (int64_t)ng * k < l; ng++) {
-            sc[ng] = g0 + (int64_t)ng * k;
-            kw[ng] = l - sc[ng] < k ? (int)(l - sc[ng]) : k;
-        }
-        if (sc[ng - 1] + kw[ng - 1] > ws + 64 * ww) {
-            ws = g0 & ~(int64_t)63;
-            int64_t cols = l - ws < 64 * ww ? l - ws : 64 * ww;
-            transpose(vw, at, t_stride, a + (ws >> 6), a_stride, m, cols,
-                      0);
-            transpose(vw, bw, ww, b + ws * b_stride, b_stride, cols, n, 0);
-        }
-        lanes shift = {0}, mask = {0}, base = {0};
-        for (int g = 0; g < ng; g++) {
-            shift[g] = (word)(64 - (sc[g] - g0) - kw[g]);
-            mask[g] = ((word)1 << kw[g]) - 1;
-            base[g] = (word)(uintptr_t)(tables + g * table_words);
-        }
-        int64_t wi = (g0 - ws) >> 6;
-        int bit = (int)(g0 & 63);
-        int two = bit > 0 && ws + 64 * (wi + 1) < l && wi + 1 < ww;
-        for (int64_t r0 = 0; r0 < n; r0 += b_s) {
-            int64_t r1 = r0 + b_s < n ? r0 + b_s : n;
-            for (int g = 0; g < ng; g++)
-                gray_table(vw, tables + g * table_words, t_stride,
-                           at + (sc[g] - ws) * t_stride, t_stride, kw[g],
-                           t_stride, 0, 1);
-            if (row_shift >= 0)
-                window_rows(vw, 1, ct + r0 * t_stride, t_stride,
-                            bw + r0 * ww, ww, r1 - r0, wi, bit, two, &shift,
-                            &mask, &base, row_shift, ng, t_stride);
-            else
-                window_rows(vw, 0, ct + r0 * t_stride, t_stride,
-                            bw + r0 * ww, ww, r1 - r0, wi, bit, two, &shift,
-                            &mask, &base, row_bytes, ng, t_stride);
-        }
-    }
-    transpose(vw, c, c_stride, ct, t_stride, n, m, 1);
-}
-
 #define TRANSPOSE_PARAMS                                                  \
     word *out, int64_t out_stride, const word *in, int64_t in_stride,     \
-    int64_t rows, int64_t cols
-#define TRANSPOSE_ARGS out, out_stride, in, in_stride, rows, cols, 0
+    int64_t rows, int64_t cols, int add
+#define TRANSPOSE_ARGS out, out_stride, in, in_stride, rows, cols, add
 
-/* One copy of each engine per instruction set: M4RM, M4RM on the
- * transpose, and the packed transpose (aligned, not added). */
+/* One copy of the M4RM engine and of the packed transpose per
+ * instruction set. */
 static void m4rm_default(M4RM_PARAMS) { m4rm(2, M4RM_ARGS); }
-static void m4rm_t_default(M4RM_PARAMS) { m4rm_t(2, M4RM_ARGS); }
 static void transpose_default(TRANSPOSE_PARAMS)
 {
     transpose(2, TRANSPOSE_ARGS);
@@ -613,16 +526,12 @@ static void transpose_default(TRANSPOSE_PARAMS)
 __attribute__((target("avx2")))
 static void m4rm_avx2(M4RM_PARAMS) { m4rm(4, M4RM_ARGS); }
 __attribute__((target("avx2")))
-static void m4rm_t_avx2(M4RM_PARAMS) { m4rm_t(4, M4RM_ARGS); }
-__attribute__((target("avx2")))
 static void transpose_avx2(TRANSPOSE_PARAMS)
 {
     transpose(4, TRANSPOSE_ARGS);
 }
 __attribute__((target("avx512f")))
 static void m4rm_avx512f(M4RM_PARAMS) { m4rm(8, M4RM_ARGS); }
-__attribute__((target("avx512f")))
-static void m4rm_t_avx512f(M4RM_PARAMS) { m4rm_t(8, M4RM_ARGS); }
 __attribute__((target("avx512f")))
 static void transpose_avx512f(TRANSPOSE_PARAMS)
 {
@@ -633,8 +542,54 @@ static void transpose_avx512f(TRANSPOSE_PARAMS)
 /* The copies products run on: the widest this CPU supports, chosen once
  * by PyInit_gf2mat_kernel. */
 static void (*engine)(M4RM_PARAMS) = m4rm_default;
-static void (*engine_t)(M4RM_PARAMS) = m4rm_t_default;
 static void (*transposer)(TRANSPOSE_PARAMS) = transpose_default;
+
+/* c += a @ b by M4RM on the transpose, c^T += b^T @ a^T, for products
+ * whose n is far below m: the engine steps through n rows of c^T, each
+ * ceil(m/64) words wide, where it would step through m rows of
+ * ceil(n/64). One portable driver over the engine and the transpose of
+ * the CPU's instruction set.
+ *
+ * The engine runs on windows of at most WINDOW words (WINDOW * 64
+ * columns), each starting at the word ws of the first stripe group not
+ * yet added: a's columns [ws, end) transposed are its b (`at`, rows of
+ * t_stride words) and b's rows [ws, end) transposed its a (`bw`, WINDOW
+ * words per column of b). It adds the groups of t stripes of k columns
+ * (t * k <= 64) that end inside the window. So each row of c^T reads a
+ * group's indices from one or two words of bw, each line of a is read
+ * once per window, and the scratch is bounded by c^T (`ct`, n rows of
+ * t_stride words, zeroed first), the windows and the tables: no
+ * transpose of all of a is made. c^T is added to c, transposed, at the
+ * end, so c's bits beyond column n are kept. */
+static void m4rm_t(word *c, int64_t c_stride, const word *a,
+                   int64_t a_stride, const word *b, int64_t b_stride,
+                   int64_t m, int64_t l, int64_t n, int k, int64_t b_s,
+                   int t, word *tables, int64_t t_stride)
+{
+    int64_t wm = (m + 63) / 64, wl = (l + 63) / 64;
+    int64_t ww = wl < WINDOW ? wl : WINDOW, span = (int64_t)t * k;
+    int64_t stripes = (l + k - 1) / k;
+    word *ct = tables + (t < stripes ? t : stripes) * (t_stride << k);
+    word *at = ct + n * t_stride, *bw = at + 64 * ww * t_stride;
+
+    /* c^T's rows, the tables' and at's are t_stride words wide, padding
+     * included, and the engine adds them whole (its n is 64 * t_stride):
+     * the padding of at is zero, so the tables' and c^T's stay zero. */
+    memset(ct, 0, (size_t)(n * t_stride) * sizeof(word));
+    for (int64_t r = 0; r < 64 * ww && t_stride > wm; r++)
+        memset(at + r * t_stride + wm, 0,
+               (size_t)(t_stride - wm) * sizeof(word));
+    for (int64_t g0 = 0, g1; g0 < l; g0 = g1) {
+        int64_t ws = g0 & ~(int64_t)63;
+        int64_t end = l - ws < 64 * ww ? l : ws + 64 * ww;
+        g1 = end == l ? l : g0 + (end - g0) / span * span;
+        transposer(at, t_stride, a + (ws >> 6), a_stride, m, end - ws, 0);
+        transposer(bw, ww, b + ws * b_stride, b_stride, end - ws, n, 0);
+        engine(ct, t_stride, bw, ww, at, t_stride, n, g0 - ws, g1 - ws,
+               64 * t_stride, k, b_s, t, tables, t_stride);
+    }
+    transposer(c, c_stride, ct, t_stride, n, m, 1);
+}
 
 /* Parities of 64 words packed into one, parity(s[i]) at bit 63 - i.
  *
@@ -667,7 +622,10 @@ static word parity64(const word *s)
  * ceil(l/64) words; b is transposed into it first, with bits beyond column
  * l clear, so the AND drops whatever a keeps beyond its edge. Full blocks
  * of 64 output columns take the transpose fold, the remainder popcount
- * parity.
+ * parity of each sum as it is made. Stored to `sums` and read back, the
+ * remainder (all of small-batch's cubic products, B under 64 columns)
+ * ran 5-7% slower once the transpose call's seventh argument grew the
+ * stack frame by 8 bytes, with the loops' code unchanged (BENCH_28.json).
  *
  * It starts on a 64-byte boundary, so its loops sit where they sit however
  * long the M4RM engine before it grows: started 48 bytes past one, the same
@@ -680,26 +638,25 @@ static void gf2mat_cubic(word *c, int64_t c_stride, const word *a,
 {
     int64_t wl = (l + 63) / 64;
     word sums[64];
-    transposer(bt, wl, b, b_stride, l, n);
+    transposer(bt, wl, b, b_stride, l, n, 0);
     for (int64_t i = 0; i < m; i++) {
         const word *arow = a + i * a_stride;
         word *crow = c + i * c_stride;
         for (int64_t j0 = 0; j0 < n; j0 += 64) {
             int cnt = n - j0 < 64 ? (int)(n - j0) : 64;
+            word out = 0;
             for (int jj = 0; jj < cnt; jj++) {
                 const word *brow = bt + (j0 + jj) * wl;
                 word s = 0;
                 for (int64_t w = 0; w < wl; w++)
                     s ^= arow[w] & brow[w];
-                sums[jj] = s;
+                if (cnt == 64)
+                    sums[jj] = s;
+                else
+                    out |= (word)__builtin_parityll(s) << (63 - jj);
             }
-            word out = 0;
-            if (cnt == 64) {
+            if (cnt == 64)
                 out = parity64(sums);
-            } else {
-                for (int jj = 0; jj < cnt; jj++)
-                    out |= (word)__builtin_parityll(sums[jj]) << (63 - jj);
-            }
             crow[j0 >> 6] ^= out;
         }
     }
@@ -929,13 +886,12 @@ static word *scratch(word rows, word width, word extra, void **block)
 }
 
 /* The M4RM entries, m4rm and m4rm_t (c, a, b, l, n, k, b_s, t,
- * t_stride): c += a @ b by `run`, with tables for min(t, ceil(l / k))
- * stripes of 2^k rows, t_stride words apart, of n columns (m4rm) or of m
- * (m4rm_t, which also takes c^T, its window of a and b and t * k <= 64:
- * see m4rm_t). */
+ * t_stride): c += a @ b by the engine, directly or `transposed`, with
+ * tables for min(t, ceil(l / k)) stripes of 2^k rows, t_stride words
+ * apart, of n columns (m4rm) or of m (m4rm_t, which also takes c^T, its
+ * window of a and b and t * k <= 64: see m4rm_t). */
 static PyObject *m4rm_entry(const char *name, int transposed,
-                            void (*run)(M4RM_PARAMS), PyObject *const *args,
-                            Py_ssize_t nargs)
+                            PyObject *const *args, Py_ssize_t nargs)
 {
     operand op[3];
     word w[6];
@@ -973,8 +929,14 @@ static PyObject *m4rm_entry(const char *name, int transposed,
     }
     if (tables != NULL) {
         Py_BEGIN_ALLOW_THREADS
-        run(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
-            op[2].stride, m, l, n, (int)k, b_s, (int)t, tables, t_stride);
+        if (transposed)
+            m4rm_t(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
+                   op[2].stride, m, l, n, (int)k, b_s, (int)t, tables,
+                   t_stride);
+        else
+            engine(op[0].p, op[0].stride, op[1].p, op[1].stride, op[2].p,
+                   op[2].stride, m, 0, l, n, (int)k, b_s, (int)t, tables,
+                   t_stride);
         Py_END_ALLOW_THREADS
         PyMem_RawFree(block);
     }
@@ -988,14 +950,14 @@ static PyObject *py_m4rm(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
     (void)self;
-    return m4rm_entry("m4rm", 0, engine, args, nargs);
+    return m4rm_entry("m4rm", 0, args, nargs);
 }
 
 static PyObject *py_m4rm_t(PyObject *self, PyObject *const *args,
                            Py_ssize_t nargs)
 {
     (void)self;
-    return m4rm_entry("m4rm_t", 1, engine_t, args, nargs);
+    return m4rm_entry("m4rm_t", 1, args, nargs);
 }
 
 /* cubic(c, a, b, l, n): c += a @ b by cubic, with B transposed in n rows
@@ -1058,7 +1020,7 @@ static PyObject *py_transpose(PyObject *self, PyObject *const *args,
              (long long)n);
     else if (m && n) {
         Py_BEGIN_ALLOW_THREADS
-        transposer(op[0].p, op[0].stride, op[1].p, op[1].stride, m, n);
+        transposer(op[0].p, op[0].stride, op[1].p, op[1].stride, m, n, 0);
         Py_END_ALLOW_THREADS
     }
     Py_DECREF(op[0].words);
@@ -1153,12 +1115,10 @@ PyMODINIT_FUNC PyInit_gf2mat_kernel(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         engine = m4rm_avx512f;
-        engine_t = m4rm_t_avx512f;
         transposer = transpose_avx512f;
         isa = "avx512f";
     } else if (__builtin_cpu_supports("avx2")) {
         engine = m4rm_avx2;
-        engine_t = m4rm_t_avx2;
         transposer = transpose_avx2;
         isa = "avx2";
     }

@@ -9,9 +9,9 @@ accumulate into C. Three kernels exist, with bit-identical results and
 identical operation counts:
 
 c       adds whole products: the M4RM engine (table builds, stripe index
-        reads, fused combine), directly or on the transpose, and cubic
-        (transpose of B, row loop) run in `_kernel.c`, one call per
-        product, as does `transpose`; `xor` and `add` are numpy's.
+        reads, fused combine), directly or on transposed windows, and
+        cubic (transpose of B, row loop) run in `_kernel.c`, one call
+        per product, as does `transpose`; `xor` and `add` are numpy's.
 numpy   `xor` is np.bitwise_xor; `transpose` is transpose_words, the
         kernel's rounds on every block at once.
 scalar  `xor` is a plain per-word Python loop, for wide-vs-scalar
@@ -41,9 +41,10 @@ traces, and release the interpreter lock around the engine; its
 `transpose` writes a matrix's transpose, packed to packed
 (core.transpose), and its `pack` fills a matrix's words from a dense
 bool/uint8 array in one read of it (core.from_dense). Its init function
-is the one symbol the binary exports. On x86-64 the binary holds both
-M4RM engines and the transpose once per instruction set, and the module
-picks the widest copies the CPU has when it loads (`isa()` names them).
+is the one symbol the binary exports. On x86-64 the binary holds the
+M4RM engine and the transpose once per instruction set, and the module
+picks the widest copies the CPU has when it loads (`isa()` names them);
+M4RM on the transpose is one portable driver over those copies.
 Without a compiler, without the Python headers or without a writable
 cache the default kernel is `numpy`; there is no second binding.
 """
@@ -215,9 +216,11 @@ class CKernel(NumpyKernel):
         checked, and the plan's tables passed the budget, once at the
         public entry.
     m4rm_t(c, a, b, l, n, k, b_s, t, t_stride): the same product as
-        c^T += b^T a^T, for a transposed plan: row blocks of c^T's n
-        rows, tables of a's columns, t * k <= 64; it also allocates c^T
-        and the windows of a and b (plan.scratch_words in all).
+        c^T += b^T a^T, for a transposed plan: m4rm's engine run on
+        windows of a's columns and b's rows, transposed, so its row
+        blocks are of c^T's n rows and its tables of a's columns;
+        t * k <= 64. It also allocates c^T and the windows of a and b
+        (plan.scratch_words in all).
     cubic(c, a, b, l, n): c += a @ b; the extension allocates b
         transposed for the call.
     transpose(out, a, m, n): out's words = a's m x n entries transposed,

@@ -114,6 +114,9 @@ class BitMatrix(_Matrix):
         if nrows < 0 or ncols < 0:
             raise DimensionError(f"negative dimensions {nrows}x{ncols}")
         width = (ncols + WORD_BITS - 1) // WORD_BITS
+        if nrows * width * 8 > sys.maxsize:
+            raise DimensionError(
+                f"{nrows}x{ncols} takes more bytes than an array can hold")
         if width < _LINE_WORDS or not nrows:
             words = np.zeros((nrows, width), _WORD)
         else:
@@ -241,6 +244,7 @@ def random(nrows: int, ncols: int, seed: int) -> BitMatrix:
 
 
 def get_bit(a: Mat, r: int, c: int) -> int:
+    r, c = integer(r, "r"), integer(c, "c")
     if not (0 <= r < a.nrows and 0 <= c < a.ncols):
         raise IndexError(f"({r},{c}) out of range for {a.nrows}x{a.ncols}")
     w = a.words[r, c >> 6]
@@ -248,6 +252,7 @@ def get_bit(a: Mat, r: int, c: int) -> int:
 
 
 def set_bit(a: Mat, r: int, c: int, v: int) -> None:
+    r, c, v = integer(r, "r"), integer(c, "c"), integer(v, "v")
     if not (0 <= r < a.nrows and 0 <= c < a.ncols):
         raise IndexError(f"({r},{c}) out of range for {a.nrows}x{a.ncols}")
     bit = np.uint64(1) << np.uint64(63 - (c & 63))
@@ -263,6 +268,7 @@ def read_bits(a: Mat, r: int, sc: int, k: int) -> int:
     Returns a[r,sc] * 2^(k-1) + a[r,sc+1] * 2^(k-2) + ... + a[r,sc+k-1],
     correct when the span crosses a word boundary. k is limited to MAX_K.
     """
+    r, sc, k = integer(r, "r"), integer(sc, "sc"), integer(k, "k")
     if not 1 <= k <= _kernel.MAX_K:
         raise IndexError(f"read_bits width {k} outside 1..{_kernel.MAX_K}")
     if not (0 <= r < a.nrows and 0 <= sc and sc + k <= a.ncols):
@@ -306,6 +312,7 @@ def _masked_last(words_2d: np.ndarray, ncols: int) -> np.ndarray:
 
 def row_add(c: Mat, r1: int, s: Mat, r2: int) -> None:
     """XOR row r2 of s into row r1 of c, word-wise."""
+    r1, r2 = integer(r1, "r1"), integer(r2, "r2")
     if c.ncols != s.ncols:
         raise DimensionError(
             f"row_add width mismatch: {c.ncols} vs {s.ncols}")

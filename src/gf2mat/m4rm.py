@@ -68,13 +68,10 @@ class StripeSpec:
             raise ParameterError(f"block size {self.b_s} < 1")
 
 
-def _stripes(l: int, k: int) -> list[tuple[int, int]]:
-    """(start_col, width) pairs covering l columns in stripes of k."""
-    out = [(sc, k) for sc in range(0, l - k + 1, k)]
-    done = len(out) * k
-    if done < l:
-        out.append((done, l - done))
-    return out
+def _stripes(l: int, k: int, start: int = 0) -> list[tuple[int, int]]:
+    """(start_col, width) pairs covering columns [start, l) in stripes of
+    k, the last one narrower when k does not divide l - start."""
+    return [(sc, min(k, l - sc)) for sc in range(start, l, k)]
 
 
 class Plan(NamedTuple):
@@ -165,26 +162,33 @@ def _mul_into(c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan) -> None:
     if plan.transposed:
         _mul_t_into(kernel, c, a, b, plan)
         return
-    m, l, n = a.nrows, a.ncols, b.ncols
-    stripes = _stripes(l, plan.k)
-    tables = [CombinationTable(plan.k, n) for _ in range(plan.ntables)]
-    for r0 in range(0, m, plan.b_s):
-        r1 = min(r0 + plan.b_s, m)
-        for g0 in range(0, len(stripes), plan.t):
+    tables = [CombinationTable(plan.k, b.ncols) for _ in range(plan.ntables)]
+    _blocks(kernel, c, a, b, plan, tables, 0, a.ncols)
+
+
+def _blocks(kernel, c: core.Mat, a: core.Mat, b: core.Mat, plan: Plan,
+            tables: list, g0: int, l: int) -> None:
+    """c += a @ b over a's columns and b's rows [g0, l), step for step as
+    `_kernel.c`'s m4rm: row blocks of plan.b_s rows outer, groups of
+    plan.t stripes of plan.k columns from column g0 inner, each built
+    into `tables` and added by _add_group."""
+    stripes = _stripes(l, plan.k, g0)
+    for r0 in range(0, a.nrows, plan.b_s):
+        r1 = min(r0 + plan.b_s, a.nrows)
+        for s0 in range(0, len(stripes), plan.t):
             _add_group(kernel, c.words[r0:r1], a, r0, r1, b,
-                       stripes[g0:g0 + plan.t], tables, 0)
+                       stripes[s0:s0 + plan.t], tables)
 
 
 def _add_group(kernel, dst: np.ndarray, a: core.Mat, r0: int, r1: int,
-               b: core.Mat, group: list, tables: list, col0: int) -> None:
+               b: core.Mat, group: list, tables: list) -> None:
     """dst += rows [r0, r1) of a @ b over one group of stripes (sc, kw):
-    the group's tables from rows sc - col0 of b, then every row's indices
-    from columns sc - col0 of a, all read before any table lookup; the
-    group's lookups are gathered and summed, then added to dst by one
-    xor."""
+    the group's tables from rows sc of b, then every row's indices from
+    columns sc of a, all read before any table lookup; the group's
+    lookups are gathered and summed, then added to dst by one xor."""
     for table, (sc, kw) in zip(tables, group):
-        make_table(b, sc - col0, kw, table)
-    ids = [_read_bits_rows(a, r0, r1, sc - col0, kw) for sc, kw in group]
+        make_table(b, sc, kw, table)
+    ids = [_read_bits_rows(a, r0, r1, sc, kw) for sc, kw in group]
     rows = tables[0].words[ids[0]]
     for table, idx in zip(tables[1:], ids[1:]):
         rows ^= table.words[idx]
@@ -196,34 +200,31 @@ def _add_group(kernel, dst: np.ndarray, a: core.Mat, r0: int, r1: int,
 def _mul_t_into(kernel, c: core.Mat, a: core.Mat, b: core.Mat,
                 plan: Plan) -> None:
     """c += a @ b as C^T += B^T A^T on a Python kernel, step for step as
-    `_kernel.c`'s m4rm_t: stripe groups of at most 64 columns, whose
-    tables come from a's columns and indices from b's rows, both
-    transposed WINDOW words at a time into windows that move to the word
-    of a group's first column when it ends past them; C^T is added to c,
-    transposed, at the end. It allocates what m4rm_t allocates
-    (plan.scratch_words)."""
+    `_kernel.c`'s m4rm_t: the direct loop (_blocks) on windows of at most
+    WINDOW words, each from the word of the first stripe group not yet
+    added. a's columns of the window, transposed, are its b and b's rows
+    its a; it adds the groups of plan.t stripes that end inside the
+    window. C^T is added to c, transposed, at the end. It allocates what
+    m4rm_t allocates (plan.scratch_words)."""
     m, l, n = a.nrows, a.ncols, b.ncols
     span = core.WORD_BITS * min(WINDOW, a.width)
+    group = plan.t * plan.k
     ct = _padded(n, m)
-    at = _padded(span, m)  # a's columns [ws, ws + span), transposed
-    bw = core.create(n, span)  # b's rows [ws, ws + span), transposed
+    at = _padded(span, m)  # a's columns [ws, end), transposed
+    bw = core.create(n, span)  # b's rows [ws, end), transposed
     tables = [CombinationTable(plan.k, m) for _ in range(plan.ntables)]
-    stripes = _stripes(l, plan.k)
-    ws = -span
-    for g0 in range(0, len(stripes), plan.t):
-        group = stripes[g0:g0 + plan.t]
-        if sum(group[-1]) > ws + span:
-            ws = group[0][0] - group[0][0] % core.WORD_BITS
-            cols = min(span, l - ws)
-            wi = ws // core.WORD_BITS
-            at.words[:cols] = _kernel.transpose_words(
-                a.words[:, wi:wi + bw.width], m, cols)
-            bw.words[:, :core.words_per_row(cols)] = \
-                _kernel.transpose_words(b.words[ws:ws + cols], cols, n)
-        for r0 in range(0, n, plan.b_s):
-            r1 = min(r0 + plan.b_s, n)
-            _add_group(kernel, ct.words[r0:r1], bw, r0, r1, at, group,
-                       tables, ws)
+    g0 = 0
+    while g0 < l:
+        ws = g0 - g0 % core.WORD_BITS
+        end = min(l, ws + span)
+        g1 = l if end == l else g0 + (end - g0) // group * group
+        wi = ws // core.WORD_BITS
+        at.words[:end - ws] = _kernel.transpose_words(
+            a.words[:, wi:wi + bw.width], m, end - ws)
+        bw.words[:, :core.words_per_row(end - ws)] = \
+            _kernel.transpose_words(b.words[ws:end], end - ws, n)
+        _blocks(kernel, ct, bw, at, plan, tables, g0 - ws, g1 - ws)
+        g0 = g1
     product = _kernel.transpose_words(ct.words, n, m)
     kernel.xor(c.words, product, c.words)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -11,7 +12,7 @@ from conftest import from_rows, nested_windows, rows_of
 from gf2mat import _kernel, _reference, core
 from gf2mat.counters import counters
 from gf2mat.errors import (AlignmentError, DimensionError, FormatError,
-                           ParameterError)
+                           GF2MatError, ParameterError)
 
 
 def read_bits_oracle(a, r, sc, k):
@@ -113,6 +114,64 @@ def test_numpy_integer_sizes_accepted(call, args, spoiled):
     got = call(*args)
     assert core.equal(got, expected)
     assert all(type(x) is int for x in (got.nrows, got.ncols))
+
+
+# The bit and row accessors and create, each as a call on one operand
+# matrix with arguments that work: (call, integer arguments).
+ACCESSORS = {
+    "get_bit": (core.get_bit, (1, 70)),
+    "set_bit": (core.set_bit, (1, 70, 1)),
+    "read_bits": (core.read_bits, (1, 60, 8)),
+    "row_add": (lambda m, r1, r2: core.row_add(m, r1, m, r2), (0, 2)),
+    "create": (lambda m, nrows, ncols: core.create(nrows, ncols), (2, 3)),
+}
+ACCESSOR_ARGUMENTS = [(name, i) for name, (_, args) in ACCESSORS.items()
+                      for i in range(len(args))]
+
+
+@pytest.mark.parametrize("backend", _kernel.available())
+@pytest.mark.parametrize("bad", [4.5, 1.0, "4", None])
+@pytest.mark.parametrize("name,spoiled", ACCESSOR_ARGUMENTS)
+def test_non_integer_accessor_arguments_raise_before_writing(name, spoiled,
+                                                             bad, backend):
+    """A non-integer index, width, value or size raises a GF2MatError
+    before any counter moves or any word of the operand is written."""
+    call, args = ACCESSORS[name]
+    args = list(args)
+    args[spoiled] = bad
+    m = core.random(3, 130, seed=9)
+    words = m.words.copy()
+    before = dataclasses.asdict(counters)
+    with _kernel.using(backend), pytest.raises(GF2MatError):
+        call(m, *args)
+    assert dataclasses.asdict(counters) == before
+    assert np.array_equal(m.words, words)
+
+
+@pytest.mark.parametrize("backend", _kernel.available())
+@pytest.mark.parametrize("name,spoiled", ACCESSOR_ARGUMENTS)
+def test_numpy_integer_accessor_arguments_accepted(name, spoiled, backend):
+    call, args = ACCESSORS[name]
+    m, expected_m = core.random(3, 130, seed=9), core.random(3, 130, seed=9)
+    with _kernel.using(backend):
+        expected = call(expected_m, *args)
+        args = list(args)
+        args[spoiled] = np.int64(args[spoiled])
+        got = call(m, *args)
+    assert got == expected
+    assert core.equal(m, expected_m)
+
+
+@pytest.mark.parametrize("call,args", [
+    (core.create, (2 ** 40, 2 ** 40)), (core.create, (2 ** 62, 64)),
+    (core.identity, (2 ** 40,)), (core.random, (2 ** 40, 2 ** 40, 1))])
+def test_oversized_matrix_raises_before_allocating(call, args):
+    """More bytes than sys.maxsize raise DimensionError, not numpy's
+    ValueError, before anything is allocated."""
+    before = counters.words_allocated
+    with pytest.raises(DimensionError, match="more bytes"):
+        call(*args)
+    assert counters.words_allocated == before
 
 
 class TestGetSetBit:
